@@ -21,6 +21,12 @@ on the decaying branch; the pair of checks discriminates the two.
 The unsolved partner component follows from the first-order coupling:
 pseudospin  F = [dG/dr - ((kappa + H)/r) G] / (M - E + C_sym),
 spin        G = [dF/dr + ((kappa + H)/r) F] / (M + E - C_sym).
+
+Everything is evaluated from log s = -2 alpha r, never from s itself: far
+out s underflows to zero long before s^nu does, and near the origin
+1 - s loses digits that -expm1(log s) keeps.  The joint normalization
+integral is a fixed-order Gauss rule over panels of r, evaluated in one
+vectorized call at two orders that must agree.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import quad
 
 from .errors import (
     DenominatorNearZero,
@@ -66,31 +71,33 @@ class JacobiSpec:
             raise DomainError("Jacobi exponents must be finite")
 
 
-def jacobi_eval(spec: JacobiSpec, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Evaluate P_n^{(a, b)}(x) by the ascending three-term recurrence.
+def _binomial(top: float, k: int) -> float:
+    """Binomial coefficient C(top, k) for real top and integer k >= 0."""
+    return math.prod((top - k + i) / i for i in range(1, k + 1))
 
-    Valid for arbitrary real exponents as long as the recurrence
-    denominators 2k (k + a + b) (2k + a + b - 2) stay away from zero; the
-    classical orthogonality range a, b > -1 is not required.
+
+def jacobi_eval(spec: JacobiSpec, x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Evaluate P_n^{(a, b)}(x) from its explicit sum,
+
+        P_n^{(a, b)}(x) = sum_j C(n + a, n - j) C(n + b, j)
+                          ((x - 1)/2)^j ((x + 1)/2)^(n - j),
+
+    summed by Horner's rule in (x + 1)/2.  Valid for arbitrary real
+    exponents; the classical orthogonality range a, b > -1 is not required.
+    The coefficients are plain products, so nothing divides by the factors
+    k + a + b of the three-term recurrence, which loses digits as they near
+    zero -- on the terminating branch (a = -2 nu < 0) that happens often.
     """
     x = np.asarray(x, dtype=float)
     n, a, b = spec.n, spec.a, spec.b
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p_curr = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for k in range(2, n + 1):
-        denom = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        if abs(denom) < 1e-12:
-            raise DomainError(
-                f"degenerate Jacobi recurrence at degree {k} for (a, b) = ({a!r}, {b!r})"
-            )
-        c_lin = (2.0 * k + a + b - 1.0)
-        term = c_lin * ((2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b)
-        drop = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p_next = (term * p_curr - drop * p_prev) / denom
-        p_prev, p_curr = p_curr, p_next
-    return p_curr
+    lower = 0.5 * (x - 1.0)
+    upper = 0.5 * (x + 1.0)
+    total = np.full_like(x, _binomial(n + a, n))
+    lower_pow = np.ones_like(x)
+    for j in range(1, n + 1):
+        lower_pow = lower_pow * lower
+        total = total * upper + _binomial(n + a, n - j) * _binomial(n + b, j) * lower_pow
+    return total
 
 
 def jacobi_deriv(spec: JacobiSpec, x: NDArray[np.float64], order: int = 1) -> NDArray[np.float64]:
@@ -116,8 +123,10 @@ def jacobi_deriv(spec: JacobiSpec, x: NDArray[np.float64], order: int = 1) -> ND
 class BranchFunctions:
     """Analytic solved component of one state on one branch.
 
-    Provides the function of s and its first two s-derivatives; everything
-    downstream (radial derivatives, coupling, residuals) chains these.
+    ``evaluate`` gives the function of s and its first two s-derivatives
+    from log s; everything downstream (radial derivatives, coupling,
+    normalization, residuals) chains these.  ``value``, ``d_ds`` and
+    ``d2_ds2`` are the same evaluation taken at s.
     """
 
     branch: str
@@ -128,46 +137,53 @@ class BranchFunctions:
     jacobi: JacobiSpec
     problem: NuProblem
 
-    def value(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
-        s = np.asarray(s, dtype=float)
+    def evaluate(
+        self, log_s: NDArray[np.float64]
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+        """psi, s psi' and s^2 psi'' at s = e^{log_s}, primes meaning d/ds.
+
+        With W = P_n^{(a, b)}(1 - 2 s), q = s / (1 - s) and the common
+        factor e = s^p (1 - s)^t divided out,
+
+            psi       = e W
+            s psi'    = e [(p - t q) W - 2 s W']
+            s^2 psi'' = e [((p - t q)^2 - p - t q^2) W
+                           - 4 s (p - t q) W' + 4 s^2 W''].
+
+        e is formed as exp(p log s + t log(-expm1(log s))), so an underflowed
+        s or a negative power of s on the growing branch never meets 0 * inf.
+        """
+        log_s = np.asarray(log_s, dtype=float)
+        s = np.exp(log_s)
+        one_minus = -np.expm1(log_s)
+        q = s / one_minus
+        p, t = self.s_exponent, self.one_minus_exponent
         x = 1.0 - 2.0 * s
+        w = jacobi_eval(self.jacobi, x)
+        dw = jacobi_deriv(self.jacobi, x)
+        d2w = jacobi_deriv(self.jacobi, x, order=2)
+        common = np.exp(p * log_s + t * np.log(one_minus))
+        slope = p - t * q
         return (
-            s ** self.s_exponent
-            * (1.0 - s) ** self.one_minus_exponent
-            * jacobi_eval(self.jacobi, x)
+            common * w,
+            common * (slope * w - 2.0 * s * dw),
+            common * (
+                (slope * slope - p - t * q * q) * w
+                - 4.0 * s * slope * dw
+                + 4.0 * s * s * d2w
+            ),
         )
+
+    def value(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self.evaluate(np.log(s))[0]
 
     def d_ds(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
         s = np.asarray(s, dtype=float)
-        x = 1.0 - 2.0 * s
-        p, t = self.s_exponent, self.one_minus_exponent
-        u = s ** p
-        v = (1.0 - s) ** t
-        w = jacobi_eval(self.jacobi, x)
-        wp = jacobi_deriv(self.jacobi, x)
-        return (
-            p * s ** (p - 1.0) * v * w
-            - t * u * (1.0 - s) ** (t - 1.0) * w
-            - 2.0 * u * v * wp
-        )
+        return self.evaluate(np.log(s))[1] / s
 
     def d2_ds2(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
         s = np.asarray(s, dtype=float)
-        x = 1.0 - 2.0 * s
-        p, t = self.s_exponent, self.one_minus_exponent
-        u = s ** p
-        du = p * s ** (p - 1.0)
-        d2u = p * (p - 1.0) * s ** (p - 2.0)
-        v = (1.0 - s) ** t
-        dv = -t * (1.0 - s) ** (t - 1.0)
-        d2v = t * (t - 1.0) * (1.0 - s) ** (t - 2.0)
-        w = jacobi_eval(self.jacobi, x)
-        dw = -2.0 * jacobi_deriv(self.jacobi, x)
-        d2w = 4.0 * jacobi_deriv(self.jacobi, x, order=2)
-        return (
-            d2u * v * w + u * d2v * w + u * v * d2w
-            + 2.0 * (du * dv * w + du * v * dw + u * dv * dw)
-        )
+        return self.evaluate(np.log(s))[2] / (s * s)
 
 
 def branch_functions(eq: EnergyEquation, energy: float, branch: str = DECAYING) -> BranchFunctions:
@@ -285,15 +301,15 @@ def lower_component(
         raise DomainError("lower_component expects a pseudospin-limit equation")
     bf = branch_functions(eq, energy, branch)
     r = _check_grid(default_grid(eq, energy) if grid is None else grid)
-    s = np.exp(-2.0 * eq.params.alpha * r)
-    g = bf.value(s)
+    log_s = -2.0 * eq.params.alpha * r
+    g = bf.evaluate(log_s)[0]
     return WavefunctionTable(
         state=eq.state,
         symmetry=eq.params.symmetry,
         branch=branch,
         energy=energy,
         r=r,
-        s=s,
+        s=np.exp(log_s),
         g=g,
         f=np.zeros_like(g),
         nu=bf.nu,
@@ -319,43 +335,109 @@ def _coupling_denominator(eq: EnergyEquation, energy: float) -> float:
     return denom
 
 
-def _partner_from_solved(
+def _solved_and_partner(
     eq: EnergyEquation, energy: float, bf: BranchFunctions, r: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """First-order coupling applied to the analytic solved component.
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Unnormalized solved component and its first-order coupled partner at r.
 
     The radial derivative uses the chain rule d/dr = -2 alpha s d/ds on
     the analytic s-derivative; no finite differences anywhere.
     """
     p = eq.params
     denom = _coupling_denominator(eq, energy)
-    shifted = eq.state.kappa + p.tensor_h
-    s = np.exp(-2.0 * p.alpha * r)
-    d_dr = -2.0 * p.alpha * s * bf.d_ds(s)
+    centrifugal = (eq.state.kappa + p.tensor_h) / r
+    solved, s_d_ds, _ = bf.evaluate(-2.0 * p.alpha * r)
+    d_dr = -2.0 * p.alpha * s_d_ds
     if p.symmetry == PSEUDOSPIN:
-        return (d_dr - (shifted / r) * bf.value(s)) / denom
-    return (d_dr + (shifted / r) * bf.value(s)) / denom
+        return solved, (d_dr - centrifugal * solved) / denom
+    return solved, (d_dr + centrifugal * solved) / denom
+
+
+def _gauss_jacobi(order: int, beta: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Gauss rule on [-1, 1] for the weight (1 + x)^beta, beta > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    polynomials orthogonal under the weight, the weights the squared first
+    components of its eigenvectors times the weight's mass
+    2^(beta + 1)/(beta + 1).  beta = 0 is Gauss-Legendre.
+    """
+    k = np.arange(1.0, order)
+    two_k = 2.0 * k + beta
+    diag = np.empty(order)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (two_k * (two_k + 2.0))
+    off = 2.0 * k * (k + beta) / (two_k * np.sqrt(two_k * two_k - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vectors[0] ** 2
+
+
+# The normalization integral is taken at both orders; they must agree to NORM_RTOL.
+NORM_ORDERS = (16, 24)
+NORM_RTOL = 1e-10
+_LEGENDRE = {order: _gauss_jacobi(order, 0.0) for order in NORM_ORDERS}
+
+
+def _norm_edges(alpha: float, nu: float, r_max: float) -> NDArray[np.float64]:
+    """Panel edges on (0, r_max) for the normalization integral.
+
+    Uniform panels one decay length 1/(2 alpha nu) wide reach down to
+    r = decay length (or r_max, if that is shorter): across each the
+    envelope s^(+-nu) changes by a factor e, on either branch.  Below it the
+    panels shrink by 1/4 toward the origin until the first edge is at most
+    1/(2 alpha), the scale of 1 - s.  The interval from 0 to the first
+    edge is the origin panel.
+    """
+    decay = 1.0 / (2.0 * alpha * nu) if nu > 0.0 else math.inf
+    top = min(decay, r_max)
+    levels = max(0, math.ceil(math.log(2.0 * alpha * top, 4.0)))
+    graded = top * 0.25 ** np.arange(levels, -1, -1)
+    uniform = np.linspace(top, r_max, math.ceil((r_max - top) / decay) + 1)
+    return np.concatenate([graded, uniform[1:]])
+
+
+def _norm_rule(
+    edges: NDArray[np.float64], mu: float, order: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Nodes and weights of one order over the origin panel and every panel.
+
+    Near r = 0 the integrand is r^(mu - 1) times a function analytic in
+    |r| < pi/alpha, so the origin panel uses the Gauss-Jacobi rule for
+    that power, divided back out of the weights; the rest is
+    Gauss-Legendre.
+    """
+    x, w = _LEGENDRE[order]
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    xj, wj = _gauss_jacobi(order, mu - 1.0)
+    origin = 0.5 * edges[0]
+    nodes = np.concatenate([origin * (1.0 + xj), (lo + half * (1.0 + x)).ravel()])
+    weights = np.concatenate([origin * wj * (1.0 + xj) ** (1.0 - mu), (half * w).ravel()])
+    return nodes, weights
 
 
 def _joint_norm(
     eq: EnergyEquation, energy: float, bf: BranchFunctions, r_max: float
 ) -> float:
-    """Normalization constant for the (G, F) pair on (0, r_max)."""
-    p = eq.params
-    denom = _coupling_denominator(eq, energy)
-    shifted = eq.state.kappa + p.tensor_h
+    """Normalization constant for the (G, F) pair on (0, r_max).
 
-    def integrand(r: float) -> float:
-        s = math.exp(-2.0 * p.alpha * r)
-        solved = float(bf.value(s))
-        d_dr = -2.0 * p.alpha * s * float(bf.d_ds(s))
-        sign = -1.0 if p.symmetry == PSEUDOSPIN else 1.0
-        partner = (d_dr + sign * (shifted / r) * solved) / denom
-        return solved * solved + partner * partner
-
-    integral, _ = quad(integrand, 0.0, r_max, limit=200, epsabs=1e-13, epsrel=1e-13)
-    if not (math.isfinite(integral) and integral > 0.0):
-        raise NonNormalizable(f"normalization integral = {integral!r}")
+    The integral of G^2 + F^2 is taken at both NORM_ORDERS in one
+    evaluation of the pair; a result that is not finite and positive, or
+    two orders that disagree by more than NORM_RTOL, is NonNormalizable.
+    """
+    low_order, high_order = NORM_ORDERS
+    edges = _norm_edges(eq.params.alpha, bf.nu, r_max)
+    low_r, low_w = _norm_rule(edges, bf.mu, low_order)
+    high_r, high_w = _norm_rule(edges, bf.mu, high_order)
+    solved, partner = _solved_and_partner(eq, energy, bf, np.concatenate([low_r, high_r]))
+    density = solved * solved + partner * partner
+    low = float(low_w @ density[: low_r.size])
+    integral = float(high_w @ density[low_r.size :])
+    if not (math.isfinite(integral) and integral > 0.0
+            and abs(integral - low) <= NORM_RTOL * integral):
+        raise NonNormalizable(
+            f"normalization integral = {integral!r} at order {high_order}, "
+            f"{low!r} at order {low_order}"
+        )
     return 1.0 / math.sqrt(integral)
 
 
@@ -368,8 +450,7 @@ def upper_component_from_lower(
     if lower.symmetry != PSEUDOSPIN:
         raise DomainError("lower table was not built in the pseudospin limit")
     bf = branch_functions(eq, lower.energy, lower.branch)
-    f_raw = _partner_from_solved(eq, lower.energy, bf, lower.r)
-    g_raw = bf.value(lower.s)
+    g_raw, f_raw = _solved_and_partner(eq, lower.energy, bf, lower.r)
     norm = _joint_norm(eq, lower.energy, bf, float(lower.r[-1]))
     residual = verify_ode(eq, lower.energy, branch=lower.branch, grid=lower.r)
     return WavefunctionTable(
@@ -402,9 +483,7 @@ def spin_limit_components(
         raise DomainError("spin_limit_components expects a spin-limit equation")
     bf = branch_functions(eq, energy, branch)
     r = _check_grid(default_grid(eq, energy) if grid is None else grid)
-    s = np.exp(-2.0 * eq.params.alpha * r)
-    f_raw = bf.value(s)
-    g_raw = _partner_from_solved(eq, energy, bf, r)
+    f_raw, g_raw = _solved_and_partner(eq, energy, bf, r)
     norm = _joint_norm(eq, energy, bf, float(r[-1]))
     residual = verify_ode(eq, energy, branch=branch, grid=r)
     return WavefunctionTable(
@@ -413,7 +492,7 @@ def spin_limit_components(
         branch=branch,
         energy=energy,
         r=r,
-        s=s,
+        s=np.exp(-2.0 * eq.params.alpha * r),
         g=norm * g_raw,
         f=norm * f_raw,
         nu=bf.nu,
@@ -445,37 +524,35 @@ def verify_ode(
 ) -> float:
     """Max relative residual of the transformed equation on interior points.
 
-    The solved component is plugged into
+    The solved component is plugged into the equation multiplied through
+    by s^2,
 
-        psi'' + psi'/s + (-A s^2 + B s - C) / (s^2 (1 - s)^2) psi = 0
+        s^2 psi'' + s psi' + (-A s^2 + B s - C) / (1 - s)^2 psi = 0,
 
     and at each interior grid point the absolute residual is divided by
-    the largest of the three term magnitudes.  At a true eigenvalue the
-    terminating branch drives this below 1e-8; the decaying branch does
-    not satisfy this equation and stays at order one, which is exactly
-    what makes the (residual, decay) pair discriminate the branches.
+    the largest of the three term magnitudes, a ratio that no common
+    factor of the terms changes.  At a true eigenvalue the terminating
+    branch drives this below 1e-8; the decaying branch does not satisfy
+    this equation and stays at order one, which is exactly what makes the
+    (residual, decay) pair discriminate the branches.
     """
     bf = branch_functions(eq, energy, branch)
     r = _check_grid(default_grid(eq, energy) if grid is None else grid)
-    s_all = np.exp(-2.0 * eq.params.alpha * r)
-    s = s_all[1:-1]
-    if s.size < min_interior:
+    log_s = -2.0 * eq.params.alpha * r[1:-1]
+    if log_s.size < min_interior:
         raise GridTooCoarse(
-            f"{s.size} interior points < required {min_interior}"
+            f"{log_s.size} interior points < required {min_interior}"
         )
     problem = bf.problem
-    psi = bf.value(s)
-    dpsi = bf.d_ds(s)
-    d2psi = bf.d2_ds2(s)
+    psi, s_dpsi, s2_d2psi = bf.evaluate(log_s)
+    s = np.exp(log_s)
     rational = (
         (-problem.big_a * s * s + problem.big_b * s - problem.big_c)
-        / (s * s * (1.0 - s) ** 2)
+        / np.expm1(log_s) ** 2
     )
-    term1 = d2psi
-    term2 = dpsi / s
     term3 = rational * psi
-    residual = np.abs(term1 + term2 + term3)
-    scale = np.maximum(np.abs(term1), np.maximum(np.abs(term2), np.abs(term3)))
+    residual = np.abs(s2_d2psi + s_dpsi + term3)
+    scale = np.maximum(np.abs(s2_d2psi), np.maximum(np.abs(s_dpsi), np.abs(term3)))
     ok = scale > 0.0
     if not np.any(ok):
         raise GridTooCoarse("solved component vanished on every interior point")

@@ -218,3 +218,58 @@ class TestAnalyze:
     def test_which_required(self):
         code, _, err = run_cli("analyze")
         assert code == 2
+
+
+# Imports the package and the CLI with scipy made unimportable, checks that
+# the block holds, then runs the CLI on the given arguments.
+_WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
+import dirac_nu.cli
+sys.exit(dirac_nu.cli.main(sys.argv[1:]))
+"""
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env.pop("PSEUDOSPIN_CONFIG", None)
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestRuntimeDependencies:
+    def test_import_loads_no_scipy(self):
+        code, out, err = run_python(
+            "-c",
+            "import sys, dirac_nu, dirac_nu.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert code == 0, err
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("solve", "--tensor-h", "1", "--n", "1", "--kappa", "-1"),
+            ("wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1", "--format", "csv"),
+        ],
+    )
+    def test_cli_runs_without_scipy(self, args):
+        blocked = run_python("-c", _WITHOUT_SCIPY, *args)
+        assert blocked[0] == 0, blocked[2]
+        assert blocked == run_cli(*args)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ from scipy.special import eval_jacobi
 
 from dirac_nu.errors import DomainError, GridTooCoarse, NonNormalizable
 from dirac_nu.model import PSEUDOSPIN, SPIN, ModelParams, StateIndex
-from dirac_nu.spectrum import SolveOptions, build_equation, negative_root, solve_spectrum
+from dirac_nu.spectrum import (
+    ASSEMBLY_STRICT,
+    SolveOptions,
+    build_equation,
+    negative_root,
+    solve_spectrum,
+)
 from dirac_nu.wavefn import (
     DECAYING,
     TERMINATING,
@@ -41,6 +49,81 @@ def spin_eq(n, kappa, tensor_h=0.0):
 
 def solved(eq):
     return negative_root(solve_spectrum(eq, OPTS))
+
+
+# A weakly bound spin-limit state (nu = 0.035, r_max = 200): s = e^{-2 alpha r}
+# underflows to 0 on the far part of its grid.
+WEAK_SPIN = dict(
+    params=ModelParams(
+        mass=3.373894432862397,
+        symmetry=SPIN,
+        c_sym=-0.7319057991905558,
+        tensor_h=2.6356974365712036,
+        alpha=1.9598356769796468,
+        a_shape=7.2365174942295045,
+    ),
+    state=StateIndex(0, -2),
+    assembly=ASSEMBLY_STRICT,
+)
+# nu = 0.062 in the reference assembly
+WEAKER_SPIN = dict(
+    params=ModelParams(
+        mass=3.890484709320362,
+        symmetry=SPIN,
+        c_sym=-1.7045679001479757,
+        tensor_h=0.4773891024216623,
+        alpha=0.7632541572389754,
+        a_shape=4.604268544635814,
+    ),
+    state=StateIndex(1, -3),
+    assembly="reference",
+)
+
+
+def weak_state(case):
+    eq = build_equation(case["params"], case["state"], case["assembly"])
+    return eq, solve_spectrum(eq, OPTS).selected.energy
+
+
+def exact_jacobi(n, a, b, x):
+    """P_n^(a, b)(x) by the three-term recurrence in exact rational arithmetic."""
+    a, b, x = Fraction(a), Fraction(b), Fraction(x)
+    prev, curr = Fraction(1), (a - b) / 2 + (a + b + 2) * x / 2
+    if n == 0:
+        return 1.0
+    for k in range(2, n + 1):
+        c = 2 * k + a + b
+        curr, prev = (
+            (c - 1) * (c * (c - 2) * x + a * a - b * b) * curr
+            - 2 * (k + a - 1) * (k + b - 1) * c * prev
+        ) / (2 * k * (k + a + b) * (c - 2)), curr
+    return float(curr)
+
+
+def quad_norm_constant(eq, energy, branch, r_max):
+    """1/sqrt of the quad integral of G^2 + F^2 on (0, r_max), built from scipy pieces."""
+    bf = branch_functions(eq, energy, branch)
+    p = eq.params
+    n, a, b = bf.jacobi.n, bf.jacobi.a, bf.jacobi.b
+    pe, t = bf.s_exponent, bf.one_minus_exponent
+    lam = eq.state.kappa + p.tensor_h
+    if p.symmetry == PSEUDOSPIN:
+        denom, sign = p.mass - energy + p.c_sym, -1.0
+    else:
+        denom, sign = p.mass + energy - p.c_sym, 1.0
+
+    def density(r):
+        s = math.exp(-2.0 * p.alpha * r)
+        x = 1.0 - 2.0 * s
+        w = eval_jacobi(n, a, b, x)
+        dw = 0.5 * (n + a + b + 1.0) * eval_jacobi(n - 1, a + 1.0, b + 1.0, x) if n else 0.0
+        envelope = s**pe * (1.0 - s) ** t
+        d_ds = envelope * ((pe / s - t / (1.0 - s)) * w - 2.0 * dw)
+        partner = (-2.0 * p.alpha * s * d_ds + sign * (lam / r) * envelope * w) / denom
+        return (envelope * w) ** 2 + partner**2
+
+    total, _ = quad(density, 0.0, r_max, limit=200, epsabs=0.0, epsrel=1e-13)
+    return 1.0 / math.sqrt(total)
 
 
 class TestJacobiEval:
@@ -76,6 +159,15 @@ class TestJacobiEval:
 
         val, _ = quad(integrand, 0.0, 1.0, limit=200)
         assert abs(val) < 1e-8
+
+    def test_exact_near_degenerate_recurrence(self):
+        # k + a + b = 0.003 at k = 2: the three-term recurrence divides by it
+        # and loses about six digits; the terminating branch meets such pairs
+        spec = JacobiSpec(5, -9.8, 7.803)
+        xs = np.linspace(-1.0, 1.0, 41)
+        exact = np.array([exact_jacobi(5, -9.8, 7.803, x) for x in xs])
+        err = np.max(np.abs(jacobi_eval(spec, xs) - exact)) / np.max(np.abs(exact))
+        assert err < 1e-13
 
 
 class TestJacobiDeriv:
@@ -215,6 +307,46 @@ class TestDerivativeOrder:
         assert order1 >= 1.9 and order2 >= 1.9
 
 
+class TestNormalization:
+    @pytest.mark.parametrize("branch", [DECAYING, TERMINATING])
+    def test_norm_constant_matches_quad_on_bundled_states(self, ref, branch):
+        checked = 0
+        for cell in ref.cells:
+            eq = build_equation(ref.params(cell.symmetry, cell.tensor_h), cell.state)
+            selected = solve_spectrum(eq, OPTS).selected
+            if selected is None:
+                continue
+            build = pseudospin_components if cell.symmetry == PSEUDOSPIN else spin_limit_components
+            table = build(eq, selected.energy, branch=branch)
+            expect = quad_norm_constant(eq, selected.energy, branch, table.r[-1])
+            assert table.norm_constant == pytest.approx(expect, rel=1e-10)
+            checked += 1
+        assert checked >= 50
+
+    def test_overflowing_terminating_tail_is_not_normalizable(self):
+        # G^2 + F^2 grows like e^{2 r / decay} on the terminating branch and
+        # overflows long before r = 400 decay lengths
+        eq = ps_eq(1, -1, 1.0)
+        energy = solved(eq)
+        decay = 1.0 / (2.0 * eq.params.alpha * branch_functions(eq, energy).nu)
+        grid = np.geomspace(1e-4, 400.0 * decay, 2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonNormalizable):
+                pseudospin_components(eq, energy, grid=grid, branch=TERMINATING)
+
+    def test_weakly_bound_spin_state_normalizes(self):
+        # s underflows to 0 beyond r = 190 on this state's grid; the pair must
+        # still come out finite and jointly normalized, with no warning
+        eq, energy = weak_state(WEAK_SPIN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = spin_limit_components(eq, energy)
+        assert table.nu == pytest.approx(0.0353, abs=1e-4)
+        assert np.all(np.isfinite(table.g)) and np.all(np.isfinite(table.f))
+        assert table.node_count == 0
+        assert np.trapezoid(table.g**2 + table.f**2, table.r) == pytest.approx(1.0, abs=1e-4)
+
+
 class TestSpinComponents:
     def test_nodeless_ground_state(self):
         eq = spin_eq(0, -2, 1.0)
@@ -264,6 +396,17 @@ class TestVerifyOde:
     def test_terminating_branch_solves_equation(self):
         for eq in (ps_eq(1, -1, 1.0), spin_eq(0, -2, 1.0)):
             assert verify_ode(eq, solved(eq)) < 1e-8
+
+    @pytest.mark.parametrize("case,nu", [(WEAK_SPIN, 0.0353), (WEAKER_SPIN, 0.0618)])
+    def test_small_nu_terminating_branch(self, case, nu):
+        # s underflows to 0 at the far end of these grids, where a literal
+        # s^(-nu - 2) in psi'' is infinite; the residual must stay finite
+        eq, energy = weak_state(case)
+        assert branch_functions(eq, energy).nu == pytest.approx(nu, abs=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual = verify_ode(eq, energy)
+        assert math.isfinite(residual) and residual < 1e-8
 
     def test_decaying_branch_does_not(self):
         eq = ps_eq(1, -1, 1.0)
@@ -343,3 +486,8 @@ class TestGridAndGuards:
             branch_functions(eq, probe)
         with pytest.raises(NonNormalizable):
             default_grid(eq, probe)
+        # the terminating branch, s^0 (1 - s)^t P, still normalizes on a finite grid
+        grid = np.geomspace(1e-4, 20.0, 400)
+        table = spin_limit_components(eq, probe, grid=grid, branch=TERMINATING)
+        expect = quad_norm_constant(eq, probe, TERMINATING, grid[-1])
+        assert table.norm_constant == pytest.approx(expect, rel=1e-10)
