@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -193,33 +193,96 @@ def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[f
     return lo, hi
 
 
-def _f_arrays(
-    eq: EnergyEquation, energies: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Vectorized (f, 4 c8, 4 c9, 4 A) with NaN where a radicand is negative."""
+class _FTerms(NamedTuple):
+    """Per-equation constants of f(E), read by both evaluators below."""
+
+    pseudospin: bool
+    mass: float
+    c_sym: float
+    ll_c0: float  # q (q - 1) C0
+    c9_base: float  # (q - 1/2)^2
+    w_scale: float  # scale / (4 alpha^2)
+    four_a2: float  # 4 alpha^2
+    v1: float
+    v3: float
+    v_total: float  # V1 + V2 + V3
+    width: float  # 2 n + 1
+    clamp: float  # -4 RADICAND_CLAMP
+
+
+def _f_terms(eq: EnergyEquation) -> _FTerms:
     p = eq.params
     c = eq.coeffs
     a2 = p.alpha * p.alpha
-    ll = eq.q * (eq.q - 1.0)
-    n = eq.state.n
+    return _FTerms(
+        pseudospin=p.symmetry == PSEUDOSPIN,
+        mass=p.mass,
+        c_sym=p.c_sym,
+        ll_c0=eq.q * (eq.q - 1.0) * p.c0,
+        c9_base=(eq.q - 0.5) ** 2,
+        w_scale=eq.scale / (4.0 * a2),
+        four_a2=4.0 * a2,
+        v1=c.v1,
+        v3=c.v3,
+        v_total=c.total,
+        width=2.0 * eq.state.n + 1.0,
+        clamp=-4.0 * RADICAND_CLAMP,
+    )
 
-    g = eq.gamma(energies)
-    b2 = eq.beta2(energies)
-    w = g * (eq.scale / (4.0 * a2))
-    b = b2 / (4.0 * a2)
 
-    big_a = ll * p.c0 + w * c.v1 + b
-    big_c = ll * p.c0 + w * c.v3 + b
+def _f_arrays(
+    t: _FTerms, energies: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Vectorized (f, 4 c8, 4 c9, 4 A) with NaN where a radicand is negative."""
+    if t.pseudospin:
+        g = energies - t.mass - t.c_sym
+        b2 = (t.mass + energies) * (t.mass - energies + t.c_sym)
+    else:
+        g = t.mass + energies - t.c_sym
+        b2 = (t.mass - energies) * (t.mass + energies - t.c_sym)
+    w = g * t.w_scale
+    b = b2 / t.four_a2
+
+    big_a = t.ll_c0 + w * t.v1 + b
+    big_c = t.ll_c0 + w * t.v3 + b
     # c9 = 1/4 + A - B + C collapses to (q - 1/2)^2 + w * (V1 + V2 + V3)
-    c9 = (eq.q - 0.5) ** 2 + w * c.total
+    c9 = t.c9_base + w * t.v_total
 
     q8 = 4.0 * big_c
     q9 = 4.0 * c9
-    q8 = np.where((q8 < 0.0) & (q8 >= -4.0 * RADICAND_CLAMP), 0.0, q8)
-    q9 = np.where((q9 < 0.0) & (q9 >= -4.0 * RADICAND_CLAMP), 0.0, q9)
+    q8 = np.where((q8 < 0.0) & (q8 >= t.clamp), 0.0, q8)
+    q9 = np.where((q9 < 0.0) & (q9 >= t.clamp), 0.0, q9)
 
     with np.errstate(invalid="ignore"):
-        f = (2.0 * n + 1.0 + np.sqrt(q9) - np.sqrt(q8)) ** 2 - 4.0 * big_a
+        f = (t.width + np.sqrt(q9) - np.sqrt(q8)) ** 2 - 4.0 * big_a
+    return f, q8, q9, 4.0 * big_a
+
+
+def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
+    """Scalar twin of :func:`_f_arrays`: the same IEEE operations in the same
+    order on Python floats, so every value is bit-identical to the array one."""
+    if t.pseudospin:
+        g = energy - t.mass - t.c_sym
+        b2 = (t.mass + energy) * (t.mass - energy + t.c_sym)
+    else:
+        g = t.mass + energy - t.c_sym
+        b2 = (t.mass - energy) * (t.mass + energy - t.c_sym)
+    w = g * t.w_scale
+    b = b2 / t.four_a2
+
+    big_a = t.ll_c0 + w * t.v1 + b
+    q8 = 4.0 * (t.ll_c0 + w * t.v3 + b)
+    q9 = 4.0 * (t.c9_base + w * t.v_total)
+    if t.clamp <= q8 < 0.0:
+        q8 = 0.0
+    if t.clamp <= q9 < 0.0:
+        q9 = 0.0
+
+    if q8 < 0.0 or q9 < 0.0:
+        f = math.nan
+    else:
+        root_diff = t.width + math.sqrt(q9) - math.sqrt(q8)
+        f = root_diff * root_diff - 4.0 * big_a
     return f, q8, q9, 4.0 * big_a
 
 
@@ -234,16 +297,23 @@ def quantization_function(eq: EnergyEquation, energy: float) -> float:
         raise WindowViolation(
             f"energy {energy!r} outside physical window ({lo!r}, {hi!r})"
         )
-    f, q8, q9, _ = _f_arrays(eq, np.asarray([energy], dtype=float))
-    if not np.isfinite(f[0]):
-        which = "c8" if q8[0] < 0.0 else "c9"
-        raise NegativeRadicand(which, float(q8[0] if which == "c8" else q9[0]) / 4.0)
-    return float(f[0])
+    f, q8, q9, _ = _f_point(_f_terms(eq), float(energy))
+    if not math.isfinite(f):
+        which = "c8" if q8 < 0.0 else "c9"
+        raise NegativeRadicand(which, (q8 if which == "c8" else q9) / 4.0)
+    return f
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the grid-plus-bisection root search."""
+    """Settings of the grid-plus-bisection root search.
+
+    The CLI sets ``grid_points``, ``bisect_tol`` and ``margin`` from its
+    ``--grid-points``, ``--bisect-tol`` and ``--margin`` options (or a config
+    file); ``max_iter`` and ``oracle_check`` keep their defaults there.  The
+    benchmark in ``perfbench/`` solves with the defaults and, to screen
+    candidate states, with ``grid_points=2001, oracle_check=False``.
+    """
 
     grid_points: int = 20001
     bisect_tol: float = 1e-12
@@ -309,17 +379,20 @@ class SpectrumResult:
     oracle: Optional[OracleResult]
 
 
-def _bisect(eq: EnergyEquation, a: float, b: float, fa: float, fb: float,
+def _bisect(t: _FTerms, a: float, b: float, fa: float, fb: float,
             opts: SolveOptions) -> float:
     """Plain bisection; the grid guarantees fa and fb have opposite signs."""
 
     def f_of(x: float) -> float:
-        val, _, _, _ = _f_arrays(eq, np.asarray([x], dtype=float))
-        return float(val[0])
+        return _f_point(t, x)[0]
 
     for _ in range(opts.max_iter):
         mid = 0.5 * (a + b)
         if (b - a) <= opts.bisect_tol:
+            return mid
+        if mid == a or mid == b:
+            # a and b are adjacent floats: every further step leaves them as
+            # they are, so the loop could only end by max_iter on this mid
             return mid
         fm = f_of(mid)
         if not math.isfinite(fm):
@@ -385,7 +458,8 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
         extra = np.concatenate([[b - offsets, b + offsets] for b in boundaries], axis=None)
         extra = extra[(extra > lo) & (extra < hi)]
         grid = np.unique(np.concatenate([grid, extra]))
-    f, q8, q9, rhs = _f_arrays(eq, grid)
+    terms = _f_terms(eq)
+    f = _f_arrays(terms, grid)[0]
     valid = np.isfinite(f)
 
     fv = np.where(valid, f, np.nan)
@@ -395,7 +469,7 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
 
     energies: list[float] = []
     for i in bracket_lo:
-        root = _bisect(eq, float(grid[i]), float(grid[i + 1]), float(f[i]), float(f[i + 1]), opts)
+        root = _bisect(terms, float(grid[i]), float(grid[i + 1]), float(f[i]), float(f[i + 1]), opts)
         energies.append(root)
     # exact zeros on the grid (rare but cheap to honor)
     for i in np.nonzero(valid & (f == 0.0))[0]:
@@ -406,15 +480,15 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
 
     roots: list[EnergyRoot] = []
     for e in energies:
-        fe, q8e, q9e, rhse = _f_arrays(eq, np.asarray([e], dtype=float))
+        fe, q8e, q9e, rhse = _f_point(terms, e)
         roots.append(
             EnergyRoot(
                 energy=e,
                 sign_class=NEGATIVE if e < 0.0 else POSITIVE,
-                residual=abs(float(fe[0])),
-                rhs_scale=abs(float(rhse[0])),
-                radicand_c8=float(q8e[0]),
-                radicand_c9=float(q9e[0]),
+                residual=abs(fe),
+                rhs_scale=abs(rhse),
+                radicand_c8=q8e,
+                radicand_c9=q9e,
                 method="bisection",
             )
         )
@@ -567,6 +641,7 @@ def quartic_oracle(
         return complex(float(x), 0.0)
 
     all_roots = tuple(polish(complex(z)) for z in np.roots(coeffs))
+    terms = _f_terms(eq)
     survivors: list[float] = []
     spurious: list[complex] = []
     for z in all_roots:
@@ -582,8 +657,8 @@ def quartic_oracle(
         except (WindowViolation, NegativeRadicand):
             spurious.append(z)
             continue
-        _, _, _, rhse = _f_arrays(eq, np.asarray([e], dtype=float))
-        if abs(fe) <= backsub_rel_tol * max(1.0, abs(float(rhse[0]))):
+        rhse = _f_point(terms, e)[3]
+        if abs(fe) <= backsub_rel_tol * max(1.0, abs(rhse)):
             survivors.append(e)
         else:
             spurious.append(z)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from dirac_nu.errors import (
     NoRootFound,
     WindowViolation,
 )
+from dirac_nu import spectrum
 from dirac_nu.model import PSEUDOSPIN, SPIN, ModelParams, StateIndex
 from dirac_nu.spectrum import (
     ASSEMBLY_REFERENCE,
@@ -16,6 +19,7 @@ from dirac_nu.spectrum import (
     NEGATIVE,
     POSITIVE,
     EnergyEquation,
+    EnergyRoot,
     SolveOptions,
     build_equation,
     check_doublet,
@@ -196,6 +200,123 @@ class TestSolveSpectrum:
             SolveOptions(bisect_tol=0.0)
         with pytest.raises(DomainError):
             SolveOptions(max_iter=0)
+
+
+def seeded_equations(count, seed="scalar-twin"):
+    """Strict-domain states cycling through both limits and both spin assemblies."""
+    rng = random.Random(seed)
+    kinds = ((PSEUDOSPIN, ASSEMBLY_STRICT), (SPIN, ASSEMBLY_REFERENCE), (SPIN, ASSEMBLY_STRICT))
+    out = []
+    for i in range(count):
+        symmetry, assembly = kinds[i % 3]
+        mass = rng.uniform(1.0, 30.0)
+        params = ModelParams(
+            mass=mass, symmetry=symmetry, c_sym=rng.uniform(-mass, mass),
+            tensor_h=rng.uniform(-3.0, 3.0), alpha=rng.uniform(0.55, 3.0),
+            a_shape=rng.uniform(4.05, 7.95),
+        )
+        kappa = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        out.append(build_equation(params, StateIndex(rng.randint(0, 5), kappa), assembly))
+    return out
+
+
+def solve_grid(eq, monkeypatch):
+    """The energies solve_spectrum scans with default options, boundary packing included."""
+    seen = []
+    scan = spectrum._f_arrays
+
+    def recording(terms, energies):
+        seen.append(energies)
+        return scan(terms, energies)
+
+    monkeypatch.setattr(spectrum, "_f_arrays", recording)
+    solve_spectrum(eq, SolveOptions(oracle_check=False))
+    monkeypatch.setattr(spectrum, "_f_arrays", scan)
+    (grid,) = seen
+    return grid
+
+
+def same_bits(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.uint64), b[~nan].view(np.uint64)
+    )
+
+
+class TestScalarTwin:
+    """The scalar f used by bisection must reproduce the vectorized scan exactly."""
+
+    def test_bitwise_equal_on_solver_grids(self, ref, monkeypatch):
+        equations = [build_equation(ref.params(c.symmetry, c.tensor_h), c.state)
+                     for c in ref.cells]
+        equations += seeded_equations(24)
+        nan_points = 0
+        for eq in equations:
+            grid = solve_grid(eq, monkeypatch)
+            terms = spectrum._f_terms(eq)
+            arrays = spectrum._f_arrays(terms, grid)
+            points = [spectrum._f_point(terms, e) for e in grid.tolist()]
+            for k, name in enumerate(("f", "4 c8", "4 c9", "4 A")):
+                assert same_bits([p[k] for p in points], arrays[k]), (eq, name)
+            nan_points += int(np.count_nonzero(np.isnan(arrays[0])))
+        assert nan_points > 0  # the masked (negative radicand) points are covered
+
+    # every field of every root, captured before bisection moved to the scalar twin
+    PINNED = {
+        "readme": (ps_params(1.0), StateIndex(1, -1), None, (
+            EnergyRoot(-4.6727505225801576, NEGATIVE, 1.2454037801035156e-11,
+                       6.374597240818474, 11.210972502108554, 8.25456289193512,
+                       "oracle-confirmed"),
+            EnergyRoot(4.849764677491137, POSITIVE, 2.7498003873915877e-12,
+                       4.072948316481908, 4.148065977736339, 1.112676491881647,
+                       "oracle-confirmed"),
+        )),
+        "radicand_sliver": (spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT, (
+            EnergyRoot(-4.879633112940038, NEGATIVE, 1.1995737736469891e-11,
+                       4.000038063706978, 3.9398546201769973, 8.909724834705028,
+                       "oracle-confirmed"),
+            EnergyRoot(4.934149818966542, POSITIVE, 1.1365397512008713e-09,
+                       4.9673306880539645, 0.00025577857069292165, 1.5493876357750924,
+                       "oracle-confirmed"),
+        )),
+        "spin_reference_cell": (spin_params(1.0), StateIndex(0, -2), None, (
+            EnergyRoot(-4.964565157133004, NEGATIVE, 2.1265544880577636e-11,
+                       0.9935698783792102, 0.9680567915149729, 0.9617303697036441,
+                       "oracle-confirmed"),
+        )),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_roots(self, name):
+        params, state, assembly, roots = self.PINNED[name]
+        assert solve_spectrum(build_equation(params, state, assembly), OPTS).roots == roots
+
+    def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
+        # a tolerance below the float spacing used to run all max_iter steps
+        # per root; the fixed point it reached is returned as soon as it is hit
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        steps, open_bisections = [], []
+        point, bisect = spectrum._f_point, spectrum._bisect
+
+        def counting_point(terms, energy):
+            if open_bisections:
+                open_bisections[-1] += 1
+            return point(terms, energy)
+
+        def counting_bisect(*args):
+            open_bisections.append(0)
+            try:
+                return bisect(*args)
+            finally:
+                steps.append(open_bisections.pop())
+
+        monkeypatch.setattr(spectrum, "_f_point", counting_point)
+        monkeypatch.setattr(spectrum, "_bisect", counting_bisect)
+        res = solve_spectrum(eq, SolveOptions(bisect_tol=1e-300, oracle_check=False))
+        assert [r.energy for r in res.roots] == [-4.672750522580428, 4.849764677491084]
+        assert len(steps) == 2 and max(steps) <= 64, steps
 
 
 class TestDegeneracy:
