@@ -33,14 +33,7 @@ from .model import (
     eval_tensor,
     potential_coeffs,
 )
-from .nu_core import (
-    NuDerived,
-    NuProblem,
-    derive_constants,
-    laguerre_limit_factors,
-    quantization_residual,
-    wavefunction_factors,
-)
+from .nu_core import NuDerived, NuProblem, derive_constants, quantization_residual
 from .refdata import ReferenceData, load_reference
 from .spectrum import (
     ASSEMBLY_REFERENCE,

@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -95,6 +95,10 @@ class RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key: {key!r}")
         coerced = dict(data)
+        for f in fields(cls):
+            # a JSON 5 for a float key means 5.0, so outputs print it as a float
+            if f.type in ("float", "Optional[float]") and type(coerced.get(f.name)) is int:
+                coerced[f.name] = float(coerced[f.name])
         if "states" in coerced:
             coerced["states"] = _coerce_states(coerced["states"])
         if "doublets" in coerced:
@@ -132,27 +136,17 @@ def _coerce_doublets(raw: Any) -> tuple[tuple[tuple[int, int], tuple[int, int]],
     return tuple(out)
 
 
+# 12 significant digits: the text of format(float(x), ".12g") for ints,
+# floats and numpy floats alike
+_NUMBER = "%.12g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def _jnum(x: Optional[float]) -> Optional[float]:
-    if x is None:
-        return None
-    return float(format(float(x), ".12g"))
+    return _NUMBER % x
 
 
 def _model_params(cfg: RunConfig) -> ModelParams:
-    return ModelParams(
-        mass=cfg.mass,
-        symmetry=cfg.symmetry,
-        c_sym=cfg.c_sym,
-        tensor_h=cfg.tensor_h,
-        alpha=cfg.alpha,
-        a_shape=cfg.a_shape,
-        c0=cfg.c0,
-        strict_domain=cfg.strict_domain,
-    )
+    return ModelParams(**{f.name: getattr(cfg, f.name) for f in fields(ModelParams)})
 
 
 def _solve_options(cfg: RunConfig) -> SolveOptions:
@@ -163,64 +157,82 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
     )
 
 
-def _params_payload(cfg: RunConfig, extra: Optional[dict[str, Any]] = None) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "mass": _jnum(cfg.mass),
-        "symmetry": cfg.symmetry,
-        "c_sym": _jnum(cfg.c_sym),
-        "tensor_h": _jnum(cfg.tensor_h),
-        "alpha": _jnum(cfg.alpha),
-        "a_shape": _jnum(cfg.a_shape),
-        "c0": _jnum(cfg.c0),
-        "strict_domain": cfg.strict_domain,
-        "assembly": cfg.assembly,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+def _header(params: ModelParams, cfg: RunConfig, **extra: Any) -> dict[str, Any]:
+    """The ``params`` block: the model actually solved, the assembly, then ``extra``."""
+    return {**asdict(params), "assembly": cfg.assembly, **extra}
 
 
-def _write_output(cfg: RunConfig, text: str) -> None:
+def _json_value(value: Any) -> Any:
+    if isinstance(value, float):
+        return float(_fmt(value))
+    if isinstance(value, list):
+        return [float(_fmt(x)) for x in value]
+    return value
+
+
+def _csv_cell(value: Any, missing: str = "") -> str:
+    if value is None:
+        return missing
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ";".join(map(_fmt, value))
+    return _fmt(value)
+
+
+def _emit(
+    cfg: RunConfig,
+    header: dict[str, Any],
+    columns: Sequence[str],
+    records: Sequence[dict[str, Any]],
+    notes: Sequence[str] = (),
+    summary: Optional[dict[str, Any]] = None,
+) -> None:
+    """Write one subcommand's result to ``cfg.out`` or stdout, as CSV or JSON.
+
+    ``records`` hold raw values: numbers, None, strings and lists of roots.
+    Floats carry 12 significant digits in both formats.  JSON writes
+    ``{params, records, notes}`` with ``summary`` folded into ``params``.
+    CSV writes ``# params:``, one ``# key = value`` line per summary entry,
+    one ``# note`` line per note, then the ``columns`` with a row per
+    record: an absent value is an empty cell (an em-dash for
+    ``deviation``) and a list of roots is joined by ``;``.
+    """
+    params = {key: _json_value(value) for key, value in header.items()}
+    summary = summary or {}
+    if cfg.format == "csv":
+        lines = ["# params: " + " ".join(f"{k}={v}" for k, v in params.items())]
+        lines += [f"# {k} = {_csv_cell(v)}" for k, v in summary.items()]
+        lines += [f"# {note}" for note in notes]
+        lines.append(",".join(columns))
+        # each column picks its format once: a column of numbers alone is
+        # formatted by the row template, any other column as text up front
+        specs, cells = [], []
+        for name in columns:
+            values = [rec.get(name) for rec in records]
+            if None in values or (values and isinstance(values[0], (str, list))):
+                missing = "—" if name == "deviation" else ""
+                values = [_csv_cell(v, missing) for v in values]
+                specs.append("%s")
+            else:
+                specs.append(_NUMBER)
+            cells.append(values)
+        row = ",".join(specs)
+        lines += [row % values for values in zip(*cells)]
+        text = "\n".join(lines) + "\n"
+    else:
+        payload: dict[str, Any] = {
+            "params": {**params, **{k: _json_value(v) for k, v in summary.items()}},
+            "records": [{k: _json_value(v) for k, v in rec.items()} for rec in records],
+        }
+        if notes:
+            payload["notes"] = list(notes)
+        text = json.dumps(payload, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv_text(
-    cfg: RunConfig,
-    columns: Sequence[str],
-    rows: Sequence[Sequence[str]],
-    notes: Sequence[str],
-    extra_params: Optional[dict[str, Any]] = None,
-) -> str:
-    params = _params_payload(cfg, extra_params)
-    items = " ".join(f"{k}={v}" for k, v in params.items())
-    lines = [f"# params: {items}"]
-    lines.extend(f"# {note}" for note in notes)
-    lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(
-    cfg: RunConfig,
-    records: Sequence[dict[str, Any]],
-    notes: Sequence[str],
-    extra_params: Optional[dict[str, Any]] = None,
-) -> str:
-    payload: dict[str, Any] = {
-        "params": _params_payload(cfg, extra_params),
-        "records": list(records),
-    }
-    if notes:
-        payload["notes"] = list(notes)
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _opt(value: Optional[float]) -> str:
-    return "" if value is None else _fmt(value)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -233,55 +245,38 @@ def cmd_solve(cfg: RunConfig) -> int:
     records: list[dict[str, Any]] = []
     failed = False
     for n, kappa in cfg.states:
-        base: dict[str, Any] = {"n": n, "kappa": kappa, "H": _jnum(cfg.tensor_h)}
+        base = {"n": n, "kappa": kappa, "H": cfg.tensor_h}
+        record: dict[str, Any] = dict(base)
         try:
             state = StateIndex(n=n, kappa=kappa)
             eq = EnergyEquation(params, state, cfg.assembly)
             result = solve_spectrum(eq, opts)
             selected = result.selected
-            record = dict(base)
-            record["Lambda_or_Eta"] = _jnum(eq.q)
+            record["Lambda_or_Eta"] = eq.q
             record["spectroscopic_label"] = state.spectroscopic_label(params.symmetry)
-            record["E_selected"] = _jnum(selected.energy) if selected else None
-            record["E_all_real_roots"] = [_jnum(r.energy) for r in result.roots]
-            record["residual"] = _jnum(selected.residual) if selected else None
+            record["E_selected"] = selected.energy if selected else None
+            record["E_all_real_roots"] = [r.energy for r in result.roots]
+            record["residual"] = selected.residual if selected else None
             if result.selection_note:
                 record["selection_note"] = result.selection_note
-            records.append(record)
         except SolverError as exc:
             failed = True
-            record = dict(base)
-            record["error"] = f"{type(exc).__name__}: {exc}"
-            records.append(record)
+            record = {**base, "error": f"{type(exc).__name__}: {exc}"}
+        records.append(record)
 
-    if cfg.format == "csv":
-        columns = [
-            "n", "kappa", "H", "Lambda_or_Eta", "spectroscopic_label",
-            "E_selected", "E_all_real_roots", "residual", "error",
-        ]
-        rows = []
-        for rec in records:
-            rows.append([
-                str(rec["n"]),
-                str(rec["kappa"]),
-                _fmt(rec["H"]),
-                _opt(rec.get("Lambda_or_Eta")),
-                rec.get("spectroscopic_label", ""),
-                _opt(rec.get("E_selected")),
-                ";".join(_fmt(e) for e in rec.get("E_all_real_roots", [])),
-                _opt(rec.get("residual")),
-                rec.get("error", ""),
-            ])
-        text = _csv_text(cfg, columns, rows, [])
-    else:
-        text = _json_text(cfg, records, [])
-    _write_output(cfg, text)
+    columns = [
+        "n", "kappa", "H", "Lambda_or_Eta", "spectroscopic_label",
+        "E_selected", "E_all_real_roots", "residual", "error",
+    ]
+    _emit(cfg, _header(params, cfg), columns, records)
     return 3 if failed else 0
 
 
 def cmd_table(cfg: RunConfig, which: str) -> int:
     """Recompute one reference table and report deviations.
 
+    Every cell is solved at the bundled reference parameters, whatever
+    the model flags say, and the header reports those parameters.
     Reference cells list the negative root first and the positive root
     second when it exists; each printed value is matched to the computed
     root of the same sign class.  A missing computed counterpart leaves
@@ -291,49 +286,37 @@ def cmd_table(cfg: RunConfig, which: str) -> int:
     if symmetry is None:
         raise ConfigError(f"unknown table {which!r}; choose from {sorted(_TABLE_ALIASES)}")
     data = load_reference()
+    reference = replace(data.params(symmetry, 0.0), strict_domain=cfg.strict_domain)
 
     records: list[dict[str, Any]] = []
     notes: list[str] = []
     failed = False
     for cell in data.select(symmetry):
-        params = replace(
-            data.params(symmetry, cell.tensor_h), strict_domain=cfg.strict_domain
-        )
+        error, roots = "", ()
         try:
-            eq = EnergyEquation(params, cell.state, cfg.assembly)
-            result = solve_spectrum(eq, _solve_options(cfg))
-            negatives = [r.energy for r in result.roots if r.sign_class == NEGATIVE]
-            positives = [r.energy for r in result.roots if r.sign_class == POSITIVE]
+            eq = EnergyEquation(replace(reference, tensor_h=cell.tensor_h), cell.state,
+                                cfg.assembly)
+            roots = solve_spectrum(eq, _solve_options(cfg)).roots
         except SolverError as exc:
             failed = True
-            for reference in cell.energies:
-                records.append({
-                    "n": cell.state.n,
-                    "kappa": cell.state.kappa,
-                    "H": _jnum(cell.tensor_h),
-                    "label": cell.label,
-                    "sign": NEGATIVE if reference < 0 else POSITIVE,
-                    "E_reference": _jnum(reference),
-                    "E_computed": None,
-                    "deviation": None,
-                    "error": f"{type(exc).__name__}: {exc}",
-                })
-            continue
-        for reference in cell.energies:
-            sign = NEGATIVE if reference < 0 else POSITIVE
+            error = f"{type(exc).__name__}: {exc}"
+        negatives = [r.energy for r in roots if r.sign_class == NEGATIVE]
+        positives = [r.energy for r in roots if r.sign_class == POSITIVE]
+        for energy in cell.energies:
+            sign = NEGATIVE if energy < 0 else POSITIVE
             pool = negatives if sign == NEGATIVE else positives
             computed = min(pool) if pool else None
-            if computed is None:
-                failed = True
+            failed = failed or computed is None
             records.append({
                 "n": cell.state.n,
                 "kappa": cell.state.kappa,
-                "H": _jnum(cell.tensor_h),
+                "H": cell.tensor_h,
                 "label": cell.label,
                 "sign": sign,
-                "E_reference": _jnum(reference),
-                "E_computed": _jnum(computed) if computed is not None else None,
-                "deviation": _jnum(computed - reference) if computed is not None else None,
+                "E_reference": energy,
+                "E_computed": computed,
+                "deviation": None if computed is None else computed - energy,
+                **({"error": error} if error else {}),
             })
         extra_neg = len(negatives) - sum(1 for e in cell.energies if e < 0)
         extra_pos = len(positives) - sum(1 for e in cell.energies if e > 0)
@@ -353,25 +336,10 @@ def cmd_table(cfg: RunConfig, which: str) -> int:
                 f"H={q.tensor_h:g} E={_fmt(q.energy)}"
             )
 
-    extra = {"table_symmetry": symmetry, "reference_assembly": "reference"}
-    if cfg.format == "csv":
-        columns = ["n", "kappa", "H", "label", "sign", "E_reference", "E_computed", "deviation"]
-        rows = []
-        for rec in records:
-            rows.append([
-                str(rec["n"]),
-                str(rec["kappa"]),
-                _fmt(rec["H"]),
-                rec["label"],
-                rec["sign"],
-                _fmt(rec["E_reference"]),
-                _opt(rec.get("E_computed")),
-                _fmt(rec["deviation"]) if rec.get("deviation") is not None else "—",
-            ])
-        text = _csv_text(cfg, columns, rows, notes, extra)
-    else:
-        text = _json_text(cfg, records, notes, extra)
-    _write_output(cfg, text)
+    header = _header(reference, cfg, table_symmetry=symmetry,
+                     reference_assembly="reference")
+    columns = ["n", "kappa", "H", "label", "sign", "E_reference", "E_computed", "deviation"]
+    _emit(cfg, header, columns, records, notes)
     return 3 if failed else 0
 
 
@@ -403,36 +371,18 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 3
 
-    meta = {
-        "n": n,
-        "kappa": kappa,
-        "branch": table.branch,
-        "E": _jnum(table.energy),
-        "norm_constant": _jnum(table.norm_constant),
+    summary = {
+        "E": table.energy,
+        "norm_constant": table.norm_constant,
         "node_count": table.node_count,
-        "residual_norm": _jnum(table.residual_norm),
+        "residual_norm": table.residual_norm,
     }
-    if cfg.format == "csv":
-        params_d = _params_payload(cfg, {"n": n, "kappa": kappa, "branch": table.branch})
-        items = " ".join(f"{k}={v}" for k, v in params_d.items())
-        lines = [
-            f"# params: {items}",
-            f"# E = {_fmt(table.energy)}",
-            f"# norm_constant = {_fmt(table.norm_constant)}",
-            f"# node_count = {table.node_count}",
-            f"# residual_norm = {_fmt(table.residual_norm)}",
-            "r,G,F",
-        ]
-        for r, g, f in zip(table.r, table.g, table.f):
-            lines.append(f"{_fmt(r)},{_fmt(g)},{_fmt(f)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        records = [
-            {"r": _jnum(r), "G": _jnum(g), "F": _jnum(f)}
-            for r, g, f in zip(table.r, table.g, table.f)
-        ]
-        text = _json_text(cfg, records, [], meta)
-    _write_output(cfg, text)
+    records = [
+        {"r": r, "G": g, "F": f}
+        for r, g, f in zip(table.r.tolist(), table.g.tolist(), table.f.tolist())
+    ]
+    header = _header(params, cfg, n=n, kappa=kappa, branch=table.branch)
+    _emit(cfg, header, ["r", "G", "F"], records, summary=summary)
     return 0
 
 
@@ -444,82 +394,51 @@ def _default_doublets(symmetry: str) -> tuple[tuple[tuple[int, int], tuple[int, 
 
 def cmd_analyze(cfg: RunConfig, which: str) -> int:
     """Approximation report, potential profile, or tensor-strength sweep."""
+    params = _model_params(cfg)
     if which == "approx":
-        params = _model_params(cfg)
         report = approx_report(params, cfg.approx_r_min, cfg.approx_r_max, cfg.approx_points)
         notes = [
             f"max_rel_err = {_fmt(report.max_rel_err)} at r = {_fmt(report.r_at_max)}",
             f"max_rel_err with c0 = 0: {_fmt(report.max_rel_err_nocorr)}",
         ]
-        if cfg.format == "csv":
-            rows = [
-                [_fmt(r), _fmt(e), _fmt(a), _fmt(d)]
-                for r, e, a, d in zip(report.r, report.exact, report.approx, report.rel_err)
-            ]
-            text = _csv_text(cfg, ["r", "exact", "approx", "rel_err"], rows, notes)
-        else:
-            records = [
-                {"r": _jnum(r), "exact": _jnum(e), "approx": _jnum(a), "rel_err": _jnum(d)}
-                for r, e, a, d in zip(report.r, report.exact, report.approx, report.rel_err)
-            ]
-            text = _json_text(cfg, records, notes)
-        _write_output(cfg, text)
+        records = [
+            {"r": r, "exact": e, "approx": a, "rel_err": d}
+            for r, e, a, d in zip(report.r.tolist(), report.exact.tolist(),
+                                  report.approx.tolist(), report.rel_err.tolist())
+        ]
+        _emit(cfg, _header(params, cfg), ["r", "exact", "approx", "rel_err"], records, notes)
         return 0
 
     if which == "potential":
-        params = _model_params(cfg)
         r = np.geomspace(cfg.profile_r_min, cfg.profile_r_max, cfg.profile_points)
         profile = potential_profile(params, r)
         notes = [f"asymptote V3 = {_fmt(profile.asymptote)}"]
-        if cfg.format == "csv":
-            rows = [
-                [_fmt(rr), _fmt(v), _fmt(u)]
-                for rr, v, u in zip(profile.r, profile.v, profile.u)
-            ]
-            text = _csv_text(cfg, ["r", "V", "U"], rows, notes)
-        else:
-            records = [
-                {"r": _jnum(rr), "V": _jnum(v), "U": _jnum(u)}
-                for rr, v, u in zip(profile.r, profile.v, profile.u)
-            ]
-            text = _json_text(cfg, records, notes)
-        _write_output(cfg, text)
+        records = [
+            {"r": rr, "V": v, "U": u}
+            for rr, v, u in zip(profile.r.tolist(), profile.v.tolist(), profile.u.tolist())
+        ]
+        _emit(cfg, _header(params, cfg), ["r", "V", "U"], records, notes)
         return 0
 
     if which == "sweep":
-        params = _model_params(cfg)
         pairs = cfg.doublets or _default_doublets(params.symmetry)
         doublets = [
             (StateIndex(*neg), StateIndex(*pos)) for neg, pos in pairs
         ]
         sweep = h_sweep(params, doublets, cfg.h_values, _solve_options(cfg))
-        failed = any(row.error for row in sweep.rows)
-        records: list[dict[str, Any]] = []
+        records = []
         for row in sweep.rows:
             for label, energy in ((row.label_neg, row.energy_neg), (row.label_pos, row.energy_pos)):
                 records.append({
-                    "H": _jnum(row.tensor_h),
+                    "H": row.tensor_h,
                     "state": label,
-                    "E_selected": _jnum(energy) if energy is not None else None,
-                    "delta_E": _jnum(row.delta_e) if row.delta_e is not None else None,
+                    "E_selected": energy,
+                    "delta_E": row.delta_e,
                     **({"error": row.error} if row.error else {}),
                 })
-        notes = list(sweep.directions)
-        if cfg.format == "csv":
-            rows = [
-                [
-                    _fmt(rec["H"]),
-                    rec["state"],
-                    _opt(rec.get("E_selected")),
-                    _opt(rec.get("delta_E")),
-                ]
-                for rec in records
-            ]
-            text = _csv_text(cfg, ["H", "state", "E_selected", "delta_E"], rows, notes)
-        else:
-            text = _json_text(cfg, records, notes)
-        _write_output(cfg, text)
-        return 3 if failed else 0
+        _emit(cfg, _header(params, cfg), ["H", "state", "E_selected", "delta_E"], records,
+              sweep.directions)
+        return 3 if any(row.error for row in sweep.rows) else 0
 
     raise ConfigError(f"unknown analyze target {which!r}; choose approx, potential, or sweep")
 

@@ -8,9 +8,7 @@ Handles equations already brought to the normal form
 by a change of variable.  Thirteen derived constants c4..c13 fix both the
 discrete quantization condition and the factorized polynomial solutions
 
-    psi(s) = s^{c12} (1 - c3 s)^{-c12 - c13/c3} P_n^{(c10 - 1, c11/c3 - c10 - 1)}(1 - 2 c3 s)
-
-with the Jacobi family degenerating to Laguerre when c3 = 0.
+    psi(s) = s^{c12} (1 - c3 s)^{-c12 - c13/c3} P_n^{(c10 - 1, c11/c3 - c10 - 1)}(1 - 2 c3 s).
 
 Sign conventions: the square roots sqrt(c8) and sqrt(c9) are taken
 nonnegative and enter c10..c13 with minus signs.  Radicands are clamped to
@@ -118,74 +116,4 @@ def quantization_residual(problem: NuProblem, derived: NuDerived, n: int) -> flo
         + derived.c7
         + 2.0 * problem.c3 * derived.c8
         - 2.0 * derived.sqrt_c8 * derived.sqrt_c9
-    )
-
-
-@dataclass(frozen=True)
-class WaveFactors:
-    """Building blocks of the factorized solution for c3 != 0.
-
-    The solution reads phi(s) * P_n^{(jacobi_a, jacobi_b)}(1 - 2 c3 s) with
-    phi(s) = s^{phi_s_exponent} (1 - c3 s)^{phi_one_minus_exponent}, and the
-    Jacobi family is orthogonal under the weight
-    rho(s) = s^{rho_s_exponent} (1 - c3 s)^{rho_one_minus_exponent}.
-    """
-
-    n: int
-    jacobi_a: float
-    jacobi_b: float
-    phi_s_exponent: float
-    phi_one_minus_exponent: float
-    rho_s_exponent: float
-    rho_one_minus_exponent: float
-    argument_scale: float
-
-
-def wavefunction_factors(problem: NuProblem, derived: NuDerived, n: int) -> WaveFactors:
-    """Jacobi-branch factors; rejects c3 = 0 (use laguerre_limit_factors)."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n!r}")
-    c3 = problem.c3
-    if c3 == 0.0:
-        raise DomainError("c3 = 0 has no Jacobi form; use laguerre_limit_factors")
-    jacobi_a = derived.c10 - 1.0
-    jacobi_b = derived.c11 / c3 - derived.c10 - 1.0
-    return WaveFactors(
-        n=n,
-        jacobi_a=jacobi_a,
-        jacobi_b=jacobi_b,
-        phi_s_exponent=derived.c12,
-        phi_one_minus_exponent=-derived.c12 - derived.c13 / c3,
-        rho_s_exponent=derived.c10 - 1.0,
-        rho_one_minus_exponent=jacobi_b,
-        argument_scale=c3,
-    )
-
-
-@dataclass(frozen=True)
-class LaguerreFactors:
-    """Building blocks of the c3 = 0 limit solution.
-
-    The solution reads s^{s_exponent} e^{exp_rate * s} L_n^{(order)}(scale * s).
-    """
-
-    n: int
-    s_exponent: float
-    exp_rate: float
-    order: float
-    scale: float
-
-
-def laguerre_limit_factors(problem: NuProblem, derived: NuDerived, n: int) -> LaguerreFactors:
-    """Laguerre-branch factors; only valid when c3 = 0 exactly."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n!r}")
-    if problem.c3 != 0.0:
-        raise DomainError(f"laguerre_limit_factors requires c3 = 0, got {problem.c3!r}")
-    return LaguerreFactors(
-        n=n,
-        s_exponent=derived.c12,
-        exp_rate=derived.c13,
-        order=derived.c10 - 1.0,
-        scale=derived.c11,
     )

@@ -437,6 +437,21 @@ def _radicand_boundaries(eq: EnergyEquation, lo: float, hi: float) -> list[float
     return sorted(out)
 
 
+def _require_resolvable(energy: float, opts: SolveOptions) -> None:
+    """Blame an unmatched root on ``bisect_tol`` when no double can meet it.
+
+    Bisection and the oracle each land within about one ulp of a root, so
+    a match tolerance below two ulps of it can fail on exact agreement.
+    """
+    floor = 2.0 * math.ulp(energy)
+    if ORACLE_MATCH_FACTOR * opts.bisect_tol < floor:
+        raise DomainError(
+            f"bisect_tol={opts.bisect_tol!r} is too small to match roots near "
+            f"{energy!r} to the oracle; the smallest bisect_tol that always resolves "
+            f"them there is {floor / ORACLE_MATCH_FACTOR!r}"
+        )
+
+
 def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> SpectrumResult:
     """Locate every root of f in the physical window.
 
@@ -447,7 +462,9 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     inside a sliver narrower than the uniform spacing.  When
     ``opts.oracle_check`` is on, the bisection roots are cross-checked
     against the eliminated-polynomial oracle and any unexplained mismatch
-    raises OracleMismatch.
+    raises OracleMismatch; a mismatch within two ulps of the root, where
+    ``ORACLE_MATCH_FACTOR * opts.bisect_tol`` is too small for doubles to
+    meet, raises DomainError instead.
     """
     lo, hi = search_window(eq, opts.margin)
     grid = np.linspace(lo, hi, opts.grid_points)
@@ -502,12 +519,14 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
             if any(abs(r.energy - s) <= tol for s in oracle.survivors):
                 confirmed.append(replace(r, method="oracle-confirmed"))
             else:
+                _require_resolvable(r.energy, opts)
                 raise OracleMismatch(
                     f"bisection root {r.energy!r} has no oracle partner within {tol!r}; "
                     f"oracle survivors: {oracle.survivors!r}"
                 )
         for s in oracle.survivors:
             if not any(abs(r.energy - s) <= tol for r in roots):
+                _require_resolvable(s, opts)
                 raise OracleMismatch(
                     f"oracle root {s!r} was not found by bisection; "
                     f"bisection roots: {[r.energy for r in roots]!r}"

@@ -125,8 +125,8 @@ class BranchFunctions:
 
     ``evaluate`` gives the function of s and its first two s-derivatives
     from log s; everything downstream (radial derivatives, coupling,
-    normalization, residuals) chains these.  ``value``, ``d_ds`` and
-    ``d2_ds2`` are the same evaluation taken at s.
+    normalization, residuals) chains these.  ``value`` and ``d_ds`` are
+    the same evaluation taken at s.
     """
 
     branch: str
@@ -180,10 +180,6 @@ class BranchFunctions:
     def d_ds(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
         s = np.asarray(s, dtype=float)
         return self.evaluate(np.log(s))[1] / s
-
-    def d2_ds2(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
-        s = np.asarray(s, dtype=float)
-        return self.evaluate(np.log(s))[2] / (s * s)
 
 
 def branch_functions(eq: EnergyEquation, energy: float, branch: str = DECAYING) -> BranchFunctions:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from dirac_nu.cli import RunConfig, main
 
 
 def run_cli(*args, env_extra=None):
@@ -24,6 +27,12 @@ def run_cli(*args, env_extra=None):
 def csv_body(stdout):
     lines = [ln for ln in stdout.splitlines() if ln and not ln.startswith("#")]
     return lines[0], lines[1:]
+
+
+def run_main(capsys, *args):
+    """``cli.main`` in this process: exit code and captured stdout."""
+    code = main(list(args))
+    return code, capsys.readouterr().out
 
 
 class TestSolve:
@@ -134,6 +143,45 @@ class TestTable:
                 assert abs(rec["deviation"]) < 1e-6
 
 
+    def test_header_reports_the_reference_parameters(self, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        flags = ("--mass", "3", "--alpha", "0.9", "--c0", "0.1", "--format", "csv")
+        code, out = run_main(capsys, "table", "--which", "pseudospin", *flags)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "# params: mass=5.0 symmetry=pseudospin c_sym=0.0 tensor_h=0.0 alpha=0.6 "
+            "a_shape=5.0 c0=0.0833333333333 strict_domain=True assembly=None "
+            "table_symmetry=pseudospin reference_assembly=reference"
+        )
+        assert out == run_main(capsys, "table", "--which", "pseudospin", "--format", "csv")[1]
+
+    def test_failed_cells_keep_the_row_and_mark_the_deviation(self, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        args = ("table", "--which", "pseudospin", "--bisect-tol", "1e-19")
+        code, out = run_main(capsys, *args, "--format", "csv")
+        assert code == 3
+        _, rows = csv_body(out)
+        # at bisect_tol=1e-19 the oracle match tolerance is under one ulp of
+        # most roots, so most cells fail
+        failed = [row.split(",")[6:] for row in rows if row.split(",")[6] == ""]
+        assert failed and all(c == ["", "—"] for c in failed)
+        code, out = run_main(capsys, *args)
+        assert code == 3
+        errors = [rec for rec in json.loads(out)["records"] if "error" in rec]
+        assert len(errors) == len(failed)
+        for rec in errors:
+            assert rec["E_computed"] is None and rec["deviation"] is None
+            assert rec["error"].startswith("DomainError: bisect_tol=1e-19")
+
+    @pytest.mark.parametrize("which", ["spin", "spin3"])
+    def test_spin_header_names_the_spin_limit(self, which, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        code, out = run_main(capsys, "table", "--which", which)
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert (params["symmetry"], params["table_symmetry"]) == ("spin", "spin")
+
+
 class TestWavefunction:
     def _table(self, *extra):
         code, out, err = run_cli(
@@ -218,6 +266,82 @@ class TestAnalyze:
     def test_which_required(self):
         code, _, err = run_cli("analyze")
         assert code == 2
+
+
+# SHA-256 of stdout (JSON, then CSV) and the exit code of fixed commands.
+# The spin-table digests reflect their header naming the spin limit; every
+# other digest is the output from before the subcommands shared one
+# serializer.  "{intcfg}" stands for a config file of integer-valued floats
+# with one state that has no spectroscopic label.
+PINNED = [
+    (("solve", "--tensor-h", "1", "--n", "1", "--kappa", "-1"), 0,
+     "1d78729797d26144b2049c565f8dbe566556527771ae9d1f6a4a598dea85f8ef",
+     "a74768beba4b9bc9cf25442afd04c3ca131c38846f264abc44b6b63bfee384a7"),
+    (("solve", "--config", "{intcfg}"), 3,
+     "c210bebd4ccfab8b0ef87d762a07c3e3ed7caa840815494e451e9c07fbf7e7fd",
+     "1fc10051cb09569303de9b0016b2170765897714d5d5ad729f481c2f1e583833"),
+    (("solve", "--symmetry", "spin", "--n", "0", "--kappa", "-2", "--tensor-h", "1"), 0,
+     "733870e38beced145450cc118830b3d65840c59d7e79c5b6f91d7a44039d44ba",
+     "76f6ea118e67110dbf1e4f00e3f0216cae64f094ff841e5172db23c3aa4e16bc"),
+    (("solve", "--n", "1", "--kappa", "-1", "--mass", "0.001", "--c-sym", "-5"), 3,
+     "52bcf5d2bbbaf4568ee1316966e7a3520af22a0068a1b0e1e7a8234e8e07b204",
+     "c2f14857413e07e60fe4cfe5df1d6dc7c9c24692e1ccee5b188f5892fb453fea"),
+    (("table", "--which", "pseudospin"), 0,
+     "b3e197601c28047a177e9ed31449220b2cb402e81885318f4d713358b9baf779",
+     "a5b700fa82aa9c02597ea4acd39cfba71397ae2f41cbcfc4c0d1aa7ecbf8f908"),
+    (("table", "--which", "spin"), 0,
+     "30bd7f857bf550e7683a5b1e6c9c78a8f8f9cab5e30d7cf4f227b1a78e1415ed",
+     "6f1615d415656be24c4ed48eb0705119f9c2dea1e9af4e371907400a6ea088e0"),
+    (("table", "--which", "spin", "--assembly", "strict"), 0,
+     "dbf9f5df963f9e12b616aa7dc2f976c5b322aa0578726df2e461a7011257e42e",
+     "e2100fba1ff1eee49442675b06767bdbf94419a450f581b3559272c100c2a4d6"),
+    (("wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1"), 0,
+     "a98d3d686ff46e1445fcc463ddbf99b788434f088b30b664dc31136c3647bc6f",
+     "3630f31205278c94231ea72f3725758d9b9ee8ee0b41c312bbc192d7077482bf"),
+    (("wavefunction", "--tensor-h", "1", "--n", "2", "--kappa", "-1",
+      "--branch", "terminating", "--wf-points", "300"), 0,
+     "cc6e2de53a6ffd0fd329c59740cd0a53460c08afaaea7e36eb63a01b23e2dcb9",
+     "dee42d19b4b51e651908bd2f328f8fbb18dea3c337136a3cd608eb1ac40baf38"),
+    (("wavefunction", "--symmetry", "spin", "--n", "0", "--kappa", "-2", "--tensor-h", "1"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("analyze", "--which", "approx"), 0,
+     "e414be5d8e73cd99b110929245b69ceb831ba225bbace3086432658204b365d5",
+     "4aca6551f4cda8c9b0ab9f9327f72fcb2ffeea41b80a5d18ccaa67b692fdd081"),
+    (("analyze", "--which", "potential"), 0,
+     "631a8a32566eade416b7ede35e62dcc25ba3a59dce90a346daed09c5782e3177",
+     "6cb2dd3ca13fcc48c23840af80024989017fa98801b69b0d271468e24a904d7c"),
+    (("analyze", "--which", "sweep"), 0,
+     "908766e548165786b3d79f6de717f87b173df867e29ce42045f327dc5cea26fc",
+     "5ffb71db05f0b45cb0e55b2208563328fec3a4f8730b219f785203ef2a9801bc"),
+    (("analyze", "--which", "sweep", "--symmetry", "spin"), 0,
+     "cdd34f48a10e5df8200063864d405844fd93aa27399332a617835b959dc094e1",
+     "ecd132460c18d242475afe8d3c46e49c86257eddcea5152647bb286018e88dc9"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "args, code, json_digest, csv_digest", PINNED, ids=[" ".join(p[0]) for p in PINNED]
+    )
+    def test_stdout_digest(self, args, code, json_digest, csv_digest, fmt,
+                           tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        intcfg = tmp_path / "cfg.json"
+        intcfg.write_text(json.dumps({
+            "mass": 5, "tensor_h": 1, "states": [[1, -1], [0, 2], {"n": 2, "kappa": -2}],
+        }))
+        argv = [a.replace("{intcfg}", str(intcfg)) for a in args]
+        got_code, out = run_main(capsys, *argv, "--format", fmt)
+        assert got_code == code
+        digest = json_digest if fmt == "json" else csv_digest
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_integer_config_values_become_floats(self):
+        cfg = RunConfig.from_dict({"mass": 5, "tensor_h": 1, "margin": 0, "grid_points": 101})
+        assert (cfg.mass, cfg.tensor_h, cfg.margin, cfg.grid_points) == (5.0, 1.0, 0.0, 101)
+        assert isinstance(cfg.mass, float) and isinstance(cfg.grid_points, int)
 
 
 # Imports the package and the CLI with scipy made unimportable, checks that

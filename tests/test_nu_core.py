@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import eval_genlaguerre
 
 from dirac_nu.errors import DomainError, NegativeRadicand
 from dirac_nu.model import PSEUDOSPIN, ModelParams, StateIndex
@@ -12,12 +11,9 @@ from dirac_nu.nu_core import (
     NuProblem,
     derive_constants,
     guarded_sqrt,
-    laguerre_limit_factors,
     quantization_residual,
-    wavefunction_factors,
 )
 from dirac_nu.spectrum import build_equation, normal_form, quantization_function
-from dirac_nu.wavefn import JacobiSpec, jacobi_eval
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 nonneg = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -126,77 +122,6 @@ class TestQuantizationResidual:
         w = eq.gamma(energy) / (4.0 * p.alpha * p.alpha)
         expect = (eq.q - 0.5) ** 2 + w * eq.coeffs.total
         assert d.c9 == pytest.approx(expect, abs=1e-12 * max(abs(expect), 1.0))
-
-
-class TestWavefunctionFactors:
-    def _derived(self, **kw):
-        base = dict(
-            c4=0.0, c5=-0.5, c6=1.0, c7=0.0, c8=1.0, c9=4.0,
-            c10=3.0, c11=7.0, c12=-1.0, c13=-1.5, sqrt_c8=1.0, sqrt_c9=2.0,
-        )
-        base.update(kw)
-        from dirac_nu.nu_core import NuDerived
-
-        return NuDerived(**base)
-
-    def test_jacobi_parameters(self):
-        p = NuProblem(c1=1, c2=1, c3=1, big_a=1, big_b=1, big_c=1)
-        w = wavefunction_factors(p, self._derived(), 2)
-        assert (w.jacobi_a, w.jacobi_b) == (2.0, 3.0)
-        assert w.argument_scale == 1.0
-
-    def test_phi_and_rho_exponents(self):
-        p = NuProblem(c1=1, c2=1, c3=1, big_a=1, big_b=1, big_c=1)
-        w = wavefunction_factors(p, self._derived(), 1)
-        assert w.phi_s_exponent == -1.0
-        assert w.phi_one_minus_exponent == 1.0 - (-1.5)
-        assert w.rho_s_exponent == w.jacobi_a
-        assert w.rho_one_minus_exponent == w.jacobi_b
-
-    def test_rejects_degenerate_c3(self):
-        p = NuProblem(c1=1, c2=1, c3=0, big_a=1, big_b=1, big_c=1)
-        with pytest.raises(DomainError):
-            wavefunction_factors(p, self._derived(), 0)
-
-
-class TestLaguerreLimit:
-    base = dict(c1=0.5, c2=3.0, big_a=1.0, big_b=2.0, big_c=0.0)
-
-    def test_factor_structure(self):
-        p = NuProblem(c3=0.0, **self.base)
-        d = derive_constants(p)
-        lf = laguerre_limit_factors(p, d, 2)
-        assert (lf.s_exponent, lf.exp_rate, lf.order, lf.scale) == (
-            d.c12, d.c13, d.c10 - 1.0, d.c11
-        )
-
-    def test_rejects_nonzero_c3(self):
-        p = NuProblem(c3=0.5, **self.base)
-        with pytest.raises(DomainError):
-            laguerre_limit_factors(p, derive_constants(p), 0)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_jacobi_converges_to_laguerre(self, n):
-        # linear convergence in c3: each decade of c3 buys a decade of error
-        lim = NuProblem(c3=0.0, **self.base)
-        lf = laguerre_limit_factors(lim, derive_constants(lim), n)
-        s = np.linspace(0.0, 5.0, 101)
-        lag = eval_genlaguerre(n, lf.order, lf.scale * s)
-        scale = np.max(np.abs(lag))
-        diffs = []
-        for k in (3, 4, 5, 6):
-            pk = NuProblem(c3=10.0 ** -k, **self.base)
-            w = wavefunction_factors(pk, derive_constants(pk), n)
-            jac = jacobi_eval(JacobiSpec(n, w.jacobi_a, w.jacobi_b), 1.0 - 2.0 * w.argument_scale * s)
-            diffs.append(np.max(np.abs(jac - lag)))
-        for a, b in zip(diffs, diffs[1:]):
-            assert 8.0 < a / b < 12.0
-        assert diffs[-1] / scale < 2e-4
-
-    def test_degree_zero_is_constant_one(self):
-        lim = NuProblem(c3=0.0, **self.base)
-        lf = laguerre_limit_factors(lim, derive_constants(lim), 0)
-        assert np.all(eval_genlaguerre(0, lf.order, lf.scale * np.linspace(0, 5, 11)) == 1.0)
 
 
 class TestProblemValidation:

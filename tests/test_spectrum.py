@@ -201,6 +201,16 @@ class TestSolveSpectrum:
         with pytest.raises(DomainError):
             SolveOptions(max_iter=0)
 
+    def test_bisect_tol_below_two_ulps_is_a_domain_error(self):
+        # the oracle match tolerance is 1e3 * bisect_tol: 1e-16 here, under the
+        # one-ulp gap (8.9e-16) between the bisection and the oracle root
+        eq = build_equation(ps_params(tensor_h=1.0), StateIndex(1, -1))
+        with pytest.raises(DomainError, match="smallest bisect_tol .* 1.77635683940025"):
+            solve_spectrum(eq, SolveOptions(bisect_tol=1e-19))
+        res = solve_spectrum(eq, SolveOptions(bisect_tol=1e-18))
+        assert [r.energy for r in res.roots] == [-4.672750522580428, 4.849764677491084]
+        assert all(r.method == "oracle-confirmed" for r in res.roots)
+
 
 def seeded_equations(count, seed="scalar-twin"):
     """Strict-domain states cycling through both limits and both spin assemblies."""
