@@ -14,8 +14,9 @@ name.  Output is CSV or JSON (``--format``), written to stdout or
 ``--out``; floats carry 12 significant digits and runs are
 byte-deterministic.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 solver failure
-(partial results are still written when possible).
+Exit codes: 0 success, 2 usage or configuration error raised before any
+state is solved, 3 any error raised while solving a state, a DomainError
+included (partial results are still written when possible).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .spectrum import (
 )
 from .wavefn import (
     DECAYING,
+    MIN_INTERIOR,
     TERMINATING,
     default_grid,
     pseudospin_components,
@@ -351,6 +353,9 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         )
     if cfg.branch not in (DECAYING, TERMINATING):
         raise ConfigError(f"unknown branch {cfg.branch!r}")
+    # the table's own verify_ode needs MIN_INTERIOR points between the ends
+    if cfg.wf_points < MIN_INTERIOR + 2:
+        raise ConfigError(f"wf_points must be at least {MIN_INTERIOR + 2}, got {cfg.wf_points}")
     params = _model_params(cfg)
     n, kappa = cfg.states[0]
     state = StateIndex(n=n, kappa=kappa)

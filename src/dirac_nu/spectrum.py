@@ -84,6 +84,8 @@ POSITIVE = "positive"
 
 # relative tolerance used when matching the polynomial oracle to bisection
 ORACLE_MATCH_FACTOR = 1e3
+# an oracle root survives back substitution when |f| <= BACKSUB_REL_TOL * max(1, |4 A|)
+BACKSUB_REL_TOL = 1e-6
 
 ArrayOrFloat = Union[float, NDArray[np.float64]]
 
@@ -594,7 +596,6 @@ def _poly_pieces(eq: EnergyEquation) -> tuple[NDArray, NDArray, NDArray]:
 def quartic_oracle(
     eq: EnergyEquation,
     window: Optional[tuple[float, float]] = None,
-    backsub_rel_tol: float = 1e-6,
 ) -> OracleResult:
     """Independent root finder: eliminate the radicals, then use np.roots.
 
@@ -677,7 +678,7 @@ def quartic_oracle(
             spurious.append(z)
             continue
         rhse = _f_point(terms, e)[3]
-        if abs(fe) <= backsub_rel_tol * max(1.0, abs(rhse)):
+        if abs(fe) <= BACKSUB_REL_TOL * max(1.0, abs(rhse)):
             survivors.append(e)
         else:
             spurious.append(z)

@@ -54,6 +54,8 @@ _BRANCHES = (DECAYING, TERMINATING)
 
 # r_max is chosen so the decaying envelope s^nu has dropped to this level
 DECAY_TARGET = 1e-12
+# verify_ode needs this many interior grid points
+MIN_INTERIOR = 50
 
 
 @dataclass(frozen=True)
@@ -221,14 +223,36 @@ def default_grid(
         raise DomainError(f"n_points must be >= 2, got {n_points!r}")
     if r_min <= 0.0:
         raise DomainError(f"r_min must be positive, got {r_min!r}")
-    derived = derive_constants(normal_form(eq, energy))
-    nu = derived.sqrt_c8
+    nu = derive_constants(normal_form(eq, energy)).sqrt_c8
+    return _log_grid(eq.params.alpha, nu, energy, n_points, r_min)
+
+
+def _log_grid(
+    alpha: float, nu: float, energy: float, n_points: int = 2000, r_min: float = 1e-4
+) -> NDArray[np.float64]:
+    """``default_grid`` for a decay exponent nu that is already known."""
     if nu <= 0.0:
         raise NonNormalizable(f"decay exponent vanishes at E = {energy!r}")
-    r_max = math.log(1.0 / DECAY_TARGET) / (2.0 * eq.params.alpha * nu)
+    r_max = math.log(1.0 / DECAY_TARGET) / (2.0 * alpha * nu)
     if r_max <= r_min:
         raise DomainError(f"r_max = {r_max!r} does not exceed r_min = {r_min!r}")
     return np.geomspace(r_min, r_max, n_points)
+
+
+def _branch_and_grid(
+    eq: EnergyEquation, energy: float, branch: str, grid: Optional[NDArray[np.float64]]
+) -> tuple[BranchFunctions, NDArray[np.float64]]:
+    """The branch at this energy and the grid it is sampled on: ``grid``
+    once checked, or the default grid of the branch's own nu."""
+    bf = branch_functions(eq, energy, branch)
+    if grid is None:
+        return bf, _log_grid(eq.params.alpha, bf.nu, energy)
+    r = np.asarray(grid, dtype=float)
+    if r.ndim != 1 or r.size < 2:
+        raise DomainError("grid must be a 1-d array with at least two points")
+    if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
+        raise DomainError("grid must be strictly positive and increasing")
+    return bf, r
 
 
 def node_count_of(values: NDArray[np.float64]) -> int:
@@ -277,15 +301,6 @@ class WavefunctionTable:
         return self.g if self.symmetry == PSEUDOSPIN else self.f
 
 
-def _check_grid(grid: NDArray[np.float64]) -> NDArray[np.float64]:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise DomainError("grid must be a 1-d array with at least two points")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise DomainError("grid must be strictly positive and increasing")
-    return grid
-
-
 def lower_component(
     eq: EnergyEquation,
     energy: float,
@@ -295,8 +310,7 @@ def lower_component(
     """Unnormalized lower component G of a pseudospin-limit state."""
     if eq.params.symmetry != PSEUDOSPIN:
         raise DomainError("lower_component expects a pseudospin-limit equation")
-    bf = branch_functions(eq, energy, branch)
-    r = _check_grid(default_grid(eq, energy) if grid is None else grid)
+    bf, r = _branch_and_grid(eq, energy, branch, grid)
     log_s = -2.0 * eq.params.alpha * r
     g = bf.evaluate(log_s)[0]
     return WavefunctionTable(
@@ -329,24 +343,6 @@ def _coupling_denominator(eq: EnergyEquation, energy: float) -> float:
             f"coupling denominator {denom!r} below 1e-8 * mass at E = {energy!r}"
         )
     return denom
-
-
-def _solved_and_partner(
-    eq: EnergyEquation, energy: float, bf: BranchFunctions, r: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Unnormalized solved component and its first-order coupled partner at r.
-
-    The radial derivative uses the chain rule d/dr = -2 alpha s d/ds on
-    the analytic s-derivative; no finite differences anywhere.
-    """
-    p = eq.params
-    denom = _coupling_denominator(eq, energy)
-    centrifugal = (eq.state.kappa + p.tensor_h) / r
-    solved, s_d_ds, _ = bf.evaluate(-2.0 * p.alpha * r)
-    d_dr = -2.0 * p.alpha * s_d_ds
-    if p.symmetry == PSEUDOSPIN:
-        return solved, (d_dr - centrifugal * solved) / denom
-    return solved, (d_dr + centrifugal * solved) / denom
 
 
 def _gauss_jacobi(order: int, beta: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -411,30 +407,66 @@ def _norm_rule(
     return nodes, weights
 
 
-def _joint_norm(
-    eq: EnergyEquation, energy: float, bf: BranchFunctions, r_max: float
-) -> float:
-    """Normalization constant for the (G, F) pair on (0, r_max).
+def _complete(
+    eq: EnergyEquation, energy: float, bf: BranchFunctions, r: NDArray[np.float64]
+) -> WavefunctionTable:
+    """Normalized (G, F) table of one state on grid r, in either limit.
 
-    The integral of G^2 + F^2 is taken at both NORM_ORDERS in one
-    evaluation of the pair; a result that is not finite and positive, or
-    two orders that disagree by more than NORM_RTOL, is NonNormalizable.
+    The solved component and its first-order coupled partner come from one
+    evaluation of the branch over r and the quadrature nodes of both
+    NORM_ORDERS.  The radial derivative uses the chain rule
+    d/dr = -2 alpha s d/ds on the analytic s-derivative; no finite
+    differences anywhere.  The integral of G^2 + F^2 on (0, r[-1]) is taken
+    at both orders; a result that is not finite and positive, or two orders
+    that disagree by more than NORM_RTOL, is NonNormalizable.  The solved
+    component is G in the pseudospin limit and F in the spin one; the table
+    counts its nodes.
     """
+    p = eq.params
+    denom = _coupling_denominator(eq, energy)
     low_order, high_order = NORM_ORDERS
-    edges = _norm_edges(eq.params.alpha, bf.nu, r_max)
+    edges = _norm_edges(p.alpha, bf.nu, float(r[-1]))
     low_r, low_w = _norm_rule(edges, bf.mu, low_order)
     high_r, high_w = _norm_rule(edges, bf.mu, high_order)
-    solved, partner = _solved_and_partner(eq, energy, bf, np.concatenate([low_r, high_r]))
+    at = np.concatenate([r, low_r, high_r])
+    centrifugal = (eq.state.kappa + p.tensor_h) / at
+    solved, s_d_ds, _ = bf.evaluate(-2.0 * p.alpha * at)
+    d_dr = -2.0 * p.alpha * s_d_ds
+    if p.symmetry == PSEUDOSPIN:
+        partner = (d_dr - centrifugal * solved) / denom
+    else:
+        partner = (d_dr + centrifugal * solved) / denom
     density = solved * solved + partner * partner
-    low = float(low_w @ density[: low_r.size])
-    integral = float(high_w @ density[low_r.size :])
+    split = r.size + low_r.size
+    low = float(low_w @ density[r.size : split])
+    integral = float(high_w @ density[split:])
     if not (math.isfinite(integral) and integral > 0.0
             and abs(integral - low) <= NORM_RTOL * integral):
         raise NonNormalizable(
             f"normalization integral = {integral!r} at order {high_order}, "
             f"{low!r} at order {low_order}"
         )
-    return 1.0 / math.sqrt(integral)
+    norm = 1.0 / math.sqrt(integral)
+    residual = verify_ode(eq, energy, branch=bf.branch, grid=r)
+    solved, partner = solved[: r.size], partner[: r.size]
+    g, f = (solved, partner) if p.symmetry == PSEUDOSPIN else (partner, solved)
+    return WavefunctionTable(
+        state=eq.state,
+        symmetry=p.symmetry,
+        branch=bf.branch,
+        energy=energy,
+        r=r,
+        s=np.exp(-2.0 * p.alpha * r),
+        g=norm * g,
+        f=norm * f,
+        nu=bf.nu,
+        mu=bf.mu,
+        s_exponent=bf.s_exponent,
+        one_minus_exponent=bf.one_minus_exponent,
+        norm_constant=norm,
+        node_count=node_count_of(solved),
+        residual_norm=residual,
+    )
 
 
 def upper_component_from_lower(
@@ -445,27 +477,7 @@ def upper_component_from_lower(
         raise DomainError("upper_component_from_lower expects a pseudospin-limit equation")
     if lower.symmetry != PSEUDOSPIN:
         raise DomainError("lower table was not built in the pseudospin limit")
-    bf = branch_functions(eq, lower.energy, lower.branch)
-    g_raw, f_raw = _solved_and_partner(eq, lower.energy, bf, lower.r)
-    norm = _joint_norm(eq, lower.energy, bf, float(lower.r[-1]))
-    residual = verify_ode(eq, lower.energy, branch=lower.branch, grid=lower.r)
-    return WavefunctionTable(
-        state=lower.state,
-        symmetry=lower.symmetry,
-        branch=lower.branch,
-        energy=lower.energy,
-        r=lower.r,
-        s=lower.s,
-        g=norm * g_raw,
-        f=norm * f_raw,
-        nu=lower.nu,
-        mu=lower.mu,
-        s_exponent=lower.s_exponent,
-        one_minus_exponent=lower.one_minus_exponent,
-        norm_constant=norm,
-        node_count=node_count_of(g_raw),
-        residual_norm=residual,
-    )
+    return _complete(eq, lower.energy, branch_functions(eq, lower.energy, lower.branch), lower.r)
 
 
 def spin_limit_components(
@@ -477,28 +489,7 @@ def spin_limit_components(
     """Full spinor pair of a spin-limit state: solved F, derived G."""
     if eq.params.symmetry != SPIN:
         raise DomainError("spin_limit_components expects a spin-limit equation")
-    bf = branch_functions(eq, energy, branch)
-    r = _check_grid(default_grid(eq, energy) if grid is None else grid)
-    f_raw, g_raw = _solved_and_partner(eq, energy, bf, r)
-    norm = _joint_norm(eq, energy, bf, float(r[-1]))
-    residual = verify_ode(eq, energy, branch=branch, grid=r)
-    return WavefunctionTable(
-        state=eq.state,
-        symmetry=eq.params.symmetry,
-        branch=branch,
-        energy=energy,
-        r=r,
-        s=np.exp(-2.0 * eq.params.alpha * r),
-        g=norm * g_raw,
-        f=norm * f_raw,
-        nu=bf.nu,
-        mu=bf.mu,
-        s_exponent=bf.s_exponent,
-        one_minus_exponent=bf.one_minus_exponent,
-        norm_constant=norm,
-        node_count=node_count_of(f_raw),
-        residual_norm=residual,
-    )
+    return _complete(eq, energy, *_branch_and_grid(eq, energy, branch, grid))
 
 
 def pseudospin_components(
@@ -516,7 +507,6 @@ def verify_ode(
     energy: float,
     branch: str = TERMINATING,
     grid: Optional[NDArray[np.float64]] = None,
-    min_interior: int = 50,
 ) -> float:
     """Max relative residual of the transformed equation on interior points.
 
@@ -532,12 +522,11 @@ def verify_ode(
     this equation and stays at order one, which is exactly what makes the
     (residual, decay) pair discriminate the branches.
     """
-    bf = branch_functions(eq, energy, branch)
-    r = _check_grid(default_grid(eq, energy) if grid is None else grid)
+    bf, r = _branch_and_grid(eq, energy, branch, grid)
     log_s = -2.0 * eq.params.alpha * r[1:-1]
-    if log_s.size < min_interior:
+    if log_s.size < MIN_INTERIOR:
         raise GridTooCoarse(
-            f"{log_s.size} interior points < required {min_interior}"
+            f"{log_s.size} interior points < required {MIN_INTERIOR}"
         )
     problem = bf.problem
     psi, s_dpsi, s2_d2psi = bf.evaluate(log_s)

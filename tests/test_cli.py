@@ -234,6 +234,26 @@ class TestWavefunction:
         assert code == 3
         assert err.strip()
 
+    @pytest.mark.parametrize("points", ["51", "1"])
+    def test_too_few_points_is_config_error_before_solving(self, points, capsys, monkeypatch):
+        # verify_ode needs 50 interior points, so the table needs 52; with
+        # --c-sym -10 the solve itself would fail (exit 3) if it ran first
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        for extra in ((), ("--c-sym", "-10")):
+            code = main(["wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1",
+                         "--wf-points", points, *extra])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "at least 52" in captured.err
+
+    def test_minimum_points_table(self, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        code, out = run_main(capsys, "wavefunction", "--tensor-h", "1", "--n", "1",
+                             "--kappa", "-1", "--wf-points", "52", "--format", "csv")
+        assert code == 0
+        assert len(csv_body(out)[1]) == 52
+
 
 class TestAnalyze:
     def test_approx_columns(self):
@@ -269,10 +289,12 @@ class TestAnalyze:
 
 
 # SHA-256 of stdout (JSON, then CSV) and the exit code of fixed commands.
-# The spin-table digests reflect their header naming the spin limit; every
-# other digest is the output from before the subcommands shared one
-# serializer.  "{intcfg}" stands for a config file of integer-valued floats
-# with one state that has no spectroscopic label.
+# The spin-table digests reflect their header naming the spin limit; the
+# spin-limit wavefunction tables that exit 0 are the output from before both
+# limits completed a table through one function; every other digest is the
+# output from before the subcommands shared one serializer.  "{intcfg}"
+# stands for a config file of integer-valued floats with one state that has
+# no spectroscopic label.
 PINNED = [
     (("solve", "--tensor-h", "1", "--n", "1", "--kappa", "-1"), 0,
      "1d78729797d26144b2049c565f8dbe566556527771ae9d1f6a4a598dea85f8ef",
@@ -305,6 +327,13 @@ PINNED = [
     (("wavefunction", "--symmetry", "spin", "--n", "0", "--kappa", "-2", "--tensor-h", "1"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("wavefunction", "--symmetry", "spin", "--n", "0", "--kappa", "1", "--tensor-h", "1"), 0,
+     "586f139c3cb11f9ffb963fe854fef20f58b342e7c553689c738967317c835ecb",
+     "fe1c634a1ffd8e09520e4e4579f802242cf91621749c84c13986c42d8ab4a057"),
+    (("wavefunction", "--symmetry", "spin", "--n", "0", "--kappa", "1", "--tensor-h", "1",
+      "--branch", "terminating"), 0,
+     "2715056bf433ae0027aa3e8b8e50ae27e5e2e7df68f3adc7fd7fde5859296073",
+     "7c2c75a01dcf67d8fc854ec8f02cd98326135a17bb819cfaef577acddac09c88"),
     (("analyze", "--which", "approx"), 0,
      "e414be5d8e73cd99b110929245b69ceb831ba225bbace3086432658204b365d5",
      "4aca6551f4cda8c9b0ab9f9327f72fcb2ffeea41b80a5d18ccaa67b692fdd081"),

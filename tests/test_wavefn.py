@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_jacobi
 
+from dirac_nu import wavefn
 from dirac_nu.errors import DomainError, GridTooCoarse, NonNormalizable
 from dirac_nu.model import PSEUDOSPIN, SPIN, ModelParams, StateIndex
 from dirac_nu.spectrum import (
@@ -437,6 +438,38 @@ class TestVerifyOde:
         energy = solved(eq)
         with pytest.raises(GridTooCoarse):
             verify_ode(eq, energy, grid=np.linspace(0.1, 5.0, 20))
+
+
+class TestWorkPerTable:
+    """A table derives the constants once per branch it builds: for the lower
+    table (pseudospin only), for the completion, and in verify_ode; the
+    completion evaluates the branch once for its grid and both quadrature
+    orders."""
+
+    @pytest.mark.parametrize(
+        "eq, calls",
+        [(ps_eq(1, -1, 1.0), 3), (spin_eq(0, 1, 1.0), 2)],
+        ids=["pseudospin", "spin"],
+    )
+    def test_calls_per_table(self, eq, calls, monkeypatch):
+        energy = solve_spectrum(eq, OPTS).selected.energy
+        components = (pseudospin_components if eq.params.symmetry == PSEUDOSPIN
+                      else spin_limit_components)
+        counts = {"derive": 0, "evaluate": 0}
+        derive, evaluate = wavefn.derive_constants, wavefn.BranchFunctions.evaluate
+
+        def counted_derive(problem):
+            counts["derive"] += 1
+            return derive(problem)
+
+        def counted_evaluate(bf, log_s):
+            counts["evaluate"] += 1
+            return evaluate(bf, log_s)
+
+        monkeypatch.setattr(wavefn, "derive_constants", counted_derive)
+        monkeypatch.setattr(wavefn.BranchFunctions, "evaluate", counted_evaluate)
+        components(eq, energy)
+        assert counts == {"derive": calls, "evaluate": calls}
 
 
 class TestGridAndGuards:
