@@ -133,9 +133,11 @@ def h_sweep(
     if not h_values:
         raise DomainError("at least one tensor strength is required")
 
-    rows: list[SweepRow] = []
     for state_neg, state_pos in doublets:
         check_doublet(params, state_neg, state_pos)
+
+    rows: list[SweepRow] = []
+    for state_neg, state_pos in doublets:
         for h in h_values:
             p = replace(params, tensor_h=float(h))
             label_neg = state_neg.spectroscopic_label(p.symmetry)

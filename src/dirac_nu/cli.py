@@ -356,6 +356,9 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     # the table's own verify_ode needs MIN_INTERIOR points between the ends
     if cfg.wf_points < MIN_INTERIOR + 2:
         raise ConfigError(f"wf_points must be at least {MIN_INTERIOR + 2}, got {cfg.wf_points}")
+    # r_max depends on the solved energy, so only the sign of r_min is checked here
+    if not cfg.r_min > 0.0:
+        raise ConfigError(f"r_min must be positive, got {cfg.r_min!r}")
     params = _model_params(cfg)
     n, kappa = cfg.states[0]
     state = StateIndex(n=n, kappa=kappa)

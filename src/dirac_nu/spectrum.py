@@ -2,8 +2,8 @@
 
 For a state (n, kappa) the radial equation, after the substitution
 s = e^{-2 alpha r} and the exponential centrifugal surrogate, lands in the
-normal form of :mod:`.nu_core` with c1 = c2 = c3 = 1 and energy-dependent
-(A, B, C).  Bound energies are roots of
+normal form of :mod:`.nu_core` with energy-dependent (A, B, C).  Bound
+energies are roots of
 
     f(E) = (2 n + 1 + 2 sqrt(c9) - 2 sqrt(c8))^2 - 4 A
 
@@ -86,6 +86,8 @@ POSITIVE = "positive"
 ORACLE_MATCH_FACTOR = 1e3
 # an oracle root survives back substitution when |f| <= BACKSUB_REL_TOL * max(1, |4 A|)
 BACKSUB_REL_TOL = 1e-6
+# at most this many bisection steps per root
+BISECT_MAX_ITER = 200
 
 ArrayOrFloat = Union[float, NDArray[np.float64]]
 
@@ -168,7 +170,7 @@ def normal_form(eq: EnergyEquation, energy: float) -> NuProblem:
     big_a = ll * p.c0 + w * c.v1 + b
     big_b = ll * (2.0 * p.c0 - 1.0) + 2.0 * b - w * c.v2
     big_c = ll * p.c0 + w * c.v3 + b
-    return NuProblem(c1=1.0, c2=1.0, c3=1.0, big_a=big_a, big_b=big_b, big_c=big_c)
+    return NuProblem(big_a=big_a, big_b=big_b, big_c=big_c)
 
 
 def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[float, float]:
@@ -312,14 +314,14 @@ class SolveOptions:
 
     The CLI sets ``grid_points``, ``bisect_tol`` and ``margin`` from its
     ``--grid-points``, ``--bisect-tol`` and ``--margin`` options (or a config
-    file); ``max_iter`` and ``oracle_check`` keep their defaults there.  The
-    benchmark in ``perfbench/`` solves with the defaults and, to screen
-    candidate states, with ``grid_points=2001, oracle_check=False``.
+    file); ``oracle_check`` keeps its default there.  The benchmark in
+    ``perfbench/`` solves with the defaults and, to screen candidate states,
+    with ``grid_points=2001, oracle_check=False``.  Bisection stops after
+    at most ``BISECT_MAX_ITER`` steps per root.
     """
 
     grid_points: int = 20001
     bisect_tol: float = 1e-12
-    max_iter: int = 200
     margin: Optional[float] = None
     oracle_check: bool = True
 
@@ -328,8 +330,6 @@ class SolveOptions:
             raise DomainError(f"grid_points must be >= 3, got {self.grid_points!r}")
         if self.bisect_tol <= 0.0:
             raise DomainError(f"bisect_tol must be positive, got {self.bisect_tol!r}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -388,13 +388,13 @@ def _bisect(t: _FTerms, a: float, b: float, fa: float, fb: float,
     def f_of(x: float) -> float:
         return _f_point(t, x)[0]
 
-    for _ in range(opts.max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (a + b)
         if (b - a) <= opts.bisect_tol:
             return mid
         if mid == a or mid == b:
             # a and b are adjacent floats: every further step leaves them as
-            # they are, so the loop could only end by max_iter on this mid
+            # they are, so the loop could only end by BISECT_MAX_ITER on this mid
             return mid
         fm = f_of(mid)
         if not math.isfinite(fm):
@@ -723,6 +723,8 @@ def check_doublet(params: ModelParams, neg: StateIndex, pos: StateIndex) -> None
         raise DomainError(
             f"doublet must pair kappa < 0 with kappa > 0, got {neg.kappa}, {pos.kappa}"
         )
+    if neg.n != pos.n:
+        raise DomainError(f"states {neg} and {pos} of a doublet must share n")
     if params.symmetry == PSEUDOSPIN:
         if kappa_to_pseudo_l(neg.kappa) != kappa_to_pseudo_l(pos.kappa):
             raise DomainError(
@@ -774,17 +776,19 @@ def splitting_report(
 ) -> SplittingReport:
     """Quantify how the tensor term lifts a doublet degeneracy.
 
-    Solves both members at the configured tensor strength and at H = 0.
-    With H = 0 the two members are exactly degenerate; a nonzero H pushes
-    them to opposite sides of the degenerate level.
+    Solves both members at the configured tensor strength and the H = 0
+    baseline once.  With H = 0 the two members share n, q (q - 1) and
+    (q - 1/2)^2 exactly, so they solve one and the same equation: the
+    baseline is reported for both, and a nonzero H pushes them to opposite
+    sides of it.
     """
     check_doublet(params, state_neg, state_pos)
-    params0 = replace(params, tensor_h=0.0)
 
     e_neg = negative_root(solve_spectrum(EnergyEquation(params, state_neg), opts))
     e_pos = negative_root(solve_spectrum(EnergyEquation(params, state_pos), opts))
-    b_neg = negative_root(solve_spectrum(EnergyEquation(params0, state_neg), opts))
-    b_pos = negative_root(solve_spectrum(EnergyEquation(params0, state_pos), opts))
+    baseline = negative_root(
+        solve_spectrum(EnergyEquation(replace(params, tensor_h=0.0), state_neg), opts)
+    )
 
     def direction(now: float, base: float) -> int:
         diff = now - base
@@ -798,9 +802,9 @@ def splitting_report(
         label_pos=state_pos.spectroscopic_label(params.symmetry),
         energy_neg=e_neg,
         energy_pos=e_pos,
-        baseline_neg=b_neg,
-        baseline_pos=b_pos,
+        baseline_neg=baseline,
+        baseline_pos=baseline,
         delta_e=e_pos - e_neg,
-        direction_neg=direction(e_neg, b_neg),
-        direction_pos=direction(e_pos, b_pos),
+        direction_neg=direction(e_neg, baseline),
+        direction_pos=direction(e_pos, baseline),
     )

@@ -10,8 +10,8 @@ with nu = sqrt(c8) >= 0, mu = 2 sqrt(c9), and sigma = +-1 a branch sign:
 
 * ``"decaying"`` (sigma = +1): normalizable, vanishes at both ends of the
   radial axis, carries the n interior nodes expected of the n-th state.
-* ``"terminating"`` (sigma = -1): the branch singled out by the minus
-  convention of the derived constants.  It solves the transformed equation
+* ``"terminating"`` (sigma = -1): the branch of the parametric method's
+  minus-sign convention for sqrt(c8).  It solves the transformed equation
   exactly at a quantized energy but grows like s^{-nu} as r -> infinity.
 
 The residual of the transformed equation therefore certifies an energy
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -271,7 +271,8 @@ def node_count_of(values: NDArray[np.float64]) -> int:
 class WavefunctionTable:
     """Sampled spinor components for one state at one energy.
 
-    ``g`` is the lower component and ``f`` the upper one, both scaled by
+    ``r`` is the radial grid; s = e^{-2 alpha r} is not stored.  ``g`` is
+    the lower component and ``f`` the upper one, both scaled by
     ``norm_constant`` when it is set (joint normalization of the pair,
     integral of G^2 + F^2 over r equal to one).  ``node_count`` counts
     the interior nodes of the solved (dominant) component and
@@ -284,7 +285,6 @@ class WavefunctionTable:
     branch: str
     energy: float
     r: NDArray[np.float64]
-    s: NDArray[np.float64]
     g: NDArray[np.float64]
     f: NDArray[np.float64]
     nu: float
@@ -311,15 +311,13 @@ def lower_component(
     if eq.params.symmetry != PSEUDOSPIN:
         raise DomainError("lower_component expects a pseudospin-limit equation")
     bf, r = _branch_and_grid(eq, energy, branch, grid)
-    log_s = -2.0 * eq.params.alpha * r
-    g = bf.evaluate(log_s)[0]
+    g = bf.evaluate(-2.0 * eq.params.alpha * r)[0]
     return WavefunctionTable(
         state=eq.state,
         symmetry=eq.params.symmetry,
         branch=branch,
         energy=energy,
         r=r,
-        s=np.exp(log_s),
         g=g,
         f=np.zeros_like(g),
         nu=bf.nu,
@@ -456,7 +454,6 @@ def _complete(
         branch=bf.branch,
         energy=energy,
         r=r,
-        s=np.exp(-2.0 * p.alpha * r),
         g=norm * g,
         f=norm * f,
         nu=bf.nu,
@@ -542,12 +539,3 @@ def verify_ode(
     if not np.any(ok):
         raise GridTooCoarse("solved component vanished on every interior point")
     return float(np.max(residual[ok] / scale[ok]))
-
-
-def decays_at_infinity(table: WavefunctionTable, rel_tol: float = 1e-6) -> bool:
-    """Boundary-decay check: dominant component negligible at the far end."""
-    dom = np.abs(table.dominant)
-    peak = float(np.max(dom))
-    if peak == 0.0:
-        return True
-    return float(dom[-1]) <= rel_tol * peak

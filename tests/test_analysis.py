@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dirac_nu import analysis
 from dirac_nu.analysis import (
     DEFAULT_H_VALUES,
     approx_report,
@@ -166,6 +167,15 @@ class TestHSweep:
         )
         assert all(r.error for r in res.rows)
         assert all(r.energy_neg is None and r.energy_pos is None for r in res.rows)
+
+    def test_every_doublet_checked_before_the_first_solve(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(analysis, "solve_spectrum", lambda eq, opts: solved.append(eq))
+        good = (StateIndex(1, -1), StateIndex(1, 2))
+        bad = (StateIndex(1, -1), StateIndex(2, 2))
+        with pytest.raises(DomainError, match="share n"):
+            h_sweep(params(), [good, bad], h_values=(0.0, 1.0), opts=OPTS)
+        assert solved == []
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@
 called leaves that median without samples, and the run cannot print its
 JSON result line.  This test runs what a traced run reaches outside its
 workload loop, under the benchmark's own tracer, and checks that every
-target recorded a span.
+target recorded a span and that a table carries every field the run reads.
 """
 
 import contextlib
@@ -25,8 +25,14 @@ import inputs  # noqa: E402
 import spans  # noqa: E402
 
 
+# spinor-table attributes that perfbench/run.py and perfbench/checks.py read
+TABLE_FIELDS = ("r", "g", "f", "dominant", "energy", "norm_constant", "node_count",
+                "residual_norm")
+
+
 @pytest.fixture(scope="module")
-def tracer():
+def traced_run():
+    """The tracer after the run, and the spin-limit table built under it."""
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -39,13 +45,18 @@ def tracer():
         spin = ModelParams(mass=5.0, symmetry=SPIN, c_sym=0.0, tensor_h=1.0)
         eq = dirac_nu.spectrum.build_equation(spin, StateIndex(0, -2))
         energy = dirac_nu.spectrum.solve_spectrum(eq).roots[0].energy
-        dirac_nu.wavefn.spin_limit_components(eq, energy)
+        table = dirac_nu.wavefn.spin_limit_components(eq, energy)
         dirac_nu.spectrum.solve_spectrum(
             eq, dirac_nu.spectrum.SolveOptions(grid_points=2001, oracle_check=False)
         )
     finally:
         tracer.uninstall()
-    return tracer
+    return tracer, table
+
+
+@pytest.fixture(scope="module")
+def tracer(traced_run):
+    return traced_run[0]
 
 
 def test_every_span_target_is_reached(tracer):
@@ -54,6 +65,12 @@ def test_every_span_target_is_reached(tracer):
     expected |= {f"cli.main.{name}" for name in inputs.CLI_COMMANDS}
     expected.add("spectrum.EnergyEquation")
     assert expected - names == set()
+
+
+def test_table_exposes_every_field_the_benchmark_reads(traced_run):
+    table = traced_run[1]
+    for name in TABLE_FIELDS:
+        assert getattr(table, name) is not None, name
 
 
 def test_jacobi_evaluations_are_counted_in_tables(tracer):

@@ -247,6 +247,27 @@ class TestWavefunction:
             assert captured.out == ""
             assert "at least 52" in captured.err
 
+    @pytest.mark.parametrize("r_min", ["0", "-1"])
+    def test_nonpositive_r_min_is_config_error_before_solving(self, r_min, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        for extra in ((), ("--c-sym", "-10")):
+            code = main(["wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1",
+                         "--r-min", r_min, *extra])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "r_min must be positive" in captured.err
+
+    def test_r_min_beyond_r_max_fails_after_solving(self, capsys, monkeypatch):
+        # r_max follows from the solved energy, so this is a solve failure
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        code = main(["wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1",
+                     "--r-min", "1000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "does not exceed r_min = 1000.0" in captured.err
+
     def test_minimum_points_table(self, capsys, monkeypatch):
         monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
         code, out = run_main(capsys, "wavefunction", "--tensor-h", "1", "--n", "1",
@@ -278,6 +299,16 @@ class TestAnalyze:
         assert "moves down" in out and "moves up" in out
         first = rows[0].split(",")
         assert float(first[3]) == 0.0
+
+    def test_sweep_doublet_differing_in_n_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"doublets": [[[1, -1], [2, 2]]]}))
+        code = main(["analyze", "--which", "sweep", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "share n" in captured.err
 
     def test_sweep_failure_exits_3(self):
         code, _, _ = run_cli("analyze", "--which", "sweep", "--c-sym", "-10")

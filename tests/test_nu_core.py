@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from dirac_nu.nu_core import (
     guarded_sqrt,
     quantization_residual,
 )
-from dirac_nu.spectrum import build_equation, normal_form, quantization_function
+from dirac_nu.spectrum import build_equation, normal_form, quantization_function, solve_spectrum
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 nonneg = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -21,25 +22,19 @@ nonneg = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
 class TestDeriveConstants:
     def test_hand_worked_example(self):
-        d = derive_constants(NuProblem(c1=1, c2=1, c3=1, big_a=6, big_b=5, big_c=1))
-        assert d.c4 == 0.0
-        assert d.c5 == -0.5
-        assert d.c6 == 6.25
-        assert d.c7 == -5.0
+        d = derive_constants(NuProblem(big_a=6, big_b=5, big_c=1))
         assert d.c8 == 1.0
         assert d.c9 == 2.25
-        assert d.c10 == -1.0
-        assert d.c11 == 3.0
-        assert d.c12 == -1.0
-        assert d.c13 == -1.0
+        assert d.sqrt_c8 == 1.0
+        assert d.sqrt_c9 == 1.5
 
     def test_zero_numerator_polynomial(self):
-        d = derive_constants(NuProblem(c1=1, c2=1, c3=1, big_a=0, big_b=0, big_c=0))
-        assert (d.c4, d.c5, d.c6, d.c7, d.c8, d.c9) == (0.0, -0.5, 0.25, 0.0, 0.0, 0.25)
+        d = derive_constants(NuProblem(big_a=0, big_b=0, big_c=0))
+        assert (d.c8, d.c9, d.sqrt_c8, d.sqrt_c9) == (0.0, 0.25, 0.0, 0.5)
 
     def test_negative_radicand_raises_with_details(self):
         with pytest.raises(NegativeRadicand) as exc:
-            derive_constants(NuProblem(c1=1, c2=1, c3=1, big_a=0, big_b=0, big_c=-1))
+            derive_constants(NuProblem(big_a=0, big_b=0, big_c=-1))
         assert exc.value.which == "c8"
         assert exc.value.value == -1.0
 
@@ -49,31 +44,21 @@ class TestDeriveConstants:
         with pytest.raises(NegativeRadicand):
             guarded_sqrt(-10 * RADICAND_CLAMP, "c9")
 
-    @given(big_b=finite, big_c=nonneg, c2=finite, c3=finite, big_a=nonneg)
-    def test_c7_c8_shortcuts_when_c1_is_one(self, big_b, big_c, c2, c3, big_a):
-        # c1 = 1 forces c4 = 0, so c7 = -B and c8 = C hold exactly
-        p = NuProblem(c1=1.0, c2=c2, c3=c3, big_a=big_a, big_b=big_b, big_c=big_c)
-        try:
-            d = derive_constants(p)
-        except NegativeRadicand:
-            return
-        assert d.c7 == -big_b
-        assert d.c8 == big_c
-
     @given(big_a=nonneg, big_b=finite, big_c=nonneg)
     def test_c9_decomposition_at_unit_coefficients(self, big_a, big_b, big_c):
-        p = NuProblem(c1=1.0, c2=1.0, c3=1.0, big_a=big_a, big_b=big_b, big_c=big_c)
+        p = NuProblem(big_a=big_a, big_b=big_b, big_c=big_c)
         try:
             d = derive_constants(p)
         except NegativeRadicand:
             return
-        expect = d.c6 + d.c7 + d.c8
+        c6, c7 = 0.25 + big_a, -big_b
+        expect = c6 + c7 + d.c8
         # cancellation scale: error tracks the largest term, not the sum
-        scale = max(abs(d.c6), abs(d.c7), abs(d.c8), 1.0)
+        scale = max(abs(c6), abs(c7), abs(d.c8), 1.0)
         assert abs(d.c9 - expect) <= 4 * math.ulp(scale)
 
     def test_deterministic(self):
-        p = NuProblem(c1=0.3, c2=1.7, c3=0.9, big_a=2.0, big_b=1.0, big_c=0.5)
+        p = NuProblem(big_a=2.0, big_b=1.0, big_c=0.5)
         a, b = derive_constants(p), derive_constants(p)
         assert a == b
 
@@ -85,7 +70,7 @@ def table_equation(n=1, kappa=-1, tensor_h=1.0):
 
 class TestQuantizationResidual:
     def test_negative_n_rejected(self):
-        p = NuProblem(c1=1, c2=1, c3=1, big_a=1, big_b=1, big_c=1)
+        p = NuProblem(big_a=1, big_b=1, big_c=1)
         with pytest.raises(DomainError):
             quantization_residual(p, derive_constants(p), -1)
 
@@ -95,7 +80,7 @@ class TestQuantizationResidual:
         assert abs(quantization_residual(p, derive_constants(p), 1)) < 1e-6
 
     def test_quarter_of_assembled_condition_on_energy_grid(self):
-        # with c1 = c2 = c3 = 1 the generic condition equals f(E)/4 exactly
+        # in the solver's normal form the NU condition equals f(E)/4
         eq = table_equation()
         for energy in np.linspace(-4.9, 4.9, 23):
             try:
@@ -127,6 +112,26 @@ class TestQuantizationResidual:
 class TestProblemValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            NuProblem(c1=float("nan"), c2=1, c3=1, big_a=1, big_b=1, big_c=1)
-        with pytest.raises(DomainError):
-            NuProblem(c1=1, c2=1, c3=1, big_a=float("inf"), big_b=1, big_c=1)
+            NuProblem(big_a=float("inf"), big_b=1, big_c=1)
+
+
+# SHA-256 over repr((c8, c9, sqrt(c8), sqrt(c9), quantization_residual)) at
+# every root of the bundled cells and the README state, recorded before
+# nu_core was cut from the general c1..c13 method to the c1 = c2 = c3 = 1 form
+PINNED_CONSTANTS = "46ce610f5ef444ca5cc0ecd32e9eb18e4305341e3e5728cf390e3e28f909e2e1"
+
+
+def test_constants_at_every_bundled_root_are_pinned(ref):
+    equations = [build_equation(ref.params(c.symmetry, c.tensor_h), c.state) for c in ref.cells]
+    equations.append(table_equation())
+    digest = hashlib.sha256()
+    roots = 0
+    for eq in equations:
+        for root in solve_spectrum(eq).roots:
+            problem = normal_form(eq, root.energy)
+            d = derive_constants(problem)
+            residual = quantization_residual(problem, d, eq.state.n)
+            digest.update(repr((d.c8, d.c9, d.sqrt_c8, d.sqrt_c9, residual)).encode())
+            roots += 1
+    assert (len(equations), roots) == (65, 122)
+    assert digest.hexdigest() == PINNED_CONSTANTS

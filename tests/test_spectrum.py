@@ -198,8 +198,6 @@ class TestSolveSpectrum:
             SolveOptions(grid_points=2)
         with pytest.raises(DomainError):
             SolveOptions(bisect_tol=0.0)
-        with pytest.raises(DomainError):
-            SolveOptions(max_iter=0)
 
     def test_bisect_tol_below_two_ulps_is_a_domain_error(self):
         # the oracle match tolerance is 1e3 * bisect_tol: 1e-16 here, under the
@@ -304,7 +302,7 @@ class TestScalarTwin:
         assert solve_spectrum(build_equation(params, state, assembly), OPTS).roots == roots
 
     def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
-        # a tolerance below the float spacing used to run all max_iter steps
+        # a tolerance below the float spacing used to run all BISECT_MAX_ITER steps
         # per root; the fixed point it reached is returned as soon as it is hit
         eq = build_equation(ps_params(1.0), StateIndex(1, -1))
         steps, open_bisections = [], []
@@ -345,9 +343,11 @@ class TestDegeneracy:
             assert cells
             for cell in cells:
                 mate = StateIndex(cell.state.n, partner(cell.state.kappa))
-                e_a = negative_root(solve_spectrum(build_equation(params, cell.state), OPTS))
-                e_b = negative_root(solve_spectrum(build_equation(params, mate), OPTS))
-                assert abs(e_a - e_b) < 1e-10
+                res_a = solve_spectrum(build_equation(params, cell.state), OPTS)
+                res_b = solve_spectrum(build_equation(params, mate), OPTS)
+                assert abs(negative_root(res_a) - negative_root(res_b)) < 1e-10
+                # bit for bit, which lets splitting_report solve the baseline once
+                assert repr(res_a.roots) == repr(res_b.roots)
 
 
 class TestOracle:
@@ -497,7 +497,33 @@ class TestSplitting:
             check_doublet(ps_params(), StateIndex(1, -1), StateIndex(1, 3))
         with pytest.raises(DomainError):
             check_doublet(spin_params(), StateIndex(0, -2), StateIndex(0, 2))
+        with pytest.raises(DomainError, match="share n"):
+            check_doublet(spin_params(), StateIndex(0, -2), StateIndex(1, 1))
         check_doublet(spin_params(), StateIndex(0, -2), StateIndex(0, 1))
+
+    def test_splitting_rejects_members_of_different_n(self):
+        # 1s1/2 and 1d3/2 share a pseudo-orbital number but not n, so their
+        # H = 0 levels differ (-4.5565 and -4.2357) and there is no splitting
+        with pytest.raises(DomainError, match=r"n=1, kappa=-1.*n=2, kappa=2"):
+            splitting_report(ps_params(1.0), StateIndex(1, -1), StateIndex(2, 2), OPTS)
+
+    @pytest.mark.parametrize("symmetry, neg, pos", [
+        (PSEUDOSPIN, StateIndex(1, -1), StateIndex(1, 2)),
+        (SPIN, StateIndex(0, -2), StateIndex(0, 1)),
+    ])
+    def test_baseline_solved_once(self, symmetry, neg, pos, monkeypatch):
+        solved = []
+        solve = spectrum.solve_spectrum
+
+        def counting(eq, opts=OPTS):
+            solved.append((eq.state, eq.params.tensor_h))
+            return solve(eq, opts)
+
+        monkeypatch.setattr(spectrum, "solve_spectrum", counting)
+        params = ModelParams(mass=5.0, symmetry=symmetry, c_sym=0.0, tensor_h=1.0)
+        rep = splitting_report(params, neg, pos, OPTS)
+        assert solved == [(neg, 1.0), (pos, 1.0), (neg, 0.0)]
+        assert rep.baseline_neg == rep.baseline_pos
 
     def test_negative_root_raises_when_absent(self):
         res = solve_spectrum(build_equation(ps_params(mass=0.8), StateIndex(1, -1)), OPTS)
