@@ -289,6 +289,7 @@ def cmd_table(cfg: RunConfig, which: str) -> int:
         raise ConfigError(f"unknown table {which!r}; choose from {sorted(_TABLE_ALIASES)}")
     data = load_reference()
     reference = replace(data.params(symmetry, 0.0), strict_domain=cfg.strict_domain)
+    opts = _solve_options(cfg)
 
     records: list[dict[str, Any]] = []
     notes: list[str] = []
@@ -298,7 +299,7 @@ def cmd_table(cfg: RunConfig, which: str) -> int:
         try:
             eq = EnergyEquation(replace(reference, tensor_h=cell.tensor_h), cell.state,
                                 cfg.assembly)
-            roots = solve_spectrum(eq, _solve_options(cfg)).roots
+            roots = solve_spectrum(eq, opts).roots
         except SolverError as exc:
             failed = True
             error = f"{type(exc).__name__}: {exc}"
@@ -359,12 +360,13 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     # r_max depends on the solved energy, so only the sign of r_min is checked here
     if not cfg.r_min > 0.0:
         raise ConfigError(f"r_min must be positive, got {cfg.r_min!r}")
+    opts = _solve_options(cfg)
     params = _model_params(cfg)
     n, kappa = cfg.states[0]
     state = StateIndex(n=n, kappa=kappa)
     eq = EnergyEquation(params, state, cfg.assembly)
     try:
-        result = solve_spectrum(eq, _solve_options(cfg))
+        result = solve_spectrum(eq, opts)
         if result.selected is None:
             raise SolverError(
                 f"no physical root for state (n={n}, kappa={kappa}): {result.selection_note}"

@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 
 from .errors import (
@@ -131,6 +131,12 @@ class EnergyEquation:
         if self.params.symmetry == SPIN and self.assembly == ASSEMBLY_REFERENCE:
             return 4.0 * self.params.alpha * self.params.alpha
         return 1.0
+
+    @cached_property
+    def _pieces(self) -> tuple[NDArray, NDArray, NDArray]:
+        """The polynomial pieces (Q9, Q8, R) of :func:`_poly_pieces`, built on
+        first use and shared by the radicand boundaries and the oracle."""
+        return _poly_pieces(self)
 
     @property
     def physical_sign(self) -> str:
@@ -237,29 +243,59 @@ def _f_terms(eq: EnergyEquation) -> _FTerms:
 def _f_arrays(
     t: _FTerms, energies: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Vectorized (f, 4 c8, 4 c9, 4 A) with NaN where a radicand is negative."""
+    """Vectorized (f, 4 c8, 4 c9, 4 A) with NaN where a radicand is negative.
+
+    Written with in-place ufuncs on five buffers, since allocating an array
+    of the scan's size costs about as much as a pass over it; every element
+    sees the IEEE operations of :func:`_f_point` in the same order (a + b
+    and b + a round alike), and ``energies`` is only read.
+    """
     if t.pseudospin:
-        g = energies - t.mass - t.c_sym
-        b2 = (t.mass + energies) * (t.mass - energies + t.c_sym)
+        g = np.subtract(energies, t.mass)
+        g -= t.c_sym
+        b2 = np.subtract(t.mass, energies)
+        b2 += t.c_sym
+        four_a = np.add(t.mass, energies)
+        b2 *= four_a
     else:
-        g = t.mass + energies - t.c_sym
-        b2 = (t.mass - energies) * (t.mass + energies - t.c_sym)
-    w = g * t.w_scale
-    b = b2 / t.four_a2
+        g = np.add(t.mass, energies)
+        g -= t.c_sym
+        # the second factor, M + E - C_sym, is g itself
+        b2 = np.subtract(t.mass, energies)
+        b2 *= g
+        four_a = np.empty_like(energies)
+    w = g
+    w *= t.w_scale
+    b = b2
+    b /= t.four_a2
 
-    big_a = t.ll_c0 + w * t.v1 + b
-    big_c = t.ll_c0 + w * t.v3 + b
+    np.multiply(w, t.v1, out=four_a)
+    four_a += t.ll_c0
+    four_a += b
+    q8 = np.multiply(w, t.v3)
+    q8 += t.ll_c0
+    q8 += b
+    q8 *= 4.0
     # c9 = 1/4 + A - B + C collapses to (q - 1/2)^2 + w * (V1 + V2 + V3)
-    c9 = t.c9_base + w * t.v_total
+    q9 = w
+    q9 *= t.v_total
+    q9 += t.c9_base
+    q9 *= 4.0
+    for q in (q8, q9):
+        clamped = q < 0.0
+        clamped &= q >= t.clamp
+        q[clamped] = 0.0
 
-    q8 = 4.0 * big_c
-    q9 = 4.0 * c9
-    q8 = np.where((q8 < 0.0) & (q8 >= t.clamp), 0.0, q8)
-    q9 = np.where((q9 < 0.0) & (q9 >= t.clamp), 0.0, q9)
-
+    f = b
     with np.errstate(invalid="ignore"):
-        f = (t.width + np.sqrt(q9) - np.sqrt(q8)) ** 2 - 4.0 * big_a
-    return f, q8, q9, 4.0 * big_a
+        np.sqrt(q9, out=f)
+        root8 = np.sqrt(q8)
+    f += t.width
+    f -= root8
+    np.square(f, out=f)
+    four_a *= 4.0
+    f -= four_a
+    return f, q8, q9, four_a
 
 
 def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
@@ -318,6 +354,11 @@ class SolveOptions:
     ``perfbench/`` solves with the defaults and, to screen candidate states,
     with ``grid_points=2001, oracle_check=False``.  Bisection stops after
     at most ``BISECT_MAX_ITER`` steps per root.
+
+    Construction raises DomainError unless ``grid_points`` is at least 3,
+    ``bisect_tol`` is finite and positive, and ``margin`` is None (the
+    default, 1e-9 * mass) or finite and positive, so bad settings fail
+    before any state is solved.
     """
 
     grid_points: int = 20001
@@ -328,8 +369,12 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if self.grid_points < 3:
             raise DomainError(f"grid_points must be >= 3, got {self.grid_points!r}")
-        if self.bisect_tol <= 0.0:
-            raise DomainError(f"bisect_tol must be positive, got {self.bisect_tol!r}")
+        if not (math.isfinite(self.bisect_tol) and self.bisect_tol > 0.0):
+            raise DomainError(
+                f"bisect_tol must be finite and positive, got {self.bisect_tol!r}"
+            )
+        if self.margin is not None and not (math.isfinite(self.margin) and self.margin > 0.0):
+            raise DomainError(f"margin must be finite and positive, got {self.margin!r}")
 
 
 @dataclass(frozen=True)
@@ -426,7 +471,7 @@ def _radicand_boundaries(eq: EnergyEquation, lo: float, hi: float) -> list[float
     The radicands 4 c8 and 4 c9 are polynomials in E of degree <= 2, so
     the crossings are exact quadratic (or linear) roots.
     """
-    q9, q8, _ = _poly_pieces(eq)
+    q9, q8, _ = eq._pieces
     out: list[float] = []
     for poly in (q8, q9):
         coeffs = np.asarray(poly, dtype=float)[::-1]
@@ -475,8 +520,14 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
         span = hi - lo
         offsets = span * np.array([10.0 ** -k for k in range(7, 13)])
         extra = np.concatenate([[b - offsets, b + offsets] for b in boundaries], axis=None)
-        extra = extra[(extra > lo) & (extra < hi)]
-        grid = np.unique(np.concatenate([grid, extra]))
+        extra = np.unique(extra[(extra > lo) & (extra < hi)])
+        at = np.searchsorted(grid, extra)
+        new = grid[np.minimum(at, grid.size - 1)] != extra
+        grid = np.insert(grid, at[new], extra[new])
+        if not (grid[1:] > grid[:-1]).all():
+            # only a window a few ulps wide makes linspace repeat or misorder
+            # samples; np.unique sorts them and drops the repeats
+            grid = np.unique(grid)
     terms = _f_terms(eq)
     f = _f_arrays(terms, grid)[0]
     valid = np.isfinite(f)
@@ -560,13 +611,54 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     )
 
 
+def _trim(c: NDArray) -> NDArray:
+    """Drop trailing zero coefficients but keep one, as numpy.polynomial's trimseq."""
+    k = c.size
+    while k > 1 and c[k - 1] == 0:
+        k -= 1
+    return c[:k]
+
+
+def _poly_add(c1: NDArray, c2: NDArray) -> NDArray:
+    """c1 + c2 with numpy.polynomial's polyadd semantics: the shorter series is
+    added over the overlap only, so a -0.0 beyond it keeps its sign."""
+    c1, c2 = _trim(c1), _trim(c2)
+    if c1.size > c2.size:
+        ret = c1.copy()
+        ret[:c2.size] += c2
+    else:
+        ret = c2.copy()
+        ret[:c1.size] += c1
+    return _trim(ret)
+
+
+def _poly_sub(c1: NDArray, c2: NDArray) -> NDArray:
+    """c1 - c2 with numpy.polynomial's polysub semantics (see :func:`_poly_add`)."""
+    c1, c2 = _trim(c1), _trim(c2)
+    if c1.size > c2.size:
+        ret = c1.copy()
+        ret[:c2.size] -= c2
+    else:
+        ret = -c2
+        ret[:c1.size] += c1
+    return _trim(ret)
+
+
+def _poly_mul(c1: NDArray, c2: NDArray) -> NDArray:
+    """c1 * c2 with numpy.polynomial's polymul semantics."""
+    return _trim(np.convolve(_trim(c1), _trim(c2)))
+
+
 def _poly_pieces(eq: EnergyEquation) -> tuple[NDArray, NDArray, NDArray]:
     """(Q9, Q8, R) = (4 c9, 4 c8, 4 A) as polynomial coefficient arrays in E.
 
-    Coefficients are stored lowest degree first (numpy.polynomial order) and
-    carry extended precision: the double squaring in the elimination
-    amplifies coefficient roundoff into root shifts of order 1e-9, which
-    double precision construction cannot keep below the matching tolerance.
+    Coefficients are stored lowest degree first (numpy.polynomial order,
+    built with the helpers above, which keep its arithmetic) and carry
+    extended precision: the double squaring in the elimination amplifies
+    coefficient roundoff into root shifts of order 1e-9, which double
+    precision construction cannot keep below the matching tolerance.
+    Callers read the pieces through ``eq._pieces``, which builds them once
+    per equation; the arrays are read-only.
     """
     p = eq.params
     c = eq.coeffs
@@ -586,10 +678,12 @@ def _poly_pieces(eq: EnergyEquation) -> tuple[NDArray, NDArray, NDArray]:
         g = np.array([mass - c_sym, ld(1.0)])
         b2 = np.array([mass * (mass - c_sym), c_sym, ld(-1.0)])
 
-    base = npoly.polyadd(np.array([4.0 * ll * c0]), b2 / a2)
-    q9 = npoly.polyadd(np.array([(2.0 * q - 1.0) ** 2]), sc * total * g)
-    q8 = npoly.polyadd(base, sc * v3 * g)
-    rr = npoly.polyadd(base, sc * v1 * g)
+    base = _poly_add(np.array([4.0 * ll * c0]), b2 / a2)
+    q9 = _poly_add(np.array([(2.0 * q - 1.0) ** 2]), sc * total * g)
+    q8 = _poly_add(base, sc * v3 * g)
+    rr = _poly_add(base, sc * v1 * g)
+    for piece in (q9, q8, rr):
+        piece.flags.writeable = False
     return q9, q8, rr
 
 
@@ -609,20 +703,24 @@ def quartic_oracle(
     and squaring once more gives a polynomial of degree 6 whose real roots
     contain every true root.  Each candidate is filtered by back
     substitution into f; the rest are reported as spurious.
+
+    The pieces Q9, Q8 and R are the equation's cached ``eq._pieces``, so a
+    solve builds them once for both this oracle and the radicand
+    boundaries.  The series arithmetic keeps numpy.polynomial's order
+    (lowest degree first) and its operations, signs of zero included.
     """
-    q9, q8, rr = _poly_pieces(eq)
+    q9, q8, rr = eq._pieces
     n = eq.state.n
     w = np.longdouble(2 * n + 1)
     w2 = np.array([w * w])
 
-    s1 = npoly.polyadd(npoly.polyadd(w2, q9), npoly.polysub(q8, rr))
-    bracket = npoly.polyadd(
-        npoly.polysub(npoly.polymul(s1, s1), 4.0 * npoly.polymul(q9, q8)),
-        npoly.polysub(4.0 * w * w * q9, 4.0 * w * w * q8),
+    s1 = _poly_add(_poly_add(w2, q9), _poly_sub(q8, rr))
+    bracket = _poly_add(
+        _poly_sub(_poly_mul(s1, s1), 4.0 * _poly_mul(q9, q8)),
+        _poly_sub(4.0 * w * w * q9, 4.0 * w * w * q8),
     )
-    rhs_sq = npoly.polymul(q9, npoly.polymul(
-        npoly.polysub(2.0 * q8, s1), npoly.polysub(2.0 * q8, s1)))
-    poly = npoly.polysub(npoly.polymul(bracket, bracket), 16.0 * w * w * rhs_sq)
+    rhs_sq = _poly_mul(q9, _poly_mul(_poly_sub(2.0 * q8, s1), _poly_sub(2.0 * q8, s1)))
+    poly = _poly_sub(_poly_mul(bracket, bracket), 16.0 * w * w * rhs_sq)
 
     coeffs_ld = np.asarray(poly, dtype=np.longdouble)[::-1]  # high degree first
     scale = float(np.max(np.abs(coeffs_ld))) if coeffs_ld.size else 0.0
@@ -641,18 +739,27 @@ def quartic_oracle(
     # of the coefficients alone shifts roots by ~1e-9 here)
     coeffs = coeffs_ld.astype(float)
     deriv_ld = np.polyder(coeffs_ld)
+    # Horner on long double scalars: the operations np.polyval performs,
+    # without its per-call array set-up
+    poly_terms, deriv_terms = list(coeffs_ld), list(deriv_ld)
+
+    def horner(terms: list, x: np.longdouble) -> np.longdouble:
+        y = np.longdouble(0)
+        for c in terms:
+            y = y * x + c
+        return y
 
     def polish(z: complex) -> complex:
         if abs(z.imag) > 1e-6 * max(1.0, abs(z.real)):
             return z  # clearly complex; spurious anyway, no polish needed
         x = np.longdouble(z.real)
         for _ in range(6):
-            px = np.polyval(coeffs_ld, x)
-            dx = np.polyval(deriv_ld, x)
+            px = horner(poly_terms, x)
+            dx = horner(deriv_terms, x)
             if dx == 0:
                 break
             step = px / dx
-            if abs(np.polyval(coeffs_ld, x - step)) <= abs(px):
+            if abs(horner(poly_terms, x - step)) <= abs(px):
                 x = x - step
                 if abs(step) < 1e-18 * max(1.0, abs(x)):
                     break

@@ -276,6 +276,34 @@ class TestWavefunction:
         assert len(csv_body(out)[1]) == 52
 
 
+# every command that solves, with the arguments of one valid run
+SOLVING_COMMANDS = [
+    ("solve", "--tensor-h", "1", "--n", "1", "--kappa", "-1"),
+    ("table", "--which", "pseudospin"),
+    ("wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1"),
+    ("analyze", "--which", "sweep"),
+]
+BAD_SOLVE_OPTIONS = [
+    ("--margin", "0", "margin"), ("--margin", "-1", "margin"), ("--margin", "nan", "margin"),
+    ("--margin", "inf", "margin"), ("--bisect-tol", "inf", "bisect_tol"),
+    ("--bisect-tol", "nan", "bisect_tol"), ("--bisect-tol", "0", "bisect_tol"),
+    ("--grid-points", "2", "grid_points"),
+]
+
+
+class TestInvalidSolveOptions:
+    @pytest.mark.parametrize("flag, value, name", BAD_SOLVE_OPTIONS,
+                             ids=[f"{f} {v}" for f, v, _ in BAD_SOLVE_OPTIONS])
+    @pytest.mark.parametrize("args", SOLVING_COMMANDS, ids=[a[0] for a in SOLVING_COMMANDS])
+    def test_exits_2_before_solving(self, args, flag, value, name, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        code = main([*args, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: {name} must be" in captured.err
+
+
 class TestAnalyze:
     def test_approx_columns(self):
         code, out, _ = run_cli("analyze", "--which", "approx", "--format", "csv")
@@ -445,6 +473,20 @@ class TestRuntimeDependencies:
         )
         assert code == 0, err
         assert out.strip() == "[]"
+
+    def test_solve_and_table_load_no_numpy_polynomial(self):
+        code, out, err = run_python(
+            "-c",
+            "import contextlib, io, sys, dirac_nu, dirac_nu.cli\n"
+            "loaded = ['numpy.polynomial' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [dirac_nu.cli.main(['solve', '--n', '1', '--kappa', '-1']),\n"
+            "             dirac_nu.cli.main(['table', '--which', 'pseudospin'])]\n"
+            "loaded.append('numpy.polynomial' in sys.modules)\n"
+            "print(codes, loaded)",
+        )
+        assert code == 0, err
+        assert out.strip() == "[0, 0] [False, False]"
 
     @pytest.mark.parametrize(
         "args",

@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from dirac_nu.errors import (
     DomainError,
@@ -199,6 +203,15 @@ class TestSolveSpectrum:
         with pytest.raises(DomainError):
             SolveOptions(bisect_tol=0.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"bisect_tol": math.inf}, {"bisect_tol": math.nan}, {"bisect_tol": -1e-12},
+        {"margin": 0.0}, {"margin": -1.0}, {"margin": math.nan}, {"margin": math.inf},
+    ], ids=repr)
+    def test_options_reject_non_finite_or_nonpositive(self, bad):
+        (name,) = bad
+        with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
+            SolveOptions(**bad)
+
     def test_bisect_tol_below_two_ulps_is_a_domain_error(self):
         # the oracle match tolerance is 1e3 * bisect_tol: 1e-16 here, under the
         # one-ulp gap (8.9e-16) between the bisection and the oracle root
@@ -228,8 +241,8 @@ def seeded_equations(count, seed="scalar-twin"):
     return out
 
 
-def solve_grid(eq, monkeypatch):
-    """The energies solve_spectrum scans with default options, boundary packing included."""
+def solve_grid(eq, monkeypatch, opts=SolveOptions(oracle_check=False)):
+    """The energies solve_spectrum scans, boundary packing included."""
     seen = []
     scan = spectrum._f_arrays
 
@@ -238,7 +251,7 @@ def solve_grid(eq, monkeypatch):
         return scan(terms, energies)
 
     monkeypatch.setattr(spectrum, "_f_arrays", recording)
-    solve_spectrum(eq, SolveOptions(oracle_check=False))
+    solve_spectrum(eq, opts)
     monkeypatch.setattr(spectrum, "_f_arrays", scan)
     (grid,) = seen
     return grid
@@ -325,6 +338,146 @@ class TestScalarTwin:
         res = solve_spectrum(eq, SolveOptions(bisect_tol=1e-300, oracle_check=False))
         assert [r.energy for r in res.roots] == [-4.672750522580428, 4.849764677491084]
         assert len(steps) == 2 and max(steps) <= 64, steps
+
+
+def pinned_equations(ref):
+    """The README state, then every bundled cell, spin cells in both assemblies."""
+    eqs = [build_equation(ps_params(1.0), StateIndex(1, -1))]
+    for c in ref.cells:
+        assemblies = ((ASSEMBLY_STRICT,) if c.symmetry == PSEUDOSPIN
+                      else (ASSEMBLY_REFERENCE, ASSEMBLY_STRICT))
+        eqs += [build_equation(ref.params(c.symmetry, c.tensor_h), c.state, a)
+                for a in assemblies]
+    return eqs
+
+
+def repr_digest(values):
+    h = hashlib.sha256()
+    for v in values:
+        h.update(repr(v).encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+class TestPinnedResults:
+    """Whole results, every root and every OracleResult field included, pinned
+    before the oracle stopped using numpy.polynomial and np.polyval."""
+
+    SOLVE = "ed7aed6020e8dea09bdcdad60a70e863bd145a7173d4ea6f10fbbd1d136c933c"
+    ORACLE = "20a71e420f4c95f930b8b3556d73faddf545b42adb0dbd6524cc145b3c8ac8d2"
+
+    def test_solve_spectrum_results(self, ref):
+        eqs = pinned_equations(ref)
+        assert len(eqs) == 97
+        assert repr_digest(solve_spectrum(eq) for eq in eqs) == self.SOLVE
+
+    def test_oracle_without_window(self, ref):
+        assert repr_digest(quartic_oracle(eq) for eq in pinned_equations(ref)) == self.ORACLE
+
+
+def same_series(a, b):
+    """Equal length, dtype, values and zero signs."""
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestPolynomialHelpers:
+    """The oracle's series helpers keep numpy.polynomial's arithmetic exactly."""
+
+    def series(self, rng):
+        values = [0.0, -0.0, 1.0, -2.5, rng.uniform(-1e3, 1e3), rng.uniform(-1.0, 1.0)]
+        return np.array([rng.choice(values) for _ in range(rng.randint(1, 5))],
+                        dtype=np.longdouble)
+
+    def test_matches_numpy_polynomial(self):
+        rng = random.Random("poly-helpers")
+        pairs = [(np.array([1.0, -0.0], dtype=np.longdouble),
+                  np.array([2.0, 0.0, -0.0, 3.0], dtype=np.longdouble))]
+        pairs += [(self.series(rng), self.series(rng)) for _ in range(400)]
+        for a, b in pairs:
+            for ours, theirs in ((spectrum._poly_add, npoly.polyadd),
+                                 (spectrum._poly_sub, npoly.polysub),
+                                 (spectrum._poly_mul, npoly.polymul)):
+                assert same_series(ours(a, b), theirs(a, b)), (ours.__name__, a, b)
+                assert same_series(ours(b, a), theirs(b, a)), (ours.__name__, b, a)
+
+    def test_sub_keeps_the_sign_of_zero_beyond_the_overlap(self):
+        # 0 - c2 would turn a -0.0 of c2 into +0.0; -c2 keeps it
+        a = np.array([1.0], dtype=np.longdouble)
+        b = np.array([2.0, 0.0, 3.0], dtype=np.longdouble)
+        assert np.signbit(spectrum._poly_sub(a, b)[1])
+
+
+class TestScanAndCache:
+    """The in-place scan leaves its input alone and the pieces cache is per equation."""
+
+    def test_f_arrays_reads_its_input_only(self, monkeypatch):
+        equations = [build_equation(ps_params(1.0), StateIndex(1, -1)),
+                     build_equation(spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT)]
+        equations += seeded_equations(6, seed="in-place scan")
+        for eq in equations:
+            grid = solve_grid(eq, monkeypatch)
+            before = grid.tobytes()
+            grid.flags.writeable = False
+            out = spectrum._f_arrays(spectrum._f_terms(eq), grid)
+            assert grid.tobytes() == before
+            assert len(out) == 4
+            for k, a in enumerate(out):
+                assert a.shape == grid.shape and not np.shares_memory(a, grid)
+                for b in out[k + 1:]:
+                    assert not np.shares_memory(a, b)
+
+    def test_grid_merge_in_a_window_a_few_ulps_wide(self, monkeypatch):
+        # the window holds 113 doubles, so linspace repeats samples; the packed
+        # grid must still be the sorted unique samples, as np.unique made it
+        params = ModelParams(mass=5.0, symmetry=PSEUDOSPIN, c_sym=-10.0 + 1e-13,
+                             tensor_h=1.0, strict_domain=False)
+        eq = build_equation(params, StateIndex(1, -1))
+        opts = SolveOptions(margin=1e-30, oracle_check=False)
+        assert spectrum._radicand_boundaries(eq, *search_window(eq, opts.margin))
+        grid = solve_grid(eq, monkeypatch, opts)
+        assert grid.size == 113 and np.array_equal(grid, np.unique(grid))
+        assert "of 113 grid points" in solve_spectrum(eq, opts).selection_note
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_equation(ps_params(1.0), StateIndex(1, -1)),
+        lambda: build_equation(spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT),
+        lambda: build_equation(spin_params(1.0), StateIndex(0, -2)),
+    ])
+    def test_direct_oracle_equals_the_solve_oracle(self, make):
+        eq = make()
+        direct = quartic_oracle(eq, window=search_window(eq))  # fresh equation
+        assert repr(solve_spectrum(eq, OPTS).oracle) == repr(direct)
+        eq = make()
+        solved = solve_spectrum(eq, OPTS).oracle
+        assert repr(quartic_oracle(eq, window=search_window(eq))) == repr(solved)
+
+    def test_pieces_built_once_per_equation(self, monkeypatch):
+        built = []
+        pieces = spectrum._poly_pieces
+
+        def counting(eq):
+            built.append(eq)
+            return pieces(eq)
+
+        monkeypatch.setattr(spectrum, "_poly_pieces", counting)
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        solve_spectrum(eq, OPTS)
+        solve_spectrum(eq, OPTS)
+        quartic_oracle(eq)
+        assert built == [eq]
+        assert not any(p.flags.writeable for p in eq._pieces)
+
+    def test_replaced_params_do_not_see_the_old_cache(self):
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        old = quartic_oracle(eq)
+        moved = build_equation(dataclasses.replace(eq.params, tensor_h=0.5), eq.state)
+        fresh = build_equation(ps_params(0.5), StateIndex(1, -1))
+        assert moved._pieces is not eq._pieces
+        assert repr(quartic_oracle(moved)) == repr(quartic_oracle(fresh)) != repr(old)
+        assert repr(solve_spectrum(moved, OPTS)) == repr(solve_spectrum(fresh, OPTS))
+        other = dataclasses.replace(eq, state=StateIndex(2, -1))
+        assert repr(quartic_oracle(other)) == repr(
+            quartic_oracle(build_equation(ps_params(1.0), StateIndex(2, -1))))
 
 
 class TestDegeneracy:
