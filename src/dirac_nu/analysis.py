@@ -10,13 +10,7 @@ from numpy.typing import NDArray
 
 from .errors import DomainError, SolverError
 from .model import ModelParams, StateIndex, centrifugal_approx, eval_potential, eval_tensor, potential_coeffs
-from .spectrum import (
-    EnergyEquation,
-    SolveOptions,
-    check_doublet,
-    negative_root,
-    solve_spectrum,
-)
+from .spectrum import SolveOptions, _doublet_energies, check_doublet
 
 DEFAULT_H_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -124,83 +118,57 @@ def h_sweep(
 ) -> SweepResult:
     """Track each doublet's negative-root energies across tensor strengths.
 
-    Solver failures (for example an empty window) are recorded in the row
-    instead of aborting the sweep.  The direction summary states how each
-    member moved between the first and last tensor strength.
+    Every doublet, label and tensor strength is checked before the first
+    solve.  Solver failures (for example an empty window) are recorded in
+    the row instead of aborting the sweep.  Each doublet's direction line
+    states how its members moved between its first and last solved rows.
     """
     if not doublets:
         raise DomainError("at least one doublet is required")
     if not h_values:
         raise DomainError("at least one tensor strength is required")
 
+    pairs = []
     for state_neg, state_pos in doublets:
         check_doublet(params, state_neg, state_pos)
+        pairs.append((state_neg, state_pos, state_neg.spectroscopic_label(params.symmetry),
+                      state_pos.spectroscopic_label(params.symmetry)))
+    points = [replace(params, tensor_h=float(h)) for h in h_values]
+
+    def trend(a: float, b: float) -> str:
+        if b > a:
+            return "up"
+        if b < a:
+            return "down"
+        return "flat"
 
     rows: list[SweepRow] = []
-    for state_neg, state_pos in doublets:
-        for h in h_values:
-            p = replace(params, tensor_h=float(h))
-            label_neg = state_neg.spectroscopic_label(p.symmetry)
-            label_pos = state_pos.spectroscopic_label(p.symmetry)
-            try:
-                e_neg = negative_root(solve_spectrum(EnergyEquation(p, state_neg), opts))
-                e_pos = negative_root(solve_spectrum(EnergyEquation(p, state_pos), opts))
-                rows.append(
-                    SweepRow(
-                        tensor_h=float(h),
-                        label_neg=label_neg,
-                        label_pos=label_pos,
-                        energy_neg=e_neg,
-                        energy_pos=e_pos,
-                        delta_e=e_pos - e_neg,
-                        error="",
-                    )
-                )
-            except SolverError as exc:
-                rows.append(
-                    SweepRow(
-                        tensor_h=float(h),
-                        label_neg=label_neg,
-                        label_pos=label_pos,
-                        energy_neg=None,
-                        energy_pos=None,
-                        delta_e=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-
     directions: list[str] = []
-    for state_neg, state_pos in doublets:
-        pair_rows = [
-            row
-            for row in rows
-            if row.label_neg == state_neg.spectroscopic_label(params.symmetry)
-            and row.label_pos == state_pos.spectroscopic_label(params.symmetry)
-            and not row.error
-        ]
-        if len(pair_rows) < 2:
-            directions.append(
-                f"{pair_rows[0].label_neg if pair_rows else state_neg}: insufficient data"
-            )
+    for state_neg, state_pos, label_neg, label_pos in pairs:
+        for p in points:
+            e_neg = e_pos = None
+            error = ""
+            try:
+                e_neg, e_pos = _doublet_energies(p, state_neg, state_pos, opts)
+            except SolverError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            rows.append(SweepRow(tensor_h=p.tensor_h, label_neg=label_neg, label_pos=label_pos,
+                                 energy_neg=e_neg, energy_pos=e_pos,
+                                 delta_e=None if error else e_pos - e_neg, error=error))
+        solved = [row for row in rows[-len(points):] if not row.error]
+        if len(solved) < 2:
+            directions.append(f"{label_neg if solved else state_neg}: insufficient data")
             continue
-        first, last = pair_rows[0], pair_rows[-1]
-
-        def trend(a: float, b: float) -> str:
-            if b > a:
-                return "up"
-            if b < a:
-                return "down"
-            return "flat"
-
+        first, last = solved[0], solved[-1]
         directions.append(
-            f"{first.label_neg} moves {trend(first.energy_neg, last.energy_neg)}, "
-            f"{first.label_pos} moves {trend(first.energy_pos, last.energy_pos)} "
+            f"{label_neg} moves {trend(first.energy_neg, last.energy_neg)}, "
+            f"{label_pos} moves {trend(first.energy_pos, last.energy_pos)} "
             f"as H grows {first.tensor_h:g} -> {last.tensor_h:g}"
         )
 
     return SweepResult(
         symmetry=params.symmetry,
-        h_values=tuple(float(h) for h in h_values),
+        h_values=tuple(p.tensor_h for p in points),
         rows=tuple(rows),
         directions=tuple(directions),
     )

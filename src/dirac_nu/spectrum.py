@@ -240,12 +240,10 @@ def _f_terms(eq: EnergyEquation) -> _FTerms:
     )
 
 
-def _f_arrays(
-    t: _FTerms, energies: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Vectorized (f, 4 c8, 4 c9, 4 A) with NaN where a radicand is negative.
+def _f_arrays(t: _FTerms, energies: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Vectorized f with NaN where a radicand is negative.
 
-    Written with in-place ufuncs on five buffers, since allocating an array
+    Written with in-place ufuncs on four buffers, since allocating an array
     of the scan's size costs about as much as a pass over it; every element
     sees the IEEE operations of :func:`_f_point` in the same order (a + b
     and b + a round alike), and ``energies`` is only read.
@@ -286,21 +284,22 @@ def _f_arrays(
         clamped &= q >= t.clamp
         q[clamped] = 0.0
 
-    f = b
     with np.errstate(invalid="ignore"):
-        np.sqrt(q9, out=f)
-        root8 = np.sqrt(q8)
+        np.sqrt(q9, out=q9)
+        np.sqrt(q8, out=q8)
+    f = q9
     f += t.width
-    f -= root8
+    f -= q8
     np.square(f, out=f)
     four_a *= 4.0
     f -= four_a
-    return f, q8, q9, four_a
+    return f
 
 
 def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
     """Scalar twin of :func:`_f_arrays`: the same IEEE operations in the same
-    order on Python floats, so every value is bit-identical to the array one."""
+    order on Python floats, so its f is bit-identical to the array one; it also
+    returns 4 c8, 4 c9 and 4 A."""
     if t.pseudospin:
         g = energy - t.mass - t.c_sym
         b2 = (t.mass + energy) * (t.mass - energy + t.c_sym)
@@ -529,11 +528,10 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
             # samples; np.unique sorts them and drops the repeats
             grid = np.unique(grid)
     terms = _f_terms(eq)
-    f = _f_arrays(terms, grid)[0]
+    f = _f_arrays(terms, grid)
     valid = np.isfinite(f)
 
-    fv = np.where(valid, f, np.nan)
-    sign_change = (fv[:-1] * fv[1:]) < 0.0
+    sign_change = (f[:-1] * f[1:]) < 0.0
     both_valid = valid[:-1] & valid[1:]
     bracket_lo = list(np.nonzero(sign_change & both_valid)[0])
 
@@ -722,12 +720,11 @@ def quartic_oracle(
     rhs_sq = _poly_mul(q9, _poly_mul(_poly_sub(2.0 * q8, s1), _poly_sub(2.0 * q8, s1)))
     poly = _poly_sub(_poly_mul(bracket, bracket), 16.0 * w * w * rhs_sq)
 
+    # the series helpers trim exact zeros only: the leading coefficient is
+    # kept however small it is next to the others
     coeffs_ld = np.asarray(poly, dtype=np.longdouble)[::-1]  # high degree first
-    scale = float(np.max(np.abs(coeffs_ld))) if coeffs_ld.size else 0.0
-    if scale == 0.0:
+    if not coeffs_ld.any():
         raise DegenerateLeadingCoefficient("eliminated polynomial is identically zero")
-    keep = np.nonzero(np.abs(coeffs_ld) > 1e-12 * scale)[0]
-    coeffs_ld = coeffs_ld[keep[0]:]
     degree = coeffs_ld.size - 1
     if degree < 1:
         raise DegenerateLeadingCoefficient(
@@ -875,6 +872,21 @@ def negative_root(result: SpectrumResult) -> float:
     return min(hits)
 
 
+def _doublet_energies(
+    params: ModelParams, neg: StateIndex, pos: StateIndex, opts: SolveOptions
+) -> tuple[float, float]:
+    """Negative-root energies of a checked doublet's members at ``params.tensor_h``.
+
+    At H = 0 the members share n and their q values are q and 1 - q, so
+    q (q - 1) and (q - 1/2)^2 agree exactly and they solve one and the
+    same equation bit for bit: it is solved once.
+    """
+    e_neg = negative_root(solve_spectrum(EnergyEquation(params, neg), opts))
+    if params.tensor_h == 0.0:
+        return e_neg, e_neg
+    return e_neg, negative_root(solve_spectrum(EnergyEquation(params, pos), opts))
+
+
 def splitting_report(
     params: ModelParams,
     state_neg: StateIndex,
@@ -884,18 +896,12 @@ def splitting_report(
     """Quantify how the tensor term lifts a doublet degeneracy.
 
     Solves both members at the configured tensor strength and the H = 0
-    baseline once.  With H = 0 the two members share n, q (q - 1) and
-    (q - 1/2)^2 exactly, so they solve one and the same equation: the
-    baseline is reported for both, and a nonzero H pushes them to opposite
-    sides of it.
+    baseline, which the two members share (see :func:`_doublet_energies`);
+    a nonzero H pushes them to opposite sides of it.
     """
     check_doublet(params, state_neg, state_pos)
-
-    e_neg = negative_root(solve_spectrum(EnergyEquation(params, state_neg), opts))
-    e_pos = negative_root(solve_spectrum(EnergyEquation(params, state_pos), opts))
-    baseline = negative_root(
-        solve_spectrum(EnergyEquation(replace(params, tensor_h=0.0), state_neg), opts)
-    )
+    e_neg, e_pos = _doublet_energies(params, state_neg, state_pos, opts)
+    baseline, _ = _doublet_energies(replace(params, tensor_h=0.0), state_neg, state_pos, opts)
 
     def direction(now: float, base: float) -> int:
         diff = now - base

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirac_nu import analysis
+from dirac_nu import spectrum
 from dirac_nu.analysis import (
     DEFAULT_H_VALUES,
     approx_report,
@@ -170,12 +170,39 @@ class TestHSweep:
 
     def test_every_doublet_checked_before_the_first_solve(self, monkeypatch):
         solved = []
-        monkeypatch.setattr(analysis, "solve_spectrum", lambda eq, opts: solved.append(eq))
+        monkeypatch.setattr(spectrum, "solve_spectrum", lambda eq, opts: solved.append(eq))
         good = (StateIndex(1, -1), StateIndex(1, 2))
         bad = (StateIndex(1, -1), StateIndex(2, 2))
         with pytest.raises(DomainError, match="share n"):
             h_sweep(params(), [good, bad], h_values=(0.0, 1.0), opts=OPTS)
+        with pytest.raises(DomainError, match="tensor_h must be finite, got inf"):
+            h_sweep(params(), [good], h_values=(0.0, float("inf")), opts=OPTS)
         assert solved == []
+
+    def test_h_zero_pair_solved_once(self, monkeypatch):
+        solved = []
+        solve = spectrum.solve_spectrum
+
+        def counting(eq, opts):
+            solved.append((eq.state, eq.params.tensor_h))
+            return solve(eq, opts)
+
+        monkeypatch.setattr(spectrum, "solve_spectrum", counting)
+        neg, pos = StateIndex(1, -1), StateIndex(1, 2)
+        res = h_sweep(params(), [(neg, pos)], h_values=(0.0, 1.0), opts=OPTS)
+        assert solved == [(neg, 0.0), (neg, 1.0), (pos, 1.0)]
+        assert res.rows[0].energy_neg == res.rows[0].energy_pos
+
+    def test_duplicated_doublet_keeps_its_own_direction(self):
+        doublet = (StateIndex(1, -1), StateIndex(1, 2))
+        once = h_sweep(params(), [doublet], h_values=(1.0,), opts=OPTS)
+        twice = h_sweep(params(), [doublet, doublet], h_values=(1.0,), opts=OPTS)
+        assert once.directions == ("1s1/2: insufficient data",)
+        assert twice.directions == once.directions * 2
+        assert twice.rows == once.rows * 2
+        both = h_sweep(params(), [doublet, doublet], h_values=(0.0, 1.0), opts=OPTS)
+        assert both.directions[0] == both.directions[1] == (
+            "1s1/2 moves down, 0d3/2 moves up as H grows 0 -> 1")
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from dirac_nu import spectrum
 from dirac_nu.cli import RunConfig, main
 
 
@@ -342,6 +343,21 @@ class TestAnalyze:
         code, _, _ = run_cli("analyze", "--which", "sweep", "--c-sym", "-10")
         assert code == 3
 
+    @pytest.mark.parametrize("symmetry", ["pseudospin", "spin"])
+    def test_default_sweep_solves_the_h_zero_pair_once(self, symmetry, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        solved = []
+        solve = spectrum.solve_spectrum
+
+        def counting(eq, opts):
+            solved.append(eq)
+            return solve(eq, opts)
+
+        monkeypatch.setattr(spectrum, "solve_spectrum", counting)
+        code, _ = run_main(capsys, "analyze", "--which", "sweep", "--symmetry", symmetry)
+        assert code == 0
+        assert len(solved) == 9  # 2 solves at each of the four H > 0, 1 at H = 0
+
     def test_which_required(self):
         code, _, err = run_cli("analyze")
         assert code == 2
@@ -351,9 +367,11 @@ class TestAnalyze:
 # The spin-table digests reflect their header naming the spin limit; the
 # spin-limit wavefunction tables that exit 0 are the output from before both
 # limits completed a table through one function; every other digest is the
-# output from before the subcommands shared one serializer.  "{intcfg}"
-# stands for a config file of integer-valued floats with one state that has
-# no spectroscopic label.
+# output from before the subcommands shared one serializer; the two sweeps
+# with a config are the output from before both doublet members were solved
+# by one function.  A name in braces stands for a config file of
+# PINNED_CONFIGS: "{intcfg}" holds integer-valued floats and one state that
+# has no spectroscopic label.
 PINNED = [
     (("solve", "--tensor-h", "1", "--n", "1", "--kappa", "-1"), 0,
      "1d78729797d26144b2049c565f8dbe566556527771ae9d1f6a4a598dea85f8ef",
@@ -405,7 +423,23 @@ PINNED = [
     (("analyze", "--which", "sweep", "--symmetry", "spin"), 0,
      "cdd34f48a10e5df8200063864d405844fd93aa27399332a617835b959dc094e1",
      "ecd132460c18d242475afe8d3c46e49c86257eddcea5152647bb286018e88dc9"),
+    (("analyze", "--which", "sweep", "--config", "{sweep_pseudospin}"), 0,
+     "c44ac3e574e9a2e12426f0e49a7fd5fc3a236c31004710a04dbce15815de56fa",
+     "a97572a2ac7ea848e1f877922b918397c6f41d9d7b9ece4302184103eb2332a8"),
+    (("analyze", "--which", "sweep", "--config", "{sweep_spin}"), 0,
+     "37c77dd68ea837c60c14543277fad0cd1d3c7604664557c3d6b53e1d5091c7ac",
+     "fa35fe7e5b5797f6117f0cf01a847da98eeab6138fc6f514dcf7b0c5689de9cd"),
 ]
+
+# config files the PINNED arguments name in braces
+PINNED_CONFIGS = {
+    "intcfg": {"mass": 5, "tensor_h": 1, "states": [[1, -1], [0, 2], {"n": 2, "kappa": -2}]},
+    # two doublets per limit, H = 0 in the middle of the sweep
+    "sweep_pseudospin": {"doublets": [[[1, -1], [1, 2]], [[2, -1], [2, 2]]],
+                         "h_values": [0.5, 0.0, 1.0]},
+    "sweep_spin": {"symmetry": "spin", "doublets": [[[0, -2], [0, 1]], [[1, -2], [1, 1]]],
+                   "h_values": [0.5, 0.0, 1.0]},
+}
 
 
 class TestPinnedOutput:
@@ -416,11 +450,11 @@ class TestPinnedOutput:
     def test_stdout_digest(self, args, code, json_digest, csv_digest, fmt,
                            tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
-        intcfg = tmp_path / "cfg.json"
-        intcfg.write_text(json.dumps({
-            "mass": 5, "tensor_h": 1, "states": [[1, -1], [0, 2], {"n": 2, "kappa": -2}],
-        }))
-        argv = [a.replace("{intcfg}", str(intcfg)) for a in args]
+        argv = list(args)
+        for name, data in PINNED_CONFIGS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            argv = [a.replace("{" + name + "}", str(path)) for a in argv]
         got_code, out = run_main(capsys, *argv, "--format", fmt)
         assert got_code == code
         digest = json_digest if fmt == "json" else csv_digest

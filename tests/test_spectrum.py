@@ -277,11 +277,10 @@ class TestScalarTwin:
         for eq in equations:
             grid = solve_grid(eq, monkeypatch)
             terms = spectrum._f_terms(eq)
-            arrays = spectrum._f_arrays(terms, grid)
-            points = [spectrum._f_point(terms, e) for e in grid.tolist()]
-            for k, name in enumerate(("f", "4 c8", "4 c9", "4 A")):
-                assert same_bits([p[k] for p in points], arrays[k]), (eq, name)
-            nan_points += int(np.count_nonzero(np.isnan(arrays[0])))
+            f = spectrum._f_arrays(terms, grid)
+            points = [spectrum._f_point(terms, e)[0] for e in grid.tolist()]
+            assert same_bits(points, f), eq
+            nan_points += int(np.count_nonzero(np.isnan(f)))
         assert nan_points > 0  # the masked (negative radicand) points are covered
 
     # every field of every root, captured before bisection moved to the scalar twin
@@ -418,13 +417,9 @@ class TestScanAndCache:
             grid = solve_grid(eq, monkeypatch)
             before = grid.tobytes()
             grid.flags.writeable = False
-            out = spectrum._f_arrays(spectrum._f_terms(eq), grid)
+            f = spectrum._f_arrays(spectrum._f_terms(eq), grid)
             assert grid.tobytes() == before
-            assert len(out) == 4
-            for k, a in enumerate(out):
-                assert a.shape == grid.shape and not np.shares_memory(a, grid)
-                for b in out[k + 1:]:
-                    assert not np.shares_memory(a, b)
+            assert f.shape == grid.shape and not np.shares_memory(f, grid)
 
     def test_grid_merge_in_a_window_a_few_ulps_wide(self, monkeypatch):
         # the window holds 113 doubles, so linspace repeats samples; the packed
@@ -502,6 +497,35 @@ class TestDegeneracy:
                 # bit for bit, which lets splitting_report solve the baseline once
                 assert repr(res_a.roots) == repr(res_b.roots)
 
+    @pytest.mark.parametrize("tensor_h", [0.0, -0.0])
+    def test_h_zero_members_share_terms_and_pieces(self, tensor_h):
+        # what lets _doublet_energies solve the H = 0 pair once: every pair
+        # check_doublet admits builds one equation, bit for bit
+        rng = random.Random("doublet identity")
+        kinds = ((PSEUDOSPIN, ASSEMBLY_STRICT), (SPIN, ASSEMBLY_REFERENCE), (SPIN, ASSEMBLY_STRICT))
+        states = [StateIndex(n, k) for n in range(6) for k in range(-6, 7) if k]
+        pairs = 0
+        for symmetry, assembly in kinds:
+            for _ in range(3):
+                mass = rng.uniform(1.0, 100.0)
+                params = ModelParams(
+                    mass=mass, symmetry=symmetry, c_sym=rng.uniform(-mass, mass),
+                    tensor_h=tensor_h, alpha=rng.uniform(0.55, 3.0),
+                    a_shape=rng.uniform(4.05, 7.95),
+                )
+                for neg in states:
+                    for pos in states:
+                        try:
+                            check_doublet(params, neg, pos)
+                        except DomainError:
+                            continue
+                        a = build_equation(params, neg, assembly)
+                        b = build_equation(params, pos, assembly)
+                        assert repr(spectrum._f_terms(a)) == repr(spectrum._f_terms(b))
+                        assert all(same_series(x, y) for x, y in zip(a._pieces, b._pieces))
+                        pairs += 1
+        assert pairs == 3 * 3 * 6 * 5  # n <= 5 and five pairs with |kappa| <= 6 per n
+
 
 class TestOracle:
     def test_degree_and_partition(self):
@@ -531,6 +555,30 @@ class TestOracle:
         orc = res.oracle
         for r in res.roots:
             assert min(abs(r.energy - s) for s in orc.survivors) < 1e3 * OPTS.bisect_tol
+
+    # a leading coefficient below 1e-12 of the largest one used to be trimmed
+    # away, which lost a root; the draws are from a log-uniform mass in [30, 100]
+    @pytest.mark.parametrize("params, state, assembly, energies", [
+        (ModelParams(mass=50.0, alpha=0.6, a_shape=5.0), StateIndex(10, -1), None,
+         [-49.176063817251524, 49.478490222930624]),
+        (ModelParams(mass=79.3229607894232, symmetry=PSEUDOSPIN, c_sym=68.39166962703563,
+                     tensor_h=0.3368001547380963, alpha=1.6452965494941099,
+                     a_shape=7.1481200458639815),
+         StateIndex(4, -3), None, [-78.13972533212558, 147.04980340584382]),
+        (ModelParams(mass=97.39461976155704, symmetry=SPIN, c_sym=-64.21226646383253,
+                     tensor_h=0.7974714145985349, alpha=1.2315171906277578,
+                     a_shape=4.316456183532544),
+         StateIndex(5, -2), ASSEMBLY_REFERENCE, [-161.39670891794108]),
+        (ModelParams(mass=73.55234787819862, symmetry=SPIN, c_sym=-2.288025679579522,
+                     tensor_h=-0.5899001758987694, alpha=1.0162686130145795,
+                     a_shape=6.546822225991985),
+         StateIndex(5, -3), ASSEMBLY_STRICT, [-75.35119785263113]),
+    ])
+    def test_small_leading_coefficient_is_kept(self, params, state, assembly, energies):
+        res = solve_spectrum(build_equation(params, state, assembly), OPTS)
+        assert [r.energy for r in res.roots] == energies
+        assert all(r.method == "oracle-confirmed" for r in res.roots)
+        assert res.oracle.degree == 6
 
     def test_root_in_radicand_sliver_is_found(self):
         # a positive root sits ~1e-4 below the 4c8 = 0 crossing, far inside
@@ -677,6 +725,11 @@ class TestSplitting:
         rep = splitting_report(params, neg, pos, OPTS)
         assert solved == [(neg, 1.0), (pos, 1.0), (neg, 0.0)]
         assert rep.baseline_neg == rep.baseline_pos
+
+        solved.clear()
+        rep = splitting_report(dataclasses.replace(params, tensor_h=0.0), neg, pos, OPTS)
+        assert len(solved) <= 2 and {state for state, _ in solved} == {neg}
+        assert rep.energy_neg == rep.energy_pos == rep.baseline_neg
 
     def test_negative_root_raises_when_absent(self):
         res = solve_spectrum(build_equation(ps_params(mass=0.8), StateIndex(1, -1)), OPTS)
