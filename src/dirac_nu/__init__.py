@@ -48,7 +48,6 @@ from .spectrum import (
     check_doublet,
     negative_root,
     normal_form,
-    pseudospin_from_spin_mapping,
     quantization_function,
     quartic_oracle,
     search_window,

@@ -157,7 +157,7 @@ def h_sweep(
                                  delta_e=None if error else e_pos - e_neg, error=error))
         solved = [row for row in rows[-len(points):] if not row.error]
         if len(solved) < 2:
-            directions.append(f"{label_neg if solved else state_neg}: insufficient data")
+            directions.append(f"{label_neg}: insufficient data")
             continue
         first, last = solved[0], solved[-1]
         directions.append(

@@ -7,38 +7,42 @@ energies are roots of
 
     f(E) = (2 n + 1 + 2 sqrt(c9) - 2 sqrt(c8))^2 - 4 A
 
-inside the window where the decay rate beta^2(E) is nonnegative.
+inside the window where the decay rate b2 is nonnegative.
 
-Pseudospin limit (Sigma = C_sym constant, lower component solved):
-    q      = Lambda = kappa + H
-    g(E)   = E - M - C_sym
-    b2(E)  = (M + E)(M - E + C_sym)
-and physical bound states sit at negative E.
+Both limits evaluate one core, written in the pseudospin form at the
+mirrored energy x = sigma E:
 
-Spin limit (Delta = C_sym constant, upper component solved):
-    q      = eta = kappa + H + 1
-    g(E)   = M + E - C_sym
-    b2(E)  = (M - E)(M + E - C_sym)
-and physical bound states sit at positive E.
+    g(x)   = x - M - sigma C_sym
+    b2(x)  = (M + x)(M - x + sigma C_sym)
+
+with every V_i taken as sigma V_i.  Only ``EnergyEquation`` reads the limit:
+
+* pseudospin (Sigma = C_sym constant, lower component solved):
+  sigma = +1 and q = Lambda = kappa + H; bound states sit at negative E.
+* spin (Delta = C_sym constant, upper component solved): sigma = -1 and
+  q = eta = kappa + H + 1; bound states sit at positive E.
+
+The spin limit is thus the exact mirror image of the pseudospin one
+under (E, C_sym, V) -> (-E, -C_sym, -V).  Negation is exact in floating
+point, so the mirror holds bit for bit.
 
 With w = g * scale / (4 alpha^2) and b = b2 / (4 alpha^2) the normal-form
 coefficients are
 
-    A = q (q - 1) C0 + w V1 + b
-    B = q (q - 1) (2 C0 - 1) + 2 b - w V2
-    C = q (q - 1) C0 + w V3 + b
+    A = q (q - 1) C0 + w sigma V1 + b
+    B = q (q - 1) (2 C0 - 1) + 2 b - w sigma V2
+    C = q (q - 1) C0 + w sigma V3 + b
 
 Spin assembly conventions
 -------------------------
-Two conventions for the spin-limit coupling ``scale`` are supported:
+Two conventions for the spin-limit coupling ``scale`` are supported; both
+are the mirror image of the pseudospin core, with their own scale:
 
 * ``"reference"`` (default): scale = 4 alpha^2.  The potential terms enter
   as g * V_i instead of g * V_i / (4 alpha^2).  This convention reproduces
   the spin-limit reference spectra bundled with the package.
 * ``"strict"``: scale = 1, the same dimensionally uniform coupling as the
-  pseudospin limit.  It is the exact image of the pseudospin assembly
-  under the symmetry-swap substitutions (Lambda -> eta, V -> -V, E -> -E,
-  C_sym -> -C_sym).
+  pseudospin limit.
 
 At the bundled parameter set the two disagree by 2e-4 to 9e-3 fm^-1; the
 distinction is deliberate and is pinned by the test suite.  The pseudospin
@@ -50,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,8 +93,6 @@ BACKSUB_REL_TOL = 1e-6
 # at most this many bisection steps per root
 BISECT_MAX_ITER = 200
 
-ArrayOrFloat = Union[float, NDArray[np.float64]]
-
 
 @dataclass(frozen=True)
 class EnergyEquation:
@@ -98,7 +100,10 @@ class EnergyEquation:
 
     ``assembly`` selects the spin-limit coupling convention (see module
     docstring); the pseudospin limit accepts only "strict".  ``q`` is the
-    tensor-shifted quantum number (Lambda or eta) cached at construction.
+    tensor-shifted quantum number (Lambda or eta) and ``mirror`` the sign
+    sigma taking E to the core's x = sigma E, both fixed at construction.
+    f, the window, the normal form and the oracle read the limit only
+    through these two.
     """
 
     params: ModelParams
@@ -106,6 +111,7 @@ class EnergyEquation:
     assembly: Optional[str] = None
     q: float = field(init=False)
     coeffs: PotentialCoeffs = field(init=False)
+    mirror: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.params.symmetry == PSEUDOSPIN:
@@ -116,19 +122,22 @@ class EnergyEquation:
                     f"got {resolved!r}"
                 )
             q = self.state.lam(self.params.tensor_h)
+            mirror = 1.0
         else:
             resolved = self.assembly or ASSEMBLY_REFERENCE
             if resolved not in (ASSEMBLY_REFERENCE, ASSEMBLY_STRICT):
                 raise DomainError(f"unknown assembly {resolved!r}")
             q = self.state.eta(self.params.tensor_h)
+            mirror = -1.0
         object.__setattr__(self, "assembly", resolved)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "mirror", mirror)
         object.__setattr__(self, "coeffs", potential_coeffs(self.params))
 
     @property
     def scale(self) -> float:
         """Coupling scale multiplying g * V_i (see module docstring)."""
-        if self.params.symmetry == SPIN and self.assembly == ASSEMBLY_REFERENCE:
+        if self.assembly == ASSEMBLY_REFERENCE:
             return 4.0 * self.params.alpha * self.params.alpha
         return 1.0
 
@@ -140,22 +149,8 @@ class EnergyEquation:
 
     @property
     def physical_sign(self) -> str:
-        """Sign class of physically selected roots for this limit."""
-        return NEGATIVE if self.params.symmetry == PSEUDOSPIN else POSITIVE
-
-    def gamma(self, energy: ArrayOrFloat) -> ArrayOrFloat:
-        """Linear factor g(E) coupling the potential."""
-        p = self.params
-        if p.symmetry == PSEUDOSPIN:
-            return energy - p.mass - p.c_sym
-        return p.mass + energy - p.c_sym
-
-    def beta2(self, energy: ArrayOrFloat) -> ArrayOrFloat:
-        """Quadratic decay-rate factor b2(E); nonnegative inside the window."""
-        p = self.params
-        if p.symmetry == PSEUDOSPIN:
-            return (p.mass + energy) * (p.mass - energy + p.c_sym)
-        return (p.mass - energy) * (p.mass + energy - p.c_sym)
+        """Sign class of physically selected roots: the core's x = sigma E < 0."""
+        return NEGATIVE if self.mirror > 0.0 else POSITIVE
 
 
 def build_equation(
@@ -169,31 +164,33 @@ def normal_form(eq: EnergyEquation, energy: float) -> NuProblem:
     """Assemble the normal-form coefficients at a trial energy."""
     p = eq.params
     c = eq.coeffs
+    s = eq.mirror
     a2 = p.alpha * p.alpha
     ll = eq.q * (eq.q - 1.0)
-    w = eq.gamma(energy) * eq.scale / (4.0 * a2)
-    b = eq.beta2(energy) / (4.0 * a2)
-    big_a = ll * p.c0 + w * c.v1 + b
-    big_b = ll * (2.0 * p.c0 - 1.0) + 2.0 * b - w * c.v2
-    big_c = ll * p.c0 + w * c.v3 + b
+    x = s * energy
+    w = (x - p.mass - s * p.c_sym) * eq.scale / (4.0 * a2)
+    b = (p.mass + x) * (p.mass - x + s * p.c_sym) / (4.0 * a2)
+    big_a = ll * p.c0 + w * (s * c.v1) + b
+    big_b = ll * (2.0 * p.c0 - 1.0) + 2.0 * b - w * (s * c.v2)
+    big_c = ll * p.c0 + w * (s * c.v3) + b
     return NuProblem(big_a=big_a, big_b=big_b, big_c=big_c)
 
 
 def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[float, float]:
     """Open interval of trial energies with nonnegative decay rate.
 
-    The decay-rate factor b2(E) is a downward parabola whose roots are the
-    window edges; a small margin keeps the solver off the exact edges where
-    the decay exponent vanishes.
+    The decay-rate factor b2 is a downward parabola in x = sigma E whose
+    roots -M and M + sigma C_sym are the window edges, taken back to E; a
+    small margin keeps the solver off the exact edges where the decay
+    exponent vanishes.
     """
     p = eq.params
+    s = eq.mirror
     eps = (1e-9 * p.mass) if margin is None else margin
     if eps <= 0.0:
         raise DomainError(f"margin must be positive, got {eps!r}")
-    if p.symmetry == PSEUDOSPIN:
-        lo, hi = -p.mass, p.mass + p.c_sym
-    else:
-        lo, hi = -p.mass + p.c_sym, p.mass
+    x_lo, x_hi = -p.mass, p.mass + s * p.c_sym
+    lo, hi = (x_lo, x_hi) if s > 0.0 else (-x_hi, -x_lo)
     lo, hi = lo + eps, hi - eps
     if not lo < hi:
         raise NoPhysicalWindow(
@@ -204,18 +201,19 @@ def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[f
 
 
 class _FTerms(NamedTuple):
-    """Per-equation constants of f(E), read by both evaluators below."""
+    """Per-equation constants of the core f, read by both evaluators below;
+    c_sym and the V terms are the core's, already multiplied by sigma."""
 
-    pseudospin: bool
+    mirror: float  # sigma: the core is evaluated at x = sigma E
     mass: float
-    c_sym: float
+    c_sym: float  # sigma C_sym
     ll_c0: float  # q (q - 1) C0
     c9_base: float  # (q - 1/2)^2
     w_scale: float  # scale / (4 alpha^2)
     four_a2: float  # 4 alpha^2
-    v1: float
-    v3: float
-    v_total: float  # V1 + V2 + V3
+    v1: float  # sigma V1
+    v3: float  # sigma V3
+    v_total: float  # sigma (V1 + V2 + V3)
     width: float  # 2 n + 1
     clamp: float  # -4 RADICAND_CLAMP
 
@@ -223,18 +221,19 @@ class _FTerms(NamedTuple):
 def _f_terms(eq: EnergyEquation) -> _FTerms:
     p = eq.params
     c = eq.coeffs
+    s = eq.mirror
     a2 = p.alpha * p.alpha
     return _FTerms(
-        pseudospin=p.symmetry == PSEUDOSPIN,
+        mirror=s,
         mass=p.mass,
-        c_sym=p.c_sym,
+        c_sym=s * p.c_sym,
         ll_c0=eq.q * (eq.q - 1.0) * p.c0,
         c9_base=(eq.q - 0.5) ** 2,
         w_scale=eq.scale / (4.0 * a2),
         four_a2=4.0 * a2,
-        v1=c.v1,
-        v3=c.v3,
-        v_total=c.total,
+        v1=s * c.v1,
+        v3=s * c.v3,
+        v_total=s * c.total,
         width=2.0 * eq.state.n + 1.0,
         clamp=-4.0 * RADICAND_CLAMP,
     )
@@ -248,20 +247,13 @@ def _f_arrays(t: _FTerms, energies: NDArray[np.float64]) -> NDArray[np.float64]:
     sees the IEEE operations of :func:`_f_point` in the same order (a + b
     and b + a round alike), and ``energies`` is only read.
     """
-    if t.pseudospin:
-        g = np.subtract(energies, t.mass)
-        g -= t.c_sym
-        b2 = np.subtract(t.mass, energies)
-        b2 += t.c_sym
-        four_a = np.add(t.mass, energies)
-        b2 *= four_a
-    else:
-        g = np.add(t.mass, energies)
-        g -= t.c_sym
-        # the second factor, M + E - C_sym, is g itself
-        b2 = np.subtract(t.mass, energies)
-        b2 *= g
-        four_a = np.empty_like(energies)
+    four_a = np.multiply(energies, t.mirror)  # x = sigma E, until M + x
+    g = np.subtract(four_a, t.mass)
+    g -= t.c_sym
+    b2 = np.subtract(t.mass, four_a)
+    b2 += t.c_sym
+    four_a += t.mass
+    b2 *= four_a
     w = g
     w *= t.w_scale
     b = b2
@@ -300,14 +292,9 @@ def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
     """Scalar twin of :func:`_f_arrays`: the same IEEE operations in the same
     order on Python floats, so its f is bit-identical to the array one; it also
     returns 4 c8, 4 c9 and 4 A."""
-    if t.pseudospin:
-        g = energy - t.mass - t.c_sym
-        b2 = (t.mass + energy) * (t.mass - energy + t.c_sym)
-    else:
-        g = t.mass + energy - t.c_sym
-        b2 = (t.mass - energy) * (t.mass + energy - t.c_sym)
-    w = g * t.w_scale
-    b = b2 / t.four_a2
+    x = t.mirror * energy
+    w = (x - t.mass - t.c_sym) * t.w_scale
+    b = (t.mass + x) * (t.mass - x + t.c_sym) / t.four_a2
 
     big_a = t.ll_c0 + w * t.v1 + b
     q8 = 4.0 * (t.ll_c0 + w * t.v3 + b)
@@ -650,6 +637,8 @@ def _poly_mul(c1: NDArray, c2: NDArray) -> NDArray:
 def _poly_pieces(eq: EnergyEquation) -> tuple[NDArray, NDArray, NDArray]:
     """(Q9, Q8, R) = (4 c9, 4 c8, 4 A) as polynomial coefficient arrays in E.
 
+    They are the core's pieces (see module docstring) with x = sigma E.
+
     Coefficients are stored lowest degree first (numpy.polynomial order,
     built with the helpers above, which keep its arithmetic) and carry
     extended precision: the double squaring in the elimination amplifies
@@ -661,20 +650,20 @@ def _poly_pieces(eq: EnergyEquation) -> tuple[NDArray, NDArray, NDArray]:
     p = eq.params
     c = eq.coeffs
     ld = np.longdouble
+    s = ld(eq.mirror)
     alpha = ld(p.alpha)
     a2 = alpha * alpha
     q = ld(eq.q)
     ll = q * (q - 1.0)
     sc = ld(eq.scale) / a2
-    mass, c_sym, c0 = ld(p.mass), ld(p.c_sym), ld(p.c0)
-    v1, v3, total = ld(c.v1), ld(c.v3), ld(c.v1) + ld(c.v2) + ld(c.v3)
+    mass, c_sym, c0 = ld(p.mass), s * ld(p.c_sym), ld(p.c0)
+    v1, v3, total = s * ld(c.v1), s * ld(c.v3), s * (ld(c.v1) + ld(c.v2) + ld(c.v3))
 
-    if p.symmetry == PSEUDOSPIN:
-        g = np.array([-(mass + c_sym), ld(1.0)])
-        b2 = np.array([mass * (mass + c_sym), c_sym, ld(-1.0)])
-    else:
-        g = np.array([mass - c_sym, ld(1.0)])
-        b2 = np.array([mass * (mass - c_sym), c_sym, ld(-1.0)])
+    # g and b2 of the core in x = sigma E, taken to E by scaling their odd
+    # coefficients by sigma; the pieces built from them are then in E
+    to_e = np.array([ld(1.0), s, ld(1.0)])
+    g = np.array([-(mass + c_sym), ld(1.0)]) * to_e[:2]
+    b2 = np.array([mass * (mass + c_sym), c_sym, ld(-1.0)]) * to_e
 
     base = _poly_add(np.array([4.0 * ll * c0]), b2 / a2)
     q9 = _poly_add(np.array([(2.0 * q - 1.0) ** 2]), sc * total * g)
@@ -812,14 +801,6 @@ def spin_from_pseudospin_mapping(
         raise DomainError("spin_from_pseudospin_mapping expects a pseudospin equation")
     params = replace(eq.params, symmetry=SPIN, c_sym=-eq.params.c_sym)
     return EnergyEquation(params=params, state=eq.state, assembly=assembly)
-
-
-def pseudospin_from_spin_mapping(eq: EnergyEquation) -> EnergyEquation:
-    """Inverse of :func:`spin_from_pseudospin_mapping`; round trips exactly."""
-    if eq.params.symmetry != SPIN:
-        raise DomainError("pseudospin_from_spin_mapping expects a spin equation")
-    params = replace(eq.params, symmetry=PSEUDOSPIN, c_sym=-eq.params.c_sym)
-    return EnergyEquation(params=params, state=eq.state, assembly=ASSEMBLY_STRICT)
 
 
 def check_doublet(params: ModelParams, neg: StateIndex, pos: StateIndex) -> None:

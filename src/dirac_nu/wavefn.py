@@ -18,9 +18,12 @@ The residual of the transformed equation therefore certifies an energy
 only on the terminating branch, while decay and normalizability hold only
 on the decaying branch; the pair of checks discriminates the two.
 
-The unsolved partner component follows from the first-order coupling:
-pseudospin  F = [dG/dr - ((kappa + H)/r) G] / (M - E + C_sym),
-spin        G = [dF/dr + ((kappa + H)/r) F] / (M + E - C_sym).
+The unsolved partner component follows from the first-order coupling,
+at the mirrored energy x = sigma E of :mod:`.spectrum`,
+
+    partner = [d(solved)/dr - (sigma (kappa + H)/r) solved] / (M - x + sigma C_sym),
+
+with the solved component G (sigma = +1, pseudospin) or F (sigma = -1, spin).
 
 Everything is evaluated from log s = -2 alpha r, never from s itself: far
 out s underflows to zero long before s^nu does, and near the origin
@@ -332,10 +335,7 @@ def lower_component(
 
 def _coupling_denominator(eq: EnergyEquation, energy: float) -> float:
     p = eq.params
-    if p.symmetry == PSEUDOSPIN:
-        denom = p.mass - energy + p.c_sym
-    else:
-        denom = p.mass + energy - p.c_sym
+    denom = p.mass - eq.mirror * energy + eq.mirror * p.c_sym
     if abs(denom) < 1e-8 * p.mass:
         raise DenominatorNearZero(
             f"coupling denominator {denom!r} below 1e-8 * mass at E = {energy!r}"
@@ -427,13 +427,10 @@ def _complete(
     low_r, low_w = _norm_rule(edges, bf.mu, low_order)
     high_r, high_w = _norm_rule(edges, bf.mu, high_order)
     at = np.concatenate([r, low_r, high_r])
-    centrifugal = (eq.state.kappa + p.tensor_h) / at
+    centrifugal = eq.mirror * (eq.state.kappa + p.tensor_h) / at
     solved, s_d_ds, _ = bf.evaluate(-2.0 * p.alpha * at)
     d_dr = -2.0 * p.alpha * s_d_ds
-    if p.symmetry == PSEUDOSPIN:
-        partner = (d_dr - centrifugal * solved) / denom
-    else:
-        partner = (d_dr + centrifugal * solved) / denom
+    partner = (d_dr - centrifugal * solved) / denom
     density = solved * solved + partner * partner
     split = r.size + low_r.size
     low = float(low_w @ density[r.size : split])

@@ -167,6 +167,8 @@ class TestHSweep:
         )
         assert all(r.error for r in res.rows)
         assert all(r.energy_neg is None and r.energy_pos is None for r in res.rows)
+        # a doublet with no solved row is named by its label, known before any solve
+        assert res.directions == ("1s1/2: insufficient data",)
 
     def test_every_doublet_checked_before_the_first_solve(self, monkeypatch):
         solved = []

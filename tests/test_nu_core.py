@@ -104,7 +104,8 @@ class TestQuantizationResidual:
             d = derive_constants(prob)
         except NegativeRadicand:
             return
-        w = eq.gamma(energy) / (4.0 * p.alpha * p.alpha)
+        # the pseudospin-limit g(E) = E - M - C_sym, written out
+        w = (energy - p.mass - p.c_sym) / (4.0 * p.alpha * p.alpha)
         expect = (eq.q - 0.5) ** 2 + w * eq.coeffs.total
         assert d.c9 == pytest.approx(expect, abs=1e-12 * max(abs(expect), 1.0))
 

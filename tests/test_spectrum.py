@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dirac_nu.errors import (
     WindowViolation,
 )
 from dirac_nu import spectrum
-from dirac_nu.model import PSEUDOSPIN, SPIN, ModelParams, StateIndex
+from dirac_nu.model import PSEUDOSPIN, SPIN, ModelParams, PotentialCoeffs, StateIndex
 from dirac_nu.spectrum import (
     ASSEMBLY_REFERENCE,
     ASSEMBLY_STRICT,
@@ -29,7 +30,6 @@ from dirac_nu.spectrum import (
     check_doublet,
     negative_root,
     normal_form,
-    pseudospin_from_spin_mapping,
     quantization_function,
     quartic_oracle,
     search_window,
@@ -591,6 +591,57 @@ class TestOracle:
         assert hit[0].method == "oracle-confirmed"
 
 
+def pseudospin_core(eq):
+    """A spin equation's pseudospin-form twin at (-C_sym, -V): the same q, n
+    and coupling scale, evaluated with sigma = +1 by the module's own code."""
+    c = eq.coeffs
+    return types.SimpleNamespace(
+        params=dataclasses.replace(eq.params, symmetry=PSEUDOSPIN, c_sym=-eq.params.c_sym),
+        state=eq.state, q=eq.q, scale=eq.scale, mirror=1.0,
+        coeffs=PotentialCoeffs(-c.v1, -c.v2, -c.v3),
+    )
+
+
+class TestMirror:
+    """The spin limit is the pseudospin core at (-E, -C_sym, -V), bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        mass=st.floats(min_value=1.0, max_value=100.0),
+        c_frac=st.floats(min_value=-0.99, max_value=0.99),
+        tensor_h=st.floats(min_value=-3.0, max_value=3.0),
+        alpha=st.floats(min_value=0.5, max_value=3.0, exclude_min=True),
+        a_shape=st.floats(min_value=4.0, max_value=8.0, exclude_min=True, exclude_max=True),
+        n=st.integers(min_value=0, max_value=5),
+        kappa=st.integers(min_value=-6, max_value=6).filter(bool),
+        assembly=st.sampled_from((ASSEMBLY_REFERENCE, ASSEMBLY_STRICT)),
+    )
+    def test_spin_is_the_mirrored_pseudospin_core(
+        self, mass, c_frac, tensor_h, alpha, a_shape, n, kappa, assembly
+    ):
+        params = ModelParams(mass=mass, symmetry=SPIN, c_sym=c_frac * mass,
+                             tensor_h=tensor_h, alpha=alpha, a_shape=a_shape)
+        eq = build_equation(params, StateIndex(n, kappa), assembly)
+        core = pseudospin_core(eq)
+
+        lo, hi = search_window(eq)
+        core_lo, core_hi = search_window(core)
+        assert (lo, hi) == (-core_hi, -core_lo)
+
+        grid = np.linspace(lo, hi, 2001)
+        terms, core_terms = spectrum._f_terms(eq), spectrum._f_terms(core)
+        assert same_bits(spectrum._f_arrays(terms, grid),
+                         spectrum._f_arrays(core_terms, -grid))
+        for e in grid[::97].tolist():
+            assert same_bits(spectrum._f_point(terms, e), spectrum._f_point(core_terms, -e))
+            assert normal_form(eq, e) == normal_form(core, -e)
+
+        # the core's pieces are in x = -E: their odd coefficients change sign
+        for piece, core_piece in zip(eq._pieces, spectrum._poly_pieces(core)):
+            to_e = (-1.0) ** np.arange(core_piece.size)
+            assert same_series(piece, core_piece * to_e)
+
+
 class TestMapping:
     def test_shifts_quantum_number_by_one(self):
         eq = build_equation(ps_params(1.0, c_sym=0.25), StateIndex(1, -1))
@@ -600,18 +651,9 @@ class TestMapping:
         assert mapped.q == eq.q + 1.0
         assert mapped.state == eq.state
 
-    def test_round_trip(self):
-        eq = build_equation(ps_params(1.0, c_sym=0.25), StateIndex(1, -1))
-        back = pseudospin_from_spin_mapping(spin_from_pseudospin_mapping(eq, ASSEMBLY_STRICT))
-        assert back.params == eq.params
-        assert back.state == eq.state
-        assert back.assembly == eq.assembly
-
     def test_wrong_limit_rejected(self):
         with pytest.raises(DomainError):
             spin_from_pseudospin_mapping(build_equation(spin_params(), StateIndex(0, -2)))
-        with pytest.raises(DomainError):
-            pseudospin_from_spin_mapping(build_equation(ps_params(), StateIndex(1, -1)))
 
     @pytest.mark.parametrize("assembly", [ASSEMBLY_REFERENCE, ASSEMBLY_STRICT])
     def test_mapped_equals_direct(self, ref, assembly):

@@ -361,8 +361,11 @@ class TestSpinComponents:
         p = eq.params
         alpha = p.alpha
         eta = eq.state.kappa + p.tensor_h + 1.0
-        w = eq.gamma(energy) * eq.scale / (4.0 * alpha * alpha)
-        b = eq.beta2(energy) / (4.0 * alpha * alpha)
+        # the spin-limit g(E) and b2(E), written out rather than read from the solver
+        g = p.mass + energy - p.c_sym
+        b2 = (p.mass - energy) * (p.mass + energy - p.c_sym)
+        w = g * eq.scale / (4.0 * alpha * alpha)
+        b = b2 / (4.0 * alpha * alpha)
         nu = math.sqrt(eta * (eta - 1.0) * p.c0 + w * eq.coeffs.v3 + b)
         mu = 2.0 * math.sqrt((eta - 0.5) ** 2 + w * eq.coeffs.total)
         ja = 2.0 * nu
