@@ -9,14 +9,15 @@ Subcommands:
 
 Configuration comes from (in increasing precedence) built-in defaults, a
 JSON config file (``--config`` or the PSEUDOSPIN_CONFIG environment
-variable), and command-line flags.  Unknown config keys are rejected by
-name.  Output is CSV or JSON (``--format``), written to stdout or
-``--out``; floats carry 12 significant digits and runs are
-byte-deterministic.
+variable), and command-line flags.  Unknown config keys, and config values
+of the wrong type or outside their choices, are rejected by key name.
+Output is CSV or JSON (``--format``), written to stdout or ``--out``;
+floats carry 12 significant digits and runs are byte-deterministic.
 
 Exit codes: 0 success, 2 usage or configuration error raised before any
-state is solved, 3 any error raised while solving a state, a DomainError
-included (partial results are still written when possible).
+state is solved or an ``--out`` that cannot be written, 3 any error raised
+while solving a state, a DomainError included (partial results are still
+written when possible).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .errors import ConfigError, DomainError, SolverError
 from .model import PSEUDOSPIN, SPIN, ModelParams, StateIndex
 from .refdata import load_reference
 from .spectrum import (
+    ASSEMBLY_REFERENCE,
+    ASSEMBLY_STRICT,
     NEGATIVE,
     POSITIVE,
     EnergyEquation,
@@ -49,6 +52,14 @@ from .wavefn import (
     pseudospin_components,
     spin_limit_components,
 )
+
+# the values of each choice key, read by both the parser and RunConfig.from_dict
+_CHOICES = {
+    "symmetry": (PSEUDOSPIN, SPIN),
+    "assembly": (ASSEMBLY_REFERENCE, ASSEMBLY_STRICT),
+    "branch": (DECAYING, TERMINATING),
+    "format": ("csv", "json"),
+}
 
 _TABLE_ALIASES = {
     "pseudospin": PSEUDOSPIN,
@@ -92,50 +103,80 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
+        """The config of JSON-like ``data``, each value checked against its key's type.
+
+        A float key takes an int or a float and stores a float, an int key
+        takes an int, ``strict_domain`` takes a bool (a bool is never a
+        number here), a choice key takes one of its ``_CHOICES``, and the
+        entries of ``states``, ``doublets`` and ``h_values`` follow the same
+        rules.  Anything else raises ConfigError naming the key.
+        """
+        types = {f.name: f.type for f in fields(cls)}
+        checked = {}
+        for key, value in data.items():
+            if key not in types:
                 raise ConfigError(f"unknown config key: {key!r}")
-        coerced = dict(data)
-        for f in fields(cls):
-            # a JSON 5 for a float key means 5.0, so outputs print it as a float
-            if f.type in ("float", "Optional[float]") and type(coerced.get(f.name)) is int:
-                coerced[f.name] = float(coerced[f.name])
-        if "states" in coerced:
-            coerced["states"] = _coerce_states(coerced["states"])
-        if "doublets" in coerced:
-            coerced["doublets"] = _coerce_doublets(coerced["doublets"])
-        if "h_values" in coerced:
-            coerced["h_values"] = tuple(float(h) for h in coerced["h_values"])
-        return cls(**coerced)
+            checked[key] = _check_value(key, types[key], value)
+        return cls(**checked)
 
 
-def _coerce_state(entry: Any) -> tuple[int, int]:
+def _bad(key: str, value: Any, expected: str) -> ConfigError:
+    return ConfigError(f"config key {key!r}: {value!r} is not {expected}")
+
+
+def _number(key: str, value: Any, kind: type) -> Any:
+    # a JSON 5 for a float key means 5.0, so outputs print it as a float
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise _bad(key, value, "an integer" if kind is int else "a number")
+    return kind(value)
+
+
+def _list(key: str, value: Any) -> Any:
+    if not isinstance(value, (list, tuple)):
+        raise _bad(key, value, "a list")
+    return value
+
+
+def _state(key: str, entry: Any) -> tuple[int, int]:
     if isinstance(entry, dict):
         try:
-            return int(entry["n"]), int(entry["kappa"])
+            entry = entry["n"], entry["kappa"]
         except KeyError as exc:
-            raise ConfigError(f"state entry missing key {exc}") from None
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return int(entry[0]), int(entry[1])
-    raise ConfigError(f"cannot parse state entry {entry!r}")
+            raise ConfigError(f"config key {key!r}: state entry missing key {exc}") from None
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise _bad(key, entry, "a state [n, kappa]")
+    return _number(key, entry[0], int), _number(key, entry[1], int)
 
 
-def _coerce_states(raw: Any) -> tuple[tuple[int, int], ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"states must be a list, got {raw!r}")
-    return tuple(_coerce_state(e) for e in raw)
+def _doublet(key: str, pair: Any) -> tuple[tuple[int, int], tuple[int, int]]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise _bad(key, pair, "a pair of states")
+    return _state(key, pair[0]), _state(key, pair[1])
 
 
-def _coerce_doublets(raw: Any) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"doublets must be a list, got {raw!r}")
-    out = []
-    for pair in raw:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"doublet entry must pair two states, got {pair!r}")
-        out.append((_coerce_state(pair[0]), _coerce_state(pair[1])))
-    return tuple(out)
+def _check_value(key: str, annotation: str, value: Any) -> Any:
+    """``value`` checked for the ``RunConfig`` field ``key`` of type ``annotation``."""
+    if value is None and annotation.startswith("Optional["):
+        return None
+    if key in _CHOICES:
+        if value not in _CHOICES[key]:
+            raise _bad(key, value, "one of " + ", ".join(_CHOICES[key]))
+        return value
+    if key == "states":
+        return tuple(_state(key, entry) for entry in _list(key, value))
+    if key == "doublets":
+        return tuple(_doublet(key, pair) for pair in _list(key, value))
+    if key == "h_values":
+        return tuple(_number(key, h, float) for h in _list(key, value))
+    if annotation == "bool":
+        if not isinstance(value, bool):
+            raise _bad(key, value, "true or false")
+        return value
+    if annotation == "Optional[str]":
+        if not isinstance(value, str):
+            raise _bad(key, value, "a string")
+        return value
+    return _number(key, value, int if annotation == "int" else float)
 
 
 # 12 significant digits: the text of format(float(x), ".12g") for ints,
@@ -231,8 +272,11 @@ def _emit(
             payload["notes"] = list(notes)
         text = json.dumps(payload, indent=2) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -352,8 +396,6 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         raise ConfigError(
             f"wavefunction needs exactly one state, got {len(cfg.states)}"
         )
-    if cfg.branch not in (DECAYING, TERMINATING):
-        raise ConfigError(f"unknown branch {cfg.branch!r}")
     # the table's own verify_ode needs MIN_INTERIOR points between the ends
     if cfg.wf_points < MIN_INTERIOR + 2:
         raise ConfigError(f"wf_points must be at least {MIN_INTERIOR + 2}, got {cfg.wf_points}")
@@ -457,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config file")
     common.add_argument("--mass", type=float)
-    common.add_argument("--symmetry", choices=[PSEUDOSPIN, SPIN])
+    common.add_argument("--symmetry", choices=_CHOICES["symmetry"])
     common.add_argument("--c-sym", type=float, dest="c_sym")
     common.add_argument("--tensor-h", type=float, dest="tensor_h")
     common.add_argument("--alpha", type=float)
@@ -469,16 +511,16 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="strict_domain",
         default=None,
     )
-    common.add_argument("--assembly", choices=["reference", "strict"])
+    common.add_argument("--assembly", choices=_CHOICES["assembly"])
     common.add_argument("--n", type=int)
     common.add_argument("--kappa", type=int)
     common.add_argument("--grid-points", type=int, dest="grid_points")
     common.add_argument("--bisect-tol", type=float, dest="bisect_tol")
     common.add_argument("--margin", type=float)
-    common.add_argument("--branch", choices=[DECAYING, TERMINATING])
+    common.add_argument("--branch", choices=_CHOICES["branch"])
     common.add_argument("--wf-points", type=int, dest="wf_points")
     common.add_argument("--r-min", type=float, dest="r_min")
-    common.add_argument("--format", choices=["csv", "json"])
+    common.add_argument("--format", choices=_CHOICES["format"])
     common.add_argument("--out")
 
     parser = argparse.ArgumentParser(

@@ -44,9 +44,12 @@ are the mirror image of the pseudospin core, with their own scale:
 * ``"strict"``: scale = 1, the same dimensionally uniform coupling as the
   pseudospin limit.
 
-At the bundled parameter set the two disagree by 2e-4 to 9e-3 fm^-1; the
-distinction is deliberate and is pinned by the test suite.  The pseudospin
-limit has a single assembly, named "strict".
+The distinction is deliberate.  On the 32 bundled spin cells the strict
+negative roots sit 2.1e-4 to 9.3e-3 fm^-1 from the stored (reference)
+energies, a range ``test_spectrum`` pins, and the positive rows of the
+strict table sit 0.026 to 0.049 from theirs; ``dirac-nu table --which spin
+--assembly strict`` prints every deviation.  The pseudospin limit has a
+single assembly, named "strict".
 """
 
 from __future__ import annotations

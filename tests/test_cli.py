@@ -94,6 +94,17 @@ class TestSolve:
         assert code == 0
         assert json.loads(target.read_text())["records"][0]["n"] == 1
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        target = tmp_path / "missing" / "run.json"
+        code = main(["solve", "--n", "1", "--kappa", "-1", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {str(target)!r}: ")
+        assert captured.err.count("\n") == 1
+        assert not target.parent.exists()
+
     def test_deterministic_stdout(self):
         args = ("solve", "--tensor-h", "1", "--n", "2", "--kappa", "-1", "--format", "csv")
         a = run_cli(*args)
@@ -305,6 +316,46 @@ class TestInvalidSolveOptions:
         assert f"error: {name} must be" in captured.err
 
 
+SOLVE_ONE = ("solve", "--n", "1", "--kappa", "-1")
+WAVE_ONE = ("wavefunction", "--n", "1", "--kappa", "-1")
+SWEEP = ("analyze", "--which", "sweep")
+# a config value of the wrong type or outside its choices, the command run
+# with it, and the key the error must name
+BAD_CONFIGS = [
+    (SOLVE_ONE, {"mass": "5"}, "mass"),
+    (SOLVE_ONE, {"mass": True}, "mass"),
+    (SWEEP, {"h_values": "abc"}, "h_values"),
+    (SWEEP, {"h_values": [0.5, "1"]}, "h_values"),
+    (WAVE_ONE, {"wf_points": 60.0}, "wf_points"),
+    (WAVE_ONE, {"grid_points": True}, "grid_points"),
+    (("solve",), {"states": [[1.5, -1]]}, "states"),
+    (("solve",), {"states": [{"n": 1, "kappa": False}]}, "states"),
+    (SWEEP, {"doublets": [[[1, -1], [1.0, 2]]]}, "doublets"),
+    (SOLVE_ONE, {"format": "xml"}, "format"),
+    (WAVE_ONE, {"branch": "up"}, "branch"),
+    (SOLVE_ONE, {"strict_domain": "no"}, "strict_domain"),
+    (SOLVE_ONE, {"strict_domain": 0}, "strict_domain"),
+    (SOLVE_ONE, {"symmetry": "spin", "assembly": "bogus"}, "assembly"),
+    (WAVE_ONE, {"symmetry": "spin", "assembly": "bogus"}, "assembly"),
+    (SOLVE_ONE, {"out": 3}, "out"),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("args, data, key", BAD_CONFIGS,
+                             ids=[f"{a[0]} {json.dumps(d)}" for a, d, _ in BAD_CONFIGS])
+    def test_exits_2_naming_the_key(self, args, data, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code = main([*args, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config key {key!r}: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestAnalyze:
     def test_approx_columns(self):
         code, out, _ = run_cli("analyze", "--which", "approx", "--format", "csv")
@@ -369,7 +420,8 @@ class TestAnalyze:
 # limits completed a table through one function; every other digest is the
 # output from before the subcommands shared one serializer; the two sweeps
 # with a config are the output from before both doublet members were solved
-# by one function.  A name in braces stands for a config file of
+# by one function; the approximation study is the output from before config
+# values were type-checked.  A name in braces stands for a config file of
 # PINNED_CONFIGS: "{intcfg}" holds integer-valued floats and one state that
 # has no spectroscopic label.
 PINNED = [
@@ -414,6 +466,9 @@ PINNED = [
     (("analyze", "--which", "approx"), 0,
      "e414be5d8e73cd99b110929245b69ceb831ba225bbace3086432658204b365d5",
      "4aca6551f4cda8c9b0ab9f9327f72fcb2ffeea41b80a5d18ccaa67b692fdd081"),
+    (("analyze", "--which", "approx", "--config", "{approx_study}"), 0,
+     "19cc9fdf663a71badcf268f10b8a555adfaeb88c5da4628444ea69dc73371060",
+     "85a6dae6b598af96824dcf51d5d62af93f8ce6cf5bd34751f673b4c967e0c1a5"),
     (("analyze", "--which", "potential"), 0,
      "631a8a32566eade416b7ede35e62dcc25ba3a59dce90a346daed09c5782e3177",
      "6cb2dd3ca13fcc48c23840af80024989017fa98801b69b0d271468e24a904d7c"),
@@ -439,6 +494,9 @@ PINNED_CONFIGS = {
                          "h_values": [0.5, 0.0, 1.0]},
     "sweep_spin": {"symmetry": "spin", "doublets": [[[0, -2], [0, 1]], [[1, -2], [1, 1]]],
                    "h_values": [0.5, 0.0, 1.0]},
+    # the centrifugal-surrogate error over its rated range, 2 alpha r <= 0.5
+    "approx_study": {"approx_r_min": 1e-4, "approx_r_max": 0.4166666666666667,
+                     "approx_points": 4000},
 }
 
 

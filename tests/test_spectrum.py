@@ -148,6 +148,17 @@ class TestSolveSpectrum:
         assert a.selected is None
         assert "no positive root" in a.selection_note
 
+    def test_strict_assembly_gap_on_the_bundled_spin_cells(self, ref):
+        # the bundled spin energies follow "reference"; "strict" moves every
+        # negative root by 2.1e-4 to 9.3e-3
+        cells = ref.select(SPIN)
+        assert len(cells) == 32
+        for cell in cells:
+            eq = build_equation(ref.params(SPIN, cell.tensor_h), cell.state, ASSEMBLY_STRICT)
+            strict = negative_root(solve_spectrum(eq, OPTS))
+            (stored,) = [e for e in cell.energies if e < 0]
+            assert 2e-4 < abs(strict - stored) < 1e-2, cell
+
     def test_root_metadata(self):
         res = solve_spectrum(build_equation(ps_params(1.0), StateIndex(1, -1)), OPTS)
         for r in res.roots:
