@@ -55,6 +55,7 @@ single assembly, named "strict".
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -95,6 +96,9 @@ ORACLE_MATCH_FACTOR = 1e3
 BACKSUB_REL_TOL = 1e-6
 # at most this many bisection steps per root
 BISECT_MAX_ITER = 200
+# each thread holds the scan's four rows for grids up to this many points
+# (4 MiB); a larger grid gets a block of its own for that solve only
+SCAN_WORKSPACE_MAX_POINTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -242,18 +246,26 @@ def _f_terms(eq: EnergyEquation) -> _FTerms:
     )
 
 
-def _f_arrays(t: _FTerms, energies: NDArray[np.float64]) -> NDArray[np.float64]:
+def _f_arrays(
+    t: _FTerms, energies: NDArray[np.float64], out: Optional[NDArray[np.float64]] = None
+) -> NDArray[np.float64]:
     """Vectorized f with NaN where a radicand is negative.
 
-    Written with in-place ufuncs on four buffers, since allocating an array
-    of the scan's size costs about as much as a pass over it; every element
-    sees the IEEE operations of :func:`_f_point` in the same order (a + b
-    and b + a round alike), and ``energies`` is only read.
+    Written with in-place ufuncs on the four rows of ``out``, shape
+    (4, energies.size), fresh memory when it is None; f is returned in row
+    1 and row 0 (4 A) is free afterwards.  Fresh grid-sized buffers cost
+    more than the arithmetic: glibc hands freed memory of that size back to
+    the OS, so every new buffer is page-faulted in again on first touch.
+    Every element sees the IEEE operations of :func:`_f_point` in the same
+    order (a + b and b + a round alike), and ``energies`` is only read.
     """
-    four_a = np.multiply(energies, t.mirror)  # x = sigma E, until M + x
-    g = np.subtract(four_a, t.mass)
+    if out is None:
+        out = np.empty((4, energies.size))
+    four_a, g, b2, q8 = out
+    np.multiply(energies, t.mirror, out=four_a)  # x = sigma E, until M + x
+    np.subtract(four_a, t.mass, out=g)
     g -= t.c_sym
-    b2 = np.subtract(t.mass, four_a)
+    np.subtract(t.mass, four_a, out=b2)
     b2 += t.c_sym
     four_a += t.mass
     b2 *= four_a
@@ -265,7 +277,7 @@ def _f_arrays(t: _FTerms, energies: NDArray[np.float64]) -> NDArray[np.float64]:
     np.multiply(w, t.v1, out=four_a)
     four_a += t.ll_c0
     four_a += b
-    q8 = np.multiply(w, t.v3)
+    np.multiply(w, t.v3, out=q8)
     q8 += t.ll_c0
     q8 += b
     q8 *= 4.0
@@ -289,6 +301,21 @@ def _f_arrays(t: _FTerms, energies: NDArray[np.float64]) -> NDArray[np.float64]:
     four_a *= 4.0
     f -= four_a
     return f
+
+
+_scan_workspace = threading.local()
+
+
+def _scan_rows(points: int) -> NDArray[np.float64]:
+    """Four rows of ``points`` doubles for :func:`_f_arrays`: a view of this
+    thread's held block, grown to the largest grid seen up to
+    ``SCAN_WORKSPACE_MAX_POINTS``, or a block of its own above that."""
+    if points > SCAN_WORKSPACE_MAX_POINTS:
+        return np.empty((4, points))
+    block = getattr(_scan_workspace, "block", None)
+    if block is None or block.shape[1] < points:
+        block = _scan_workspace.block = np.empty((4, points))
+    return block[:, :points]
 
 
 def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
@@ -454,6 +481,43 @@ def _bisect(t: _FTerms, a: float, b: float, fa: float, fb: float,
     return 0.5 * (a + b)
 
 
+def _real_roots(poly: NDArray) -> list[float]:
+    """Real roots of a polynomial of degree <= 2, coefficients lowest degree
+    first, in closed form.
+
+    They are the roots ``np.roots`` finds as companion-matrix eigenvalues:
+    leading zeros are dropped, a zero constant term gives a root at exactly
+    0, and a complex pair passes, as a double root at its real part, when
+    its imaginary part is below 1e-9 of that real part (a double root whose
+    discriminant rounded below zero).  Each agrees with its eigenvalue to a
+    few ulps, more where b^2 and 4 a c nearly cancel and both lose digits.
+    """
+    c = [float(x) for x in poly]
+    while c and c[-1] == 0.0:
+        c.pop()
+    if len(c) < 2:
+        return []
+    roots: list[float] = []
+    while c[0] == 0.0:
+        c.pop(0)
+        roots.append(0.0)
+    if len(c) == 2:
+        roots.append(-c[0] / c[1])
+    elif len(c) == 3:
+        cc, b, a = c
+        disc = b * b - 4.0 * a * cc
+        if disc >= 0.0:
+            # the root of larger modulus without cancellation, the other from
+            # the product of the roots
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots += [q / a, cc / q]
+        else:
+            re, im = -b / (2.0 * a), math.sqrt(-disc) / abs(2.0 * a)
+            if im < 1e-9 * max(1.0, abs(re)):
+                roots += [re, re]
+    return roots
+
+
 def _radicand_boundaries(eq: EnergyEquation, lo: float, hi: float) -> list[float]:
     """Energies inside (lo, hi) where a radicand crosses zero.
 
@@ -461,16 +525,7 @@ def _radicand_boundaries(eq: EnergyEquation, lo: float, hi: float) -> list[float
     the crossings are exact quadratic (or linear) roots.
     """
     q9, q8, _ = eq._pieces
-    out: list[float] = []
-    for poly in (q8, q9):
-        coeffs = np.asarray(poly, dtype=float)[::-1]
-        nz = np.nonzero(coeffs != 0.0)[0]
-        if nz.size == 0 or coeffs.size - nz[0] < 2:
-            continue
-        for z in np.roots(coeffs[nz[0]:]):
-            if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) and lo < z.real < hi:
-                out.append(float(z.real))
-    return sorted(out)
+    return sorted(z for poly in (q8, q9) for z in _real_roots(poly) if lo < z < hi)
 
 
 def _require_resolvable(energy: float, opts: SolveOptions) -> None:
@@ -501,6 +556,14 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     raises OracleMismatch; a mismatch within two ulps of the root, where
     ``ORACLE_MATCH_FACTOR * opts.bisect_tol`` is too small for doubles to
     meet, raises DomainError instead.
+
+    The scan works in four rows of grid size taken from a block held per
+    thread (``threading.local``), so repeated solves touch memory that is
+    already mapped and concurrent solves on different threads never share
+    it.  The block grows to the largest grid a thread has scanned, up to
+    ``SCAN_WORKSPACE_MAX_POINTS`` (2**17) points, or 4 MiB; at the default
+    20001 points a thread holds about 0.6 MiB.  A larger grid is scanned
+    in a block of its own, freed with the solve.
     """
     lo, hi = search_window(eq, opts.margin)
     grid = np.linspace(lo, hi, opts.grid_points)
@@ -518,10 +581,12 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
             # samples; np.unique sorts them and drops the repeats
             grid = np.unique(grid)
     terms = _f_terms(eq)
-    f = _f_arrays(terms, grid)
+    rows = _scan_rows(grid.size)
+    f = _f_arrays(terms, grid, rows)
     valid = np.isfinite(f)
 
-    sign_change = (f[:-1] * f[1:]) < 0.0
+    # the product goes into the 4 A row, free once f is done
+    sign_change = np.multiply(f[:-1], f[1:], out=rows[0, :-1]) < 0.0
     both_valid = valid[:-1] & valid[1:]
     bracket_lo = list(np.nonzero(sign_change & both_valid)[0])
 

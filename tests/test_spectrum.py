@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import math
 import random
+import threading
+import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from dirac_nu.errors import (
     NegativeRadicand,
     NoPhysicalWindow,
     NoRootFound,
+    OracleMismatch,
     WindowViolation,
 )
 from dirac_nu import spectrum
@@ -257,9 +261,9 @@ def solve_grid(eq, monkeypatch, opts=SolveOptions(oracle_check=False)):
     seen = []
     scan = spectrum._f_arrays
 
-    def recording(terms, energies):
+    def recording(terms, energies, *rest):
         seen.append(energies)
-        return scan(terms, energies)
+        return scan(terms, energies, *rest)
 
     monkeypatch.setattr(spectrum, "_f_arrays", recording)
     solve_spectrum(eq, opts)
@@ -484,6 +488,127 @@ class TestScanAndCache:
         other = dataclasses.replace(eq, state=StateIndex(2, -1))
         assert repr(quartic_oracle(other)) == repr(
             quartic_oracle(build_equation(ps_params(1.0), StateIndex(2, -1))))
+
+
+class TestScanWorkspace:
+    """The scan runs in a block held per thread, so warm solves allocate no
+    grid-sized buffers and concurrent solves do not share one."""
+
+    def test_warm_solve_holds_no_grid_sized_temporaries(self):
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        solve_spectrum(eq, OPTS)
+        tracemalloc.start()
+        try:
+            solve_spectrum(eq, OPTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the grid itself is one such buffer; allocating the scan's buffers
+        # afresh took the peak to about 5.3 of them
+        assert peak < 2 * OPTS.grid_points * 8
+
+    def test_concurrent_solves_reproduce_the_pinned_results(self, ref):
+        eqs = pinned_equations(ref)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(solve_spectrum, eqs))
+        assert repr_digest(results) == TestPinnedResults.SOLVE
+
+    def test_f_arrays_without_out_returns_fresh_memory(self):
+        # TestMirror compares two such calls: a shared buffer would make it vacuous
+        eq = build_equation(spin_params(1.0), StateIndex(0, -2))
+        grid = np.linspace(*search_window(eq), 2001)
+        terms = spectrum._f_terms(eq)
+        first, second = spectrum._f_arrays(terms, grid), spectrum._f_arrays(terms, grid)
+        assert not np.shares_memory(first, second)
+        assert same_bits(first, second)
+
+    def test_rows_are_held_per_thread_up_to_the_cap(self):
+        held = spectrum._scan_rows(2001)
+        assert np.shares_memory(held, spectrum._scan_rows(1001))
+        grown = spectrum._scan_rows(4001)
+        assert grown.shape == (4, 4001) and np.shares_memory(grown, spectrum._scan_rows(2001))
+        other = []
+        thread = threading.Thread(target=lambda: other.append(spectrum._scan_rows(2001)))
+        thread.start()
+        thread.join()
+        assert not np.shares_memory(other[0], spectrum._scan_rows(2001))
+        big = spectrum.SCAN_WORKSPACE_MAX_POINTS + 1
+        assert not np.shares_memory(spectrum._scan_rows(big), spectrum._scan_rows(big))
+        assert np.shares_memory(grown, spectrum._scan_rows(4001))
+
+
+def np_roots_reference(poly):
+    """The radicand crossings as np.roots found them, before the closed form."""
+    coeffs = np.asarray(poly, dtype=float)[::-1]
+    nz = np.nonzero(coeffs != 0.0)[0]
+    if nz.size == 0 or coeffs.size - nz[0] < 2:
+        return []
+    return sorted(float(z.real) for z in np.roots(coeffs[nz[0]:])
+                  if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)))
+
+
+class TestClosedFormBoundaries:
+    """The radicand crossings in closed form are np.roots' crossings."""
+
+    def test_matches_np_roots(self, ref):
+        eqs = pinned_equations(ref) + seeded_equations(200, seed="closed-form boundaries")
+        degrees = set()
+        for eq in eqs:
+            for poly in eq._pieces[:2]:
+                want, got = np_roots_reference(poly), sorted(spectrum._real_roots(poly))
+                assert len(got) == len(want), (eq, want, got)
+                for w, g in zip(want, got):
+                    assert abs(g - w) <= 4 * math.ulp(w), (eq, want, got)
+                degrees.add(len(poly) - 1)
+        assert degrees == {1, 2}
+
+    @pytest.mark.parametrize("poly, roots", [
+        ([3.0, -1.5], [2.0]),  # linear, as Q9 always is
+        ([0.0, -2.0, 1.0], [0.0, 2.0]),  # c = 0: the root at 0 is exact
+        ([-8.0, 0.0, 2.0], [-2.0, 2.0]),  # b = 0
+        ([2.0, -3.0, 1.0, 0.0], [1.0, 2.0]),  # a zero leading coefficient is dropped
+        ([5.0, 0.0], []),  # constant
+        ([1.0, 0.0, 1.0], []),  # a complex pair
+    ])
+    def test_hand_cases(self, poly, roots):
+        got = sorted(spectrum._real_roots(np.array(poly)))
+        assert got == roots
+        assert [math.copysign(1.0, z) for z in got] == [math.copysign(1.0, z) for z in roots]
+        assert np_roots_reference(np.array(poly)) == pytest.approx(roots, abs=1e-15)
+
+    def test_double_root_whose_discriminant_rounds_negative(self):
+        a, b = 1.0, -0.02
+        c = math.nextafter(b * b / 4.0, 1.0)
+        assert b * b - 4.0 * a * c < 0.0
+        got = spectrum._real_roots(np.array([c, b, a]))
+        assert got == [0.01, 0.01]
+        assert np_roots_reference(np.array([c, b, a])) == pytest.approx(got, rel=1e-12)
+
+
+def reference_spin(mass, state, **kw):
+    params = ModelParams(mass=mass, symmetry=SPIN, **kw)
+    return build_equation(params, state, ASSEMBLY_REFERENCE)
+
+
+class TestKnownOracleBreaches:
+    """Spin/reference states whose roots cluster near E = -M, where the
+    long-double oracle misses them (ROADMAP item 2); the exact oracle flips
+    these."""
+
+    @pytest.mark.xfail(strict=True, raises=OracleMismatch,
+                       reason="ROADMAP item 2: long-double oracle near E = -M")
+    @pytest.mark.parametrize("eq", [
+        reference_spin(26.82759853298316, StateIndex(0, -3), c_sym=-24.571165422508077,
+                       tensor_h=2.804423525633683, alpha=1.6718217147505874,
+                       a_shape=6.089991730997277),
+        reference_spin(20.0, StateIndex(0, -1), c_sym=0.0, tensor_h=0.0, alpha=0.6,
+                       a_shape=5.0),
+        reference_spin(50.0, StateIndex(0, -1), c_sym=0.0, tensor_h=0.0, alpha=0.6,
+                       a_shape=5.0),
+    ], ids=["mass-26.8", "mass-20", "mass-50"])
+    def test_roots_are_oracle_confirmed(self, eq):
+        res = solve_spectrum(eq, OPTS)
+        assert res.roots and all(r.method == "oracle-confirmed" for r in res.roots)
 
 
 class TestDegeneracy:

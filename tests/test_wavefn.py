@@ -346,6 +346,34 @@ class TestNormalization:
         assert np.trapezoid(table.g**2 + table.f**2, table.r) == pytest.approx(1.0, abs=1e-4)
 
 
+def high_degree_case(n):
+    params = ModelParams(mass=20.0, symmetry=PSEUDOSPIN, c_sym=0.0, tensor_h=0.0,
+                         alpha=0.6, a_shape=5.0)
+    return build_equation(params, StateIndex(n, -1))
+
+
+def assert_normalized_with_n_nodes(eq):
+    table = pseudospin_components(eq, solved(eq))
+    assert np.all(np.isfinite(table.g)) and np.all(np.isfinite(table.f))
+    assert table.node_count == eq.state.n
+    assert np.trapezoid(table.g**2 + table.f**2, table.r) == pytest.approx(1.0, abs=1e-4)
+
+
+class TestHighDegreeTables:
+    """Pseudospin tables of mass 20 with n up to 30; from n = 20 the two
+    quadrature orders disagree, since the panels ignore the n nodes
+    (ROADMAP item 5), and the fix flips the xfails."""
+
+    def test_n_18_normalizes(self):
+        assert_normalized_with_n_nodes(high_degree_case(18))
+
+    @pytest.mark.xfail(strict=True, raises=NonNormalizable,
+                       reason="ROADMAP item 5: panels ignore the n nodes")
+    @pytest.mark.parametrize("n", [20, 24, 30])
+    def test_high_n_normalizes(self, n):
+        assert_normalized_with_n_nodes(high_degree_case(n))
+
+
 class TestSpinComponents:
     def test_nodeless_ground_state(self):
         eq = spin_eq(0, -2, 1.0)
