@@ -183,19 +183,25 @@ def normal_form(eq: EnergyEquation, energy: float) -> NuProblem:
     return NuProblem(big_a=big_a, big_b=big_b, big_c=big_c)
 
 
+def _check_margin(margin: Optional[float]) -> None:
+    """The one rule for a window margin: None (1e-9 * mass) or finite and positive."""
+    if margin is not None and not (math.isfinite(margin) and margin > 0.0):
+        raise DomainError(f"margin must be finite and positive, got {margin!r}")
+
+
 def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[float, float]:
     """Open interval of trial energies with nonnegative decay rate.
 
     The decay-rate factor b2 is a downward parabola in x = sigma E whose
     roots -M and M + sigma C_sym are the window edges, taken back to E; a
     small margin keeps the solver off the exact edges where the decay
-    exponent vanishes.
+    exponent vanishes.  ``margin`` is None (1e-9 * mass) or finite and
+    positive; anything else is a DomainError.
     """
     p = eq.params
     s = eq.mirror
+    _check_margin(margin)
     eps = (1e-9 * p.mass) if margin is None else margin
-    if eps <= 0.0:
-        raise DomainError(f"margin must be positive, got {eps!r}")
     x_lo, x_hi = -p.mass, p.mass + s * p.c_sym
     lo, hi = (x_lo, x_hi) if s > 0.0 else (-x_hi, -x_lo)
     lo, hi = lo + eps, hi - eps
@@ -389,8 +395,7 @@ class SolveOptions:
             raise DomainError(
                 f"bisect_tol must be finite and positive, got {self.bisect_tol!r}"
             )
-        if self.margin is not None and not (math.isfinite(self.margin) and self.margin > 0.0):
-            raise DomainError(f"margin must be finite and positive, got {self.margin!r}")
+        _check_margin(self.margin)
 
 
 @dataclass(frozen=True)
@@ -664,52 +669,14 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     )
 
 
-def _trim(c: NDArray) -> NDArray:
-    """Drop trailing zero coefficients but keep one, as numpy.polynomial's trimseq."""
-    k = c.size
-    while k > 1 and c[k - 1] == 0:
-        k -= 1
-    return c[:k]
-
-
-def _poly_add(c1: NDArray, c2: NDArray) -> NDArray:
-    """c1 + c2 with numpy.polynomial's polyadd semantics: the shorter series is
-    added over the overlap only, so a -0.0 beyond it keeps its sign."""
-    c1, c2 = _trim(c1), _trim(c2)
-    if c1.size > c2.size:
-        ret = c1.copy()
-        ret[:c2.size] += c2
-    else:
-        ret = c2.copy()
-        ret[:c1.size] += c1
-    return _trim(ret)
-
-
-def _poly_sub(c1: NDArray, c2: NDArray) -> NDArray:
-    """c1 - c2 with numpy.polynomial's polysub semantics (see :func:`_poly_add`)."""
-    c1, c2 = _trim(c1), _trim(c2)
-    if c1.size > c2.size:
-        ret = c1.copy()
-        ret[:c2.size] -= c2
-    else:
-        ret = -c2
-        ret[:c1.size] += c1
-    return _trim(ret)
-
-
-def _poly_mul(c1: NDArray, c2: NDArray) -> NDArray:
-    """c1 * c2 with numpy.polynomial's polymul semantics."""
-    return _trim(np.convolve(_trim(c1), _trim(c2)))
-
-
 def _poly_pieces(eq: EnergyEquation) -> tuple[NDArray, NDArray, NDArray]:
-    """(Q9, Q8, R) = (4 c9, 4 c8, 4 A) as polynomial coefficient arrays in E.
+    """(Q9, Q8, R) = (4 c9, 4 c8, 4 A) as polynomials in E.
 
     They are the core's pieces (see module docstring) with x = sigma E.
 
-    Coefficients are stored lowest degree first (numpy.polynomial order,
-    built with the helpers above, which keep its arithmetic) and carry
-    extended precision: the double squaring in the elimination amplifies
+    Each is a long double array of length 3, coefficients lowest degree
+    first; Q9 is linear, so its degree-2 entry is a zero.  Extended
+    precision because the double squaring in the elimination amplifies
     coefficient roundoff into root shifts of order 1e-9, which double
     precision construction cannot keep below the matching tolerance.
     Callers read the pieces through ``eq._pieces``, which builds them once
@@ -730,16 +697,42 @@ def _poly_pieces(eq: EnergyEquation) -> tuple[NDArray, NDArray, NDArray]:
     # g and b2 of the core in x = sigma E, taken to E by scaling their odd
     # coefficients by sigma; the pieces built from them are then in E
     to_e = np.array([ld(1.0), s, ld(1.0)])
-    g = np.array([-(mass + c_sym), ld(1.0)]) * to_e[:2]
+    g = np.array([-(mass + c_sym), ld(1.0), ld(0.0)]) * to_e
     b2 = np.array([mass * (mass + c_sym), c_sym, ld(-1.0)]) * to_e
 
-    base = _poly_add(np.array([4.0 * ll * c0]), b2 / a2)
-    q9 = _poly_add(np.array([(2.0 * q - 1.0) ** 2]), sc * total * g)
-    q8 = _poly_add(base, sc * v3 * g)
-    rr = _poly_add(base, sc * v1 * g)
+    base = b2 / a2
+    base[0] += 4.0 * ll * c0
+    q9 = sc * total * g
+    q9[0] += (2.0 * q - 1.0) ** 2
+    q8 = base + sc * v3 * g
+    rr = base + sc * v1 * g
     for piece in (q9, q8, rr):
         piece.flags.writeable = False
     return q9, q8, rr
+
+
+def _sextic(eq: EnergyEquation) -> NDArray:
+    """The eliminated polynomial of :func:`quartic_oracle`, long double
+    coefficients lowest degree first.
+
+    Built from the fixed-length pieces in the docstring's order, with
+    ``np.convolve`` for products.  Exact trailing zeros are trimmed once,
+    at the end, down to one coefficient: the length is the degree built
+    plus one, however small the leading coefficient is next to the others.
+    """
+    q9, q8, rr = eq._pieces
+    w = np.longdouble(2 * eq.state.n + 1)
+    w2 = np.array([w * w, 0.0, 0.0], dtype=np.longdouble)
+
+    s1 = (w2 + q9) + (q8 - rr)
+    # S1 and Q9 are linear, so both products are exactly zero at degree 4
+    bracket = np.convolve(s1, s1) - 4.0 * np.convolve(q9, q8)
+    bracket[:3] += 4.0 * w * w * q9 - 4.0 * w * w * q8
+    t = 2.0 * q8 - s1
+    poly = np.convolve(bracket, bracket)
+    poly[:7] -= 16.0 * w * w * np.convolve(q9, np.convolve(t, t))
+    nonzero = np.flatnonzero(poly)
+    return poly[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
 def quartic_oracle(
@@ -752,34 +745,24 @@ def quartic_oracle(
     condition (W + u - v)^2 = R implies, after isolating and squaring each
     radical in turn,
 
-        S1 := W^2 + Q9 + Q8 - R            (linear in E: the b2 parts cancel)
-        S1^2 + 4 W^2 Q9 - 4 W^2 Q8 - 4 Q9 Q8 = 4 W u (2 Q8 - S1)
+        S1 := (W^2 + Q9) + (Q8 - R)        (linear in E: the b2 parts cancel)
+        S1^2 - 4 Q9 Q8 + 4 W^2 Q9 - 4 W^2 Q8 = 4 W u (2 Q8 - S1)
 
-    and squaring once more gives a polynomial of degree 6 whose real roots
-    contain every true root.  Each candidate is filtered by back
-    substitution into f; the rest are reported as spurious.
+    and squaring once more gives
+
+        P := (S1^2 - 4 Q9 Q8 + 4 W^2 Q9 - 4 W^2 Q8)^2 - 16 W^2 Q9 (2 Q8 - S1)^2,
+
+    a polynomial of degree 6 whose real roots contain every true root.
+    Each candidate is filtered by back substitution into f; the rest are
+    reported as spurious.
 
     The pieces Q9, Q8 and R are the equation's cached ``eq._pieces``, so a
     solve builds them once for both this oracle and the radicand
-    boundaries.  The series arithmetic keeps numpy.polynomial's order
-    (lowest degree first) and its operations, signs of zero included.
+    boundaries.  :func:`_sextic` builds P from them in long double, in the
+    order written above.
     """
-    q9, q8, rr = eq._pieces
-    n = eq.state.n
-    w = np.longdouble(2 * n + 1)
-    w2 = np.array([w * w])
-
-    s1 = _poly_add(_poly_add(w2, q9), _poly_sub(q8, rr))
-    bracket = _poly_add(
-        _poly_sub(_poly_mul(s1, s1), 4.0 * _poly_mul(q9, q8)),
-        _poly_sub(4.0 * w * w * q9, 4.0 * w * w * q8),
-    )
-    rhs_sq = _poly_mul(q9, _poly_mul(_poly_sub(2.0 * q8, s1), _poly_sub(2.0 * q8, s1)))
-    poly = _poly_sub(_poly_mul(bracket, bracket), 16.0 * w * w * rhs_sq)
-
-    # the series helpers trim exact zeros only: the leading coefficient is
-    # kept however small it is next to the others
-    coeffs_ld = np.asarray(poly, dtype=np.longdouble)[::-1]  # high degree first
+    poly = _sextic(eq)
+    coeffs_ld = poly[::-1]  # high degree first
     if not coeffs_ld.any():
         raise DegenerateLeadingCoefficient("eliminated polynomial is identically zero")
     degree = coeffs_ld.size - 1

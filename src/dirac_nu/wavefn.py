@@ -224,8 +224,8 @@ def default_grid(
     """
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points!r}")
-    if r_min <= 0.0:
-        raise DomainError(f"r_min must be positive, got {r_min!r}")
+    if not (math.isfinite(r_min) and r_min > 0.0):
+        raise DomainError(f"r_min must be finite and positive, got {r_min!r}")
     nu = derive_constants(normal_form(eq, energy)).sqrt_c8
     return _log_grid(eq.params.alpha, nu, energy, n_points, r_min)
 
@@ -253,8 +253,8 @@ def _branch_and_grid(
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise DomainError("grid must be a 1-d array with at least two points")
-    if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
-        raise DomainError("grid must be strictly positive and increasing")
+    if not (np.all(np.isfinite(r)) and np.all(r > 0.0) and np.all(np.diff(r) > 0.0)):
+        raise DomainError("grid must be finite, strictly positive and increasing")
     return bf, r
 
 

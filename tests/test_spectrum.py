@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
+import sys
 import threading
 import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,9 @@ from dirac_nu.spectrum import (
     spin_from_pseudospin_mapping,
     splitting_report,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import draw_case  # noqa: E402
 
 OPTS = SolveOptions()
 
@@ -95,9 +101,11 @@ class TestSearchWindow:
         with pytest.raises(NoPhysicalWindow):
             search_window(build_equation(ps_params(c_sym=-10.0), StateIndex(1, -1)))
 
-    def test_margin_validation(self):
-        with pytest.raises(DomainError):
-            search_window(build_equation(ps_params(), StateIndex(1, -1)), margin=0.0)
+    @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan, math.inf])
+    def test_margin_validation(self, margin):
+        eq = build_equation(ps_params(), StateIndex(1, -1))
+        with pytest.raises(DomainError, match="margin must be finite and positive"):
+            search_window(eq, margin=margin)
 
 
 class TestQuantizationFunction:
@@ -394,31 +402,64 @@ def same_series(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-class TestPolynomialHelpers:
-    """The oracle's series helpers keep numpy.polynomial's arithmetic exactly."""
+def polynomial_sextic(eq):
+    """The eliminated polynomial as numpy.polynomial builds it from the pieces,
+    in quartic_oracle's docstring order: the reference for _sextic."""
+    q9, q8, rr = eq._pieces
+    w = np.longdouble(2 * eq.state.n + 1)
+    w2 = np.array([w * w])
+    s1 = npoly.polyadd(npoly.polyadd(w2, q9), npoly.polysub(q8, rr))
+    bracket = npoly.polyadd(
+        npoly.polysub(npoly.polymul(s1, s1), 4.0 * npoly.polymul(q9, q8)),
+        npoly.polysub(4.0 * w * w * q9, 4.0 * w * w * q8),
+    )
+    t = npoly.polysub(2.0 * q8, s1)
+    rhs_sq = npoly.polymul(q9, npoly.polymul(t, t))
+    return npoly.polysub(npoly.polymul(bracket, bracket), 16.0 * w * w * rhs_sq)
 
-    def series(self, rng):
-        values = [0.0, -0.0, 1.0, -2.5, rng.uniform(-1e3, 1e3), rng.uniform(-1.0, 1.0)]
-        return np.array([rng.choice(values) for _ in range(rng.randint(1, 5))],
-                        dtype=np.longdouble)
 
-    def test_matches_numpy_polynomial(self):
-        rng = random.Random("poly-helpers")
-        pairs = [(np.array([1.0, -0.0], dtype=np.longdouble),
-                  np.array([2.0, 0.0, -0.0, 3.0], dtype=np.longdouble))]
-        pairs += [(self.series(rng), self.series(rng)) for _ in range(400)]
-        for a, b in pairs:
-            for ours, theirs in ((spectrum._poly_add, npoly.polyadd),
-                                 (spectrum._poly_sub, npoly.polysub),
-                                 (spectrum._poly_mul, npoly.polymul)):
-                assert same_series(ours(a, b), theirs(a, b)), (ours.__name__, a, b)
-                assert same_series(ours(b, a), theirs(b, a)), (ours.__name__, b, a)
+def log_mass_equations(count, seed):
+    """``draw_case`` states with the mass redrawn log-uniform in (1, 100) and
+    c_sym scaled with it."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        case = draw_case(rng)
+        mass = math.exp(rng.uniform(0.0, math.log(100.0)))
+        params = ModelParams(**dict(case.params(), mass=mass,
+                                    c_sym=case.c_sym / case.mass * mass))
+        out.append(build_equation(params, StateIndex(case.n, case.kappa), case.assembly))
+    return out
 
-    def test_sub_keeps_the_sign_of_zero_beyond_the_overlap(self):
-        # 0 - c2 would turn a -0.0 of c2 into +0.0; -c2 keeps it
-        a = np.array([1.0], dtype=np.longdouble)
-        b = np.array([2.0, 0.0, 3.0], dtype=np.longdouble)
-        assert np.signbit(spectrum._poly_sub(a, b)[1])
+
+def signed_zero_equations():
+    """C_sym and H of +-0.0 in every limit and assembly, at A = 5 and at A = 4,
+    where V3 vanishes too."""
+    kinds = ((PSEUDOSPIN, ASSEMBLY_STRICT), (SPIN, ASSEMBLY_REFERENCE), (SPIN, ASSEMBLY_STRICT))
+    out = []
+    for (symmetry, assembly), c_sym, tensor_h, a_shape in itertools.product(
+            kinds, (0.0, -0.0), (0.0, -0.0), (5.0, 4.0)):
+        params = ModelParams(mass=5.0, symmetry=symmetry, c_sym=c_sym, tensor_h=tensor_h,
+                             a_shape=a_shape, strict_domain=False)
+        out += [build_equation(params, StateIndex(n, kappa), assembly)
+                for n in range(3) for kappa in (-2, -1, 1, 2)]
+    return out
+
+
+class TestSextic:
+    """The fixed-length sextic build is numpy.polynomial's build, bit for bit."""
+
+    def test_matches_numpy_polynomial(self, ref):
+        eqs = (pinned_equations(ref) + log_mass_equations(1200, "sextic reference")
+               + signed_zero_equations())
+        for eq in eqs:
+            assert same_series(spectrum._sextic(eq), polynomial_sextic(eq)), eq
+
+    def test_pieces_have_the_fixed_layout(self, ref):
+        for eq in pinned_equations(ref):
+            q9, q8, rr = eq._pieces
+            assert all(p.dtype == np.longdouble and p.shape == (3,) for p in (q9, q8, rr))
+            assert q9[2] == 0.0 and q8[2] == rr[2] != 0.0
 
 
 class TestScanAndCache:
@@ -559,8 +600,22 @@ class TestClosedFormBoundaries:
                 assert len(got) == len(want), (eq, want, got)
                 for w, g in zip(want, got):
                     assert abs(g - w) <= 4 * math.ulp(w), (eq, want, got)
-                degrees.add(len(poly) - 1)
+                degrees.add(int(np.flatnonzero(poly)[-1]))
         assert degrees == {1, 2}
+
+    def test_signed_zero_c_sym_gives_one_boundary_set(self):
+        # at A = 4, V3 = 0, so Q8's linear coefficient is C_sym / alpha^2 alone;
+        # the boundaries and the solve must not depend on the sign of that zero
+        results = []
+        for c_sym in (0.0, -0.0):
+            params = ModelParams(mass=83.73510401973351, symmetry=PSEUDOSPIN, c_sym=c_sym,
+                                 tensor_h=1.4887255224532048, alpha=0.567881453521075,
+                                 a_shape=4.0, strict_domain=False)
+            eq = build_equation(params, StateIndex(3, -1))
+            opts = SolveOptions(grid_points=2001, oracle_check=False)
+            results.append((spectrum._radicand_boundaries(eq, *search_window(eq)),
+                            repr(solve_spectrum(eq, opts))))
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("poly, roots", [
         ([3.0, -1.5], [2.0]),  # linear, as Q9 always is

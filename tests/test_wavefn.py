@@ -502,7 +502,42 @@ class TestWorkPerTable:
         assert counts == {"derive": calls, "evaluate": calls}
 
 
+GRID = np.geomspace(1e-3, 30.0, 200)
+
+
+def grid_with(index, value):
+    r = GRID.copy()
+    r[index] = value
+    return r
+
+
+MALFORMED_GRIDS = {
+    "2-d": GRID.reshape(2, 100),
+    "one point": GRID[:1],
+    "zero": grid_with(0, 0.0),
+    "decreasing pair": grid_with(50, GRID[52]),
+    "nan": grid_with(50, math.nan),
+    "inf": grid_with(-1, math.inf),
+}
+
+
 class TestGridAndGuards:
+    @pytest.mark.parametrize("grid", MALFORMED_GRIDS.values(), ids=MALFORMED_GRIDS.keys())
+    @pytest.mark.parametrize("build, eq", [
+        (lower_component, ps_eq(1, -1, 1.0)),
+        (spin_limit_components, spin_eq(0, -2, 1.0)),
+        (verify_ode, ps_eq(1, -1, 1.0)),
+    ], ids=["lower_component", "spin_limit_components", "verify_ode"])
+    def test_malformed_grid_is_a_domain_error(self, build, eq, grid):
+        with pytest.raises(DomainError, match="grid must be"):
+            build(eq, solved(eq), grid=grid)
+
+    @pytest.mark.parametrize("r_min", [0.0, -1.0, math.nan, math.inf])
+    def test_default_grid_rejects_r_min(self, r_min):
+        eq = ps_eq(1, -1, 1.0)
+        with pytest.raises(DomainError, match="r_min must be finite and positive"):
+            default_grid(eq, solved(eq), r_min=r_min)
+
     def test_default_grid_reaches_decay_target(self):
         eq = ps_eq(1, -1, 1.0)
         energy = solved(eq)
