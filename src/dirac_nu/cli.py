@@ -48,6 +48,7 @@ from .wavefn import (
     DECAYING,
     MIN_INTERIOR,
     TERMINATING,
+    check_r_min,
     default_grid,
     pseudospin_components,
     spin_limit_components,
@@ -399,9 +400,8 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     # the table's own verify_ode needs MIN_INTERIOR points between the ends
     if cfg.wf_points < MIN_INTERIOR + 2:
         raise ConfigError(f"wf_points must be at least {MIN_INTERIOR + 2}, got {cfg.wf_points}")
-    # r_max depends on the solved energy, so only the sign of r_min is checked here
-    if not cfg.r_min > 0.0:
-        raise ConfigError(f"r_min must be positive, got {cfg.r_min!r}")
+    # r_max depends on the solved energy, so only r_min itself is checked here
+    check_r_min(cfg.r_min)
     opts = _solve_options(cfg)
     params = _model_params(cfg)
     n, kappa = cfg.states[0]

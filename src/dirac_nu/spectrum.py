@@ -55,7 +55,6 @@ single assembly, named "strict".
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -82,7 +81,7 @@ from .model import (
     kappa_to_pseudo_l,
     potential_coeffs,
 )
-from .nu_core import RADICAND_CLAMP, NuProblem, derive_constants
+from .nu_core import RADICAND_CLAMP, NuProblem
 
 ASSEMBLY_REFERENCE = "reference"
 ASSEMBLY_STRICT = "strict"
@@ -96,9 +95,6 @@ ORACLE_MATCH_FACTOR = 1e3
 BACKSUB_REL_TOL = 1e-6
 # at most this many bisection steps per root
 BISECT_MAX_ITER = 200
-# each thread holds the scan's four rows for grids up to this many points
-# (4 MiB); a larger grid gets a block of its own for that solve only
-SCAN_WORKSPACE_MAX_POINTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -203,12 +199,17 @@ def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[f
     _check_margin(margin)
     eps = (1e-9 * p.mass) if margin is None else margin
     x_lo, x_hi = -p.mass, p.mass + s * p.c_sym
-    lo, hi = (x_lo, x_hi) if s > 0.0 else (-x_hi, -x_lo)
-    lo, hi = lo + eps, hi - eps
-    if not lo < hi:
+    core_lo, core_hi = (x_lo, x_hi) if s > 0.0 else (-x_hi, -x_lo)
+    lo, hi = core_lo + eps, core_hi - eps
+    if not core_lo < core_hi:
         raise NoPhysicalWindow(
             f"no bound-state window: c_sym={p.c_sym!r} closes the interval "
             f"({lo!r}, {hi!r}) for mass {p.mass!r}"
+        )
+    if not lo < hi:
+        raise NoPhysicalWindow(
+            f"no bound-state window: margin={eps!r} on each side closes the interval "
+            f"({core_lo!r}, {core_hi!r}) of c_sym={p.c_sym!r} for mass {p.mass!r}"
         )
     return lo, hi
 
@@ -259,9 +260,9 @@ def _f_arrays(
 
     Written with in-place ufuncs on the four rows of ``out``, shape
     (4, energies.size), fresh memory when it is None; f is returned in row
-    1 and row 0 (4 A) is free afterwards.  Fresh grid-sized buffers cost
+    1 and row 0 (4 A) is free afterwards.  Fresh grid-sized temporaries cost
     more than the arithmetic: glibc hands freed memory of that size back to
-    the OS, so every new buffer is page-faulted in again on first touch.
+    the OS, so each one is page-faulted in again on first touch.
     Every element sees the IEEE operations of :func:`_f_point` in the same
     order (a + b and b + a round alike), and ``energies`` is only read.
     """
@@ -307,21 +308,6 @@ def _f_arrays(
     four_a *= 4.0
     f -= four_a
     return f
-
-
-_scan_workspace = threading.local()
-
-
-def _scan_rows(points: int) -> NDArray[np.float64]:
-    """Four rows of ``points`` doubles for :func:`_f_arrays`: a view of this
-    thread's held block, grown to the largest grid seen up to
-    ``SCAN_WORKSPACE_MAX_POINTS``, or a block of its own above that."""
-    if points > SCAN_WORKSPACE_MAX_POINTS:
-        return np.empty((4, points))
-    block = getattr(_scan_workspace, "block", None)
-    if block is None or block.shape[1] < points:
-        block = _scan_workspace.block = np.empty((4, points))
-    return block[:, :points]
 
 
 def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
@@ -561,14 +547,6 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     raises OracleMismatch; a mismatch within two ulps of the root, where
     ``ORACLE_MATCH_FACTOR * opts.bisect_tol`` is too small for doubles to
     meet, raises DomainError instead.
-
-    The scan works in four rows of grid size taken from a block held per
-    thread (``threading.local``), so repeated solves touch memory that is
-    already mapped and concurrent solves on different threads never share
-    it.  The block grows to the largest grid a thread has scanned, up to
-    ``SCAN_WORKSPACE_MAX_POINTS`` (2**17) points, or 4 MiB; at the default
-    20001 points a thread holds about 0.6 MiB.  A larger grid is scanned
-    in a block of its own, freed with the solve.
     """
     lo, hi = search_window(eq, opts.margin)
     grid = np.linspace(lo, hi, opts.grid_points)
@@ -586,7 +564,11 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
             # samples; np.unique sorts them and drops the repeats
             grid = np.unique(grid)
     terms = _f_terms(eq)
-    rows = _scan_rows(grid.size)
+    # one (4, n) block, not four rows: glibc raises its mmap threshold to the
+    # largest block it has freed, so after a solve or two a block this size
+    # comes from memory already mapped, while separate grid-sized rows are
+    # trimmed and faulted in again on every solve
+    rows = np.empty((4, grid.size))
     f = _f_arrays(terms, grid, rows)
     valid = np.isfinite(f)
 

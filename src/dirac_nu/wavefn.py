@@ -211,6 +211,12 @@ def branch_functions(eq: EnergyEquation, energy: float, branch: str = DECAYING) 
     )
 
 
+def check_r_min(r_min: float) -> None:
+    """The one rule for a radial grid's inner end: finite and positive."""
+    if not (math.isfinite(r_min) and r_min > 0.0):
+        raise DomainError(f"r_min must be finite and positive, got {r_min!r}")
+
+
 def default_grid(
     eq: EnergyEquation,
     energy: float,
@@ -224,8 +230,7 @@ def default_grid(
     """
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points!r}")
-    if not (math.isfinite(r_min) and r_min > 0.0):
-        raise DomainError(f"r_min must be finite and positive, got {r_min!r}")
+    check_r_min(r_min)
     nu = derive_constants(normal_form(eq, energy)).sqrt_c8
     return _log_grid(eq.params.alpha, nu, energy, n_points, r_min)
 

@@ -259,16 +259,22 @@ class TestWavefunction:
             assert captured.out == ""
             assert "at least 52" in captured.err
 
-    @pytest.mark.parametrize("r_min", ["0", "-1"])
-    def test_nonpositive_r_min_is_config_error_before_solving(self, r_min, capsys, monkeypatch):
+    @pytest.mark.parametrize("r_min", ["0", "-1", "inf", "nan"])
+    def test_nonpositive_r_min_is_config_error_before_solving(
+        self, r_min, capsys, monkeypatch, tmp_path
+    ):
+        # c_sym = -10 closes the window, so a solve would exit 3
         monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r_min": float(r_min)}))
         for extra in ((), ("--c-sym", "-10")):
-            code = main(["wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1",
-                         "--r-min", r_min, *extra])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert "r_min must be positive" in captured.err
+            for source in (("--r-min", r_min), ("--config", str(cfg))):
+                code = main(["wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1",
+                             *source, *extra])
+                captured = capsys.readouterr()
+                assert code == 2
+                assert captured.out == ""
+                assert "r_min must be finite and positive" in captured.err
 
     def test_r_min_beyond_r_max_fails_after_solving(self, capsys, monkeypatch):
         # r_max follows from the solved energy, so this is a solve failure
