@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -9,7 +10,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, SolverError
-from .model import ModelParams, StateIndex, centrifugal_approx, eval_potential, eval_tensor, potential_coeffs
+from .model import (
+    ModelParams,
+    StateIndex,
+    centrifugal_approx,
+    eval_potential,
+    eval_tensor,
+    potential_coeffs,
+    within_doubles,
+)
 from .spectrum import SolveOptions, _doublet_energies, check_doublet
 
 DEFAULT_H_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -35,23 +44,31 @@ class ApproxReport:
     max_rel_err_nocorr: float
 
 
+def log_grid(r_min: float, r_max: float, n_points: int) -> NDArray[np.float64]:
+    """The one rule for a log-spaced radial grid: finite 0 < r_min < r_max, n_points >= 2."""
+    if not (0.0 < r_min < r_max and math.isfinite(r_max)):
+        raise DomainError(f"need finite 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
+    if n_points < 2:
+        raise DomainError(f"n_points must be >= 2, got {n_points!r}")
+    return np.geomspace(r_min, r_max, n_points)
+
+
 def approx_report(
     params: ModelParams,
     r_min: float = 1e-3,
     r_max: float = 10.0,
     n_points: int = 2000,
 ) -> ApproxReport:
-    """Evaluate both surrogate variants on a log-spaced grid."""
-    if not 0.0 < r_min < r_max:
-        raise DomainError(f"need 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points!r}")
-    r = np.geomspace(r_min, r_max, n_points)
-    exact = 1.0 / (r * r)
-    approx = np.asarray(centrifugal_approx(params, r))
-    nocorr = np.asarray(centrifugal_approx(replace(params, c0=0.0), r))
-    rel = np.abs(approx - exact) / exact
-    rel0 = np.abs(nocorr - exact) / exact
+    """Evaluate both surrogate variants on a :func:`log_grid`."""
+    r = log_grid(r_min, r_max, n_points)
+    with within_doubles(f"1/r^2 or its surrogate on r in [{r_min!r}, {r_max!r}] "
+                        f"at alpha = {params.alpha!r}"):
+        exact = 1.0 / (r * r)
+        approx = np.asarray(centrifugal_approx(params, r))
+        nocorr = np.asarray(centrifugal_approx(replace(params, c0=0.0), r))
+        x = params.alpha * r
+        rel = _rel_err(params.c0, x, approx, exact)
+        rel0 = _rel_err(0.0, x, nocorr, exact)
     i = int(np.argmax(rel))
     return ApproxReport(
         r=r,
@@ -64,6 +81,36 @@ def approx_report(
         r_at_max=float(r[i]),
         max_rel_err_nocorr=float(np.max(rel0)),
     )
+
+
+# h(x) = x^2 / sinh^2 x - 1 + x^2 / 3 = x^4 (1/15 - 2 x^2 / 189 + ...), the
+# coefficients of x^4 through x^26: below x = 1/2 the terms left out are
+# under 1e-17 of the sum
+_H_SERIES = (
+    1 / 15, -2 / 189, 1 / 675, -2 / 10395, 1382 / 58046625, -4 / 1403325,
+    3617 / 10854718875, -87734 / 2292899734125, 349222 / 80596287646875,
+    -310732 / 640374140030625, 472728182 / 8779111824511153125,
+    -2631724 / 443779279041223125,
+)
+_SERIES_BELOW = 0.5
+
+
+def _rel_err(c0: float, x: NDArray[np.float64], approx: NDArray[np.float64],
+             exact: NDArray[np.float64]) -> NDArray[np.float64]:
+    """|approx - exact| / exact at x = alpha r, equal to |(4 C0 - 1/3) x^2 + h(x)|.
+
+    Below x = 1/2 the difference cancels, and what is left of it follows the
+    rounding of the CPU's exp kernels; there the second form is taken, with
+    h from its series.
+    """
+    rel = np.abs(approx - exact) / exact
+    small = x < _SERIES_BELOW
+    y = x[small] * x[small]
+    h = np.zeros_like(y)
+    for coeff in reversed(_H_SERIES):
+        h = h * y + coeff
+    rel[small] = np.abs((4.0 * c0 - 1.0 / 3.0) * y + y * y * h)
+    return rel
 
 
 @dataclass(frozen=True)
@@ -79,12 +126,11 @@ class PotentialProfile:
 def potential_profile(params: ModelParams, r: NDArray[np.float64]) -> PotentialProfile:
     """Evaluate V(r) and U(r) on the given radii."""
     r = np.asarray(r, dtype=float)
-    return PotentialProfile(
-        r=r,
-        v=np.asarray(eval_potential(params, r)),
-        u=np.asarray(eval_tensor(params.tensor_h, r)),
-        asymptote=potential_coeffs(params).v3,
-    )
+    with within_doubles(f"V or U at alpha = {params.alpha!r}, a_shape = {params.a_shape!r}, "
+                        f"tensor_h = {params.tensor_h!r}"):
+        v = np.asarray(eval_potential(params, r))
+        u = np.asarray(eval_tensor(params.tensor_h, r))
+    return PotentialProfile(r=r, v=v, u=u, asymptote=potential_coeffs(params).v3)
 
 
 @dataclass(frozen=True)

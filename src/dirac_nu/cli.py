@@ -9,8 +9,9 @@ Subcommands:
 
 Configuration comes from (in increasing precedence) built-in defaults, a
 JSON config file (``--config`` or the PSEUDOSPIN_CONFIG environment
-variable), and command-line flags.  Unknown config keys, and config values
-of the wrong type or outside their choices, are rejected by key name.
+variable), and command-line flags.  Every scalar ``RunConfig`` field is both
+a config key and a flag, and both pass one check: an unknown key, or a value
+of the wrong type or outside its choices, is rejected by key name.
 Output is CSV or JSON (``--format``), written to stdout or ``--out``;
 floats carry 12 significant digits and runs are byte-deterministic.
 
@@ -29,9 +30,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
-from .analysis import DEFAULT_H_VALUES, approx_report, h_sweep, potential_profile
+from .analysis import DEFAULT_H_VALUES, approx_report, h_sweep, log_grid, potential_profile
 from .errors import ConfigError, DomainError, SolverError
 from .model import PSEUDOSPIN, SPIN, ModelParams, StateIndex
 from .refdata import load_reference
@@ -75,21 +74,21 @@ _TABLE_ALIASES = {
 class RunConfig:
     """Validated run configuration shared by all subcommands."""
 
-    mass: float = 5.0
-    symmetry: str = PSEUDOSPIN
-    c_sym: float = 0.0
-    tensor_h: float = 0.0
-    alpha: float = 0.6
-    a_shape: float = 5.0
-    c0: float = 1.0 / 12.0
-    strict_domain: bool = True
+    mass: float = 5.0  # ModelParams has no default mass
+    symmetry: str = ModelParams.symmetry
+    c_sym: float = ModelParams.c_sym
+    tensor_h: float = ModelParams.tensor_h
+    alpha: float = ModelParams.alpha
+    a_shape: float = ModelParams.a_shape
+    c0: float = ModelParams.c0
+    strict_domain: bool = ModelParams.strict_domain
     assembly: Optional[str] = None
     states: tuple[tuple[int, int], ...] = ()
     doublets: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
     h_values: tuple[float, ...] = DEFAULT_H_VALUES
-    grid_points: int = 20001
-    bisect_tol: float = 1e-12
-    margin: Optional[float] = None
+    grid_points: int = SolveOptions.grid_points
+    bisect_tol: float = SolveOptions.bisect_tol
+    margin: Optional[float] = SolveOptions.margin
     branch: str = DECAYING
     wf_points: int = 2000
     r_min: float = 1e-4
@@ -112,13 +111,16 @@ class RunConfig:
         entries of ``states``, ``doublets`` and ``h_values`` follow the same
         rules.  Anything else raises ConfigError naming the key.
         """
-        types = {f.name: f.type for f in fields(cls)}
         checked = {}
         for key, value in data.items():
-            if key not in types:
+            if key not in _FIELDS:
                 raise ConfigError(f"unknown config key: {key!r}")
-            checked[key] = _check_value(key, types[key], value)
+            checked[key] = _check_value(key, _FIELDS[key], value)
         return cls(**checked)
+
+
+# the one list of options: each RunConfig field's name and annotation
+_FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _bad(key: str, value: Any, expected: str) -> ConfigError:
@@ -126,10 +128,16 @@ def _bad(key: str, value: Any, expected: str) -> ConfigError:
 
 
 def _number(key: str, value: Any, kind: type) -> Any:
-    # a JSON 5 for a float key means 5.0, so outputs print it as a float
+    # a JSON 5 for a float key means 5.0, so outputs print it as a float; an
+    # int that no double holds is refused for either kind
+    expected = "an integer" if kind is int else "a number"
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise _bad(key, value, "an integer" if kind is int else "a number")
-    return kind(value)
+        raise _bad(key, value, expected)
+    try:
+        as_float = float(value)
+    except OverflowError:
+        raise _bad(key, value, expected + " within the doubles") from None
+    return value if kind is int else as_float
 
 
 def _list(key: str, value: Any) -> Any:
@@ -194,11 +202,9 @@ def _model_params(cfg: RunConfig) -> ModelParams:
 
 
 def _solve_options(cfg: RunConfig) -> SolveOptions:
-    return SolveOptions(
-        grid_points=cfg.grid_points,
-        bisect_tol=cfg.bisect_tol,
-        margin=cfg.margin,
-    )
+    # oracle_check is not a RunConfig field and keeps its default
+    return SolveOptions(**{f.name: getattr(cfg, f.name) for f in fields(SolveOptions)
+                           if f.name in _FIELDS})
 
 
 def _header(params: ModelParams, cfg: RunConfig, **extra: Any) -> dict[str, Any]:
@@ -222,6 +228,11 @@ def _csv_cell(value: Any, missing: str = "") -> str:
     if isinstance(value, list):
         return ";".join(map(_fmt, value))
     return _fmt(value)
+
+
+def _records(columns: Sequence[str], *arrays: Any) -> list[dict[str, Any]]:
+    """One record per row of the equal-length ``arrays``, keyed by ``columns``."""
+    return [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in arrays))]
 
 
 def _emit(
@@ -311,10 +322,8 @@ def cmd_solve(cfg: RunConfig) -> int:
             record = {**base, "error": f"{type(exc).__name__}: {exc}"}
         records.append(record)
 
-    columns = [
-        "n", "kappa", "H", "Lambda_or_Eta", "spectroscopic_label",
-        "E_selected", "E_all_real_roots", "residual", "error",
-    ]
+    columns = ["n", "kappa", "H", "Lambda_or_Eta", "spectroscopic_label",
+               "E_selected", "E_all_real_roots", "residual", "error"]
     _emit(cfg, _header(params, cfg), columns, records)
     return 3 if failed else 0
 
@@ -394,9 +403,7 @@ def cmd_table(cfg: RunConfig, which: str) -> int:
 def cmd_wavefunction(cfg: RunConfig) -> int:
     """Sample the spinor pair of exactly one configured state."""
     if len(cfg.states) != 1:
-        raise ConfigError(
-            f"wavefunction needs exactly one state, got {len(cfg.states)}"
-        )
+        raise ConfigError(f"wavefunction needs exactly one state, got {len(cfg.states)}")
     # the table's own verify_ode needs MIN_INTERIOR points between the ends
     if cfg.wf_points < MIN_INTERIOR + 2:
         raise ConfigError(f"wf_points must be at least {MIN_INTERIOR + 2}, got {cfg.wf_points}")
@@ -429,19 +436,15 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         "node_count": table.node_count,
         "residual_norm": table.residual_norm,
     }
-    records = [
-        {"r": r, "G": g, "F": f}
-        for r, g, f in zip(table.r.tolist(), table.g.tolist(), table.f.tolist())
-    ]
+    columns = ["r", "G", "F"]
+    records = _records(columns, table.r, table.g, table.f)
     header = _header(params, cfg, n=n, kappa=kappa, branch=table.branch)
-    _emit(cfg, header, ["r", "G", "F"], records, summary=summary)
+    _emit(cfg, header, columns, records, summary=summary)
     return 0
 
 
-def _default_doublets(symmetry: str) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    if symmetry == PSEUDOSPIN:
-        return (((1, -1), (1, 2)),)
-    return (((0, -2), (0, 1)),)
+# the doublet a sweep follows when the config names none
+_DEFAULT_DOUBLETS = {PSEUDOSPIN: (((1, -1), (1, 2)),), SPIN: (((0, -2), (0, 1)),)}
 
 
 def cmd_analyze(cfg: RunConfig, which: str) -> int:
@@ -453,75 +456,56 @@ def cmd_analyze(cfg: RunConfig, which: str) -> int:
             f"max_rel_err = {_fmt(report.max_rel_err)} at r = {_fmt(report.r_at_max)}",
             f"max_rel_err with c0 = 0: {_fmt(report.max_rel_err_nocorr)}",
         ]
-        records = [
-            {"r": r, "exact": e, "approx": a, "rel_err": d}
-            for r, e, a, d in zip(report.r.tolist(), report.exact.tolist(),
-                                  report.approx.tolist(), report.rel_err.tolist())
-        ]
-        _emit(cfg, _header(params, cfg), ["r", "exact", "approx", "rel_err"], records, notes)
+        columns = ["r", "exact", "approx", "rel_err"]
+        records = _records(columns, report.r, report.exact, report.approx, report.rel_err)
+        _emit(cfg, _header(params, cfg), columns, records, notes)
         return 0
 
     if which == "potential":
-        r = np.geomspace(cfg.profile_r_min, cfg.profile_r_max, cfg.profile_points)
+        r = log_grid(cfg.profile_r_min, cfg.profile_r_max, cfg.profile_points)
         profile = potential_profile(params, r)
         notes = [f"asymptote V3 = {_fmt(profile.asymptote)}"]
-        records = [
-            {"r": rr, "V": v, "U": u}
-            for rr, v, u in zip(profile.r.tolist(), profile.v.tolist(), profile.u.tolist())
-        ]
-        _emit(cfg, _header(params, cfg), ["r", "V", "U"], records, notes)
+        columns = ["r", "V", "U"]
+        records = _records(columns, profile.r, profile.v, profile.u)
+        _emit(cfg, _header(params, cfg), columns, records, notes)
         return 0
 
     if which == "sweep":
-        pairs = cfg.doublets or _default_doublets(params.symmetry)
-        doublets = [
-            (StateIndex(*neg), StateIndex(*pos)) for neg, pos in pairs
-        ]
+        pairs = cfg.doublets or _DEFAULT_DOUBLETS[params.symmetry]
+        doublets = [(StateIndex(*neg), StateIndex(*pos)) for neg, pos in pairs]
         sweep = h_sweep(params, doublets, cfg.h_values, _solve_options(cfg))
-        records = []
-        for row in sweep.rows:
-            for label, energy in ((row.label_neg, row.energy_neg), (row.label_pos, row.energy_pos)):
-                records.append({
-                    "H": row.tensor_h,
-                    "state": label,
-                    "E_selected": energy,
-                    "delta_E": row.delta_e,
-                    **({"error": row.error} if row.error else {}),
-                })
-        _emit(cfg, _header(params, cfg), ["H", "state", "E_selected", "delta_E"], records,
-              sweep.directions)
+        columns = ["H", "state", "E_selected", "delta_E"]
+        records = [
+            {**dict(zip(columns, (row.tensor_h, label, energy, row.delta_e))),
+             **({"error": row.error} if row.error else {})}
+            for row in sweep.rows
+            for label, energy in ((row.label_neg, row.energy_neg), (row.label_pos, row.energy_pos))
+        ]
+        _emit(cfg, _header(params, cfg), columns, records, sweep.directions)
         return 3 if any(row.error for row in sweep.rows) else 0
 
     raise ConfigError(f"unknown analyze target {which!r}; choose approx, potential, or sweep")
 
 
+# the annotation of each scalar RunConfig field and the flag type it parses to
+_FLAG_TYPES = {"float": float, "int": int, "str": str}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Every scalar RunConfig field as a flag ``--<name with dashes>``, None
+    when left out; ``--n`` and ``--kappa`` stand for ``states``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config file")
-    common.add_argument("--mass", type=float)
-    common.add_argument("--symmetry", choices=_CHOICES["symmetry"])
-    common.add_argument("--c-sym", type=float, dest="c_sym")
-    common.add_argument("--tensor-h", type=float, dest="tensor_h")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--a-shape", type=float, dest="a_shape")
-    common.add_argument("--c0", type=float)
-    common.add_argument(
-        "--strict-domain",
-        action=argparse.BooleanOptionalAction,
-        dest="strict_domain",
-        default=None,
-    )
-    common.add_argument("--assembly", choices=_CHOICES["assembly"])
     common.add_argument("--n", type=int)
     common.add_argument("--kappa", type=int)
-    common.add_argument("--grid-points", type=int, dest="grid_points")
-    common.add_argument("--bisect-tol", type=float, dest="bisect_tol")
-    common.add_argument("--margin", type=float)
-    common.add_argument("--branch", choices=_CHOICES["branch"])
-    common.add_argument("--wf-points", type=int, dest="wf_points")
-    common.add_argument("--r-min", type=float, dest="r_min")
-    common.add_argument("--format", choices=_CHOICES["format"])
-    common.add_argument("--out")
+    for name, annotation in _FIELDS.items():
+        flag = "--" + name.replace("_", "-")
+        kind = annotation.removeprefix("Optional[").removesuffix("]")
+        if kind == "bool":
+            common.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
+        elif kind in _FLAG_TYPES:
+            common.add_argument(flag, dest=name, type=_FLAG_TYPES[kind],
+                                choices=_CHOICES.get(name))
 
     parser = argparse.ArgumentParser(
         prog="dirac-nu",
@@ -537,14 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = (
-    "mass", "symmetry", "c_sym", "tensor_h", "alpha", "a_shape", "c0",
-    "strict_domain", "assembly", "grid_points", "bisect_tol", "margin",
-    "branch", "wf_points", "r_min", "format", "out",
-)
-
-
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then the flags, checked once by ``from_dict``."""
     data: dict[str, Any] = {}
     path = ns.config or os.environ.get("PSEUDOSPIN_CONFIG")
     if path:
@@ -557,20 +535,14 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"invalid JSON in config {path!r}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-    cfg = RunConfig.from_dict(data)
 
-    overrides: dict[str, Any] = {}
-    for key in _FLAG_KEYS:
-        value = getattr(ns, key, None)
-        if value is not None:
-            overrides[key] = value
+    flags = {name: value for name, value in vars(ns).items()
+             if name in _FIELDS and value is not None}
     if (ns.n is None) != (ns.kappa is None):
         raise ConfigError("--n and --kappa must be given together")
     if ns.n is not None:
-        overrides["states"] = ((ns.n, ns.kappa),)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+        flags["states"] = [[ns.n, ns.kappa]]
+    return RunConfig.from_dict({**data, **flags})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

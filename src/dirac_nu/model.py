@@ -24,8 +24,9 @@ which keeps the transformed equation exactly solvable.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -103,14 +104,44 @@ class PotentialCoeffs:
         return self.v1 + self.v2 + self.v3
 
 
+@contextmanager
+def within_doubles(what: str) -> Iterator[None]:
+    """DomainError naming ``what`` where a numpy operation inside overflows,
+    divides by zero or makes a NaN, instead of a warning and a non-finite value."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"{what} leaves the doubles: {exc}") from None
+
+
+def four_alpha2(alpha: float) -> float:
+    """4 alpha^2, the scale of the 1/r^2 surrogate; DomainError unless it is a
+    finite nonzero double."""
+    value = 4.0 * (alpha * alpha)
+    if not 0.0 < value < math.inf:
+        raise DomainError(
+            f"alpha = {alpha!r} puts 4 alpha^2 = {value!r} outside the finite nonzero doubles"
+        )
+    return value
+
+
 def potential_coeffs(params: ModelParams) -> PotentialCoeffs:
-    """Coefficients (V1, V2, V3) for the given screening rate and shape."""
+    """Coefficients (V1, V2, V3) for the given screening rate and shape;
+    DomainError when one of them leaves the doubles."""
+    four_alpha2(params.alpha)
     a2 = params.alpha * params.alpha
-    return PotentialCoeffs(
+    coeffs = PotentialCoeffs(
         v1=a2 / 4.0,
         v2=(params.a_shape - 8.0) * a2 / 4.0,
         v3=(4.0 - params.a_shape) * a2 / 4.0,
     )
+    if not (math.isfinite(coeffs.v2) and math.isfinite(coeffs.v3)):
+        raise DomainError(
+            f"alpha = {params.alpha!r} and a_shape = {params.a_shape!r} put "
+            f"V2 = {coeffs.v2!r} or V3 = {coeffs.v3!r} past the doubles"
+        )
+    return coeffs
 
 
 def _require_positive_radii(r: ArrayLike) -> NDArray[np.float64]:
@@ -148,10 +179,10 @@ def eval_tensor(tensor_h: float, r: ArrayLike) -> ArrayLike:
 def centrifugal_approx(params: ModelParams, r: ArrayLike) -> ArrayLike:
     """Exponential surrogate for 1/r^2: 4 a^2 [C0 + s / (1 - s)^2]."""
     arr = _require_positive_radii(r)
+    four_a2 = four_alpha2(params.alpha)
     s = np.exp(-2.0 * params.alpha * arr)
     one_minus_s = -np.expm1(-2.0 * params.alpha * arr)
-    a2 = params.alpha * params.alpha
-    value = 4.0 * a2 * (params.c0 + s / (one_minus_s * one_minus_s))
+    value = four_a2 * (params.c0 + s / (one_minus_s * one_minus_s))
     return float(value) if np.isscalar(r) else value
 
 

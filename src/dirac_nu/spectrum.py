@@ -54,6 +54,7 @@ single assembly, named "strict".
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -77,9 +78,11 @@ from .model import (
     ModelParams,
     PotentialCoeffs,
     StateIndex,
+    four_alpha2,
     kappa_to_l_j,
     kappa_to_pseudo_l,
     potential_coeffs,
+    within_doubles,
 )
 from .nu_core import RADICAND_CLAMP, NuProblem
 
@@ -200,6 +203,11 @@ def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[f
     eps = (1e-9 * p.mass) if margin is None else margin
     x_lo, x_hi = -p.mass, p.mass + s * p.c_sym
     core_lo, core_hi = (x_lo, x_hi) if s > 0.0 else (-x_hi, -x_lo)
+    if not math.isfinite(core_hi - core_lo):
+        raise DomainError(
+            f"mass = {p.mass!r} and c_sym = {p.c_sym!r} make the window "
+            f"({core_lo!r}, {core_hi!r}) wider than the doubles"
+        )
     lo, hi = core_lo + eps, core_hi - eps
     if not core_lo < core_hi:
         raise NoPhysicalWindow(
@@ -232,25 +240,51 @@ class _FTerms(NamedTuple):
     clamp: float  # -4 RADICAND_CLAMP
 
 
+# the terms of _FTerms that can leave the doubles when every parameter is a
+# finite double (4 alpha^2 and the V terms are checked where they are made),
+# each with its formula and the parameters it is made from
+_TERM_SOURCES = {
+    "ll_c0": ("q (q - 1) C0", ("tensor_h", "c0")),
+    "c9_base": ("(q - 1/2)^2", ("tensor_h",)),
+    "w_scale": ("scale / (4 alpha^2)", ("alpha",)),
+}
+
+
 def _f_terms(eq: EnergyEquation) -> _FTerms:
+    """The constants of f; DomainError naming the parameters of any that
+    leaves the doubles."""
     p = eq.params
     c = eq.coeffs
     s = eq.mirror
-    a2 = p.alpha * p.alpha
-    return _FTerms(
+    four_a2 = four_alpha2(p.alpha)
+    try:
+        c9_base = (eq.q - 0.5) ** 2
+    except OverflowError:
+        c9_base = math.inf
+    terms = _FTerms(
         mirror=s,
         mass=p.mass,
         c_sym=s * p.c_sym,
         ll_c0=eq.q * (eq.q - 1.0) * p.c0,
-        c9_base=(eq.q - 0.5) ** 2,
-        w_scale=eq.scale / (4.0 * a2),
-        four_a2=4.0 * a2,
+        c9_base=c9_base,
+        w_scale=eq.scale / four_a2,
+        four_a2=four_a2,
         v1=s * c.v1,
         v3=s * c.v3,
         v_total=s * c.total,
         width=2.0 * eq.state.n + 1.0,
         clamp=-4.0 * RADICAND_CLAMP,
     )
+    for name, (formula, sources) in _TERM_SOURCES.items():
+        value = getattr(terms, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{_given(p, *sources)} put {formula} = {value!r} past the doubles")
+    return terms
+
+
+def _given(params: ModelParams, *names: str) -> str:
+    """``name = value`` for each named parameter, for an error message."""
+    return ", ".join(f"{name} = {getattr(params, name)!r}" for name in names)
 
 
 def _f_arrays(
@@ -569,24 +603,31 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     # comes from memory already mapped, while separate grid-sized rows are
     # trimmed and faulted in again on every solve
     rows = np.empty((4, grid.size))
-    f = _f_arrays(terms, grid, rows)
+    with within_doubles(f"f on the scan of the window ({lo!r}, {hi!r}) at "
+                        f"{_given(eq.params, 'mass', 'c_sym')}"):
+        f = _f_arrays(terms, grid, rows)
     valid = np.isfinite(f)
 
-    # the product goes into the 4 A row, free once f is done
-    sign_change = np.multiply(f[:-1], f[1:], out=rows[0, :-1]) < 0.0
+    # the product goes into the 4 A row, free once f is done; one past the
+    # doubles is +-inf, its sign intact
+    with np.errstate(over="ignore"):
+        sign_change = np.multiply(f[:-1], f[1:], out=rows[0, :-1]) < 0.0
     both_valid = valid[:-1] & valid[1:]
     bracket_lo = list(np.nonzero(sign_change & both_valid)[0])
 
-    energies: list[float] = []
-    for i in bracket_lo:
-        root = _bisect(terms, float(grid[i]), float(grid[i + 1]), float(f[i]), float(f[i + 1]), opts)
-        energies.append(root)
-    # exact zeros on the grid (rare but cheap to honor)
+    # one root per bracket, ascending as the brackets are
+    bisected = [_bisect(terms, float(grid[i]), float(grid[i + 1]), float(f[i]), float(f[i + 1]),
+                        opts) for i in bracket_lo]
+    # exact zeros on the grid (rare but cheap to honor), each unless a
+    # bisection root or the last zero kept lies within bisect_tol of it
+    zeros: list[float] = []
     for i in np.nonzero(valid & (f == 0.0))[0]:
         e = float(grid[i])
-        if not any(abs(e - r) <= opts.bisect_tol for r in energies):
-            energies.append(e)
-    energies.sort()
+        at = bisect.bisect_left(bisected, e)
+        near = bisected[max(at - 1, 0):at + 1] + zeros[-1:]
+        if not any(abs(e - r) <= opts.bisect_tol for r in near):
+            zeros.append(e)
+    energies = sorted(bisected + zeros)
 
     roots: list[EnergyRoot] = []
     for e in energies:
@@ -744,6 +785,14 @@ def quartic_oracle(
     order written above.
     """
     poly = _sextic(eq)
+    # np.roots takes doubles; a coefficient past them would be cast to inf
+    largest = np.abs(poly).max()
+    if not largest <= np.finfo(float).max:
+        raise DomainError(
+            f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put a "
+            f"coefficient of the oracle's polynomial at "
+            f"{np.format_float_scientific(largest, precision=3)}, past the doubles"
+        )
     coeffs_ld = poly[::-1]  # high degree first
     if not coeffs_ld.any():
         raise DegenerateLeadingCoefficient("eliminated polynomial is identically zero")

@@ -47,7 +47,7 @@ from .errors import (
     GridTooCoarse,
     NonNormalizable,
 )
-from .model import PSEUDOSPIN, SPIN, StateIndex
+from .model import PSEUDOSPIN, SPIN, StateIndex, within_doubles
 from .nu_core import NuProblem, derive_constants
 from .spectrum import EnergyEquation, normal_form
 
@@ -319,7 +319,9 @@ def lower_component(
     if eq.params.symmetry != PSEUDOSPIN:
         raise DomainError("lower_component expects a pseudospin-limit equation")
     bf, r = _branch_and_grid(eq, energy, branch, grid)
-    g = bf.evaluate(-2.0 * eq.params.alpha * r)[0]
+    with within_doubles(f"the lower component on r in [{float(r[0])!r}, {float(r[-1])!r}] "
+                        f"at alpha = {eq.params.alpha!r}"):
+        g = bf.evaluate(-2.0 * eq.params.alpha * r)[0]
     return WavefunctionTable(
         state=eq.state,
         symmetry=eq.params.symmetry,
@@ -423,7 +425,8 @@ def _complete(
     at both orders; a result that is not finite and positive, or two orders
     that disagree by more than NORM_RTOL, is NonNormalizable.  The solved
     component is G in the pseudospin limit and F in the spin one; the table
-    counts its nodes.
+    counts its nodes.  The components or the residual leaving the doubles,
+    as they do near a tiny r, is a DomainError.
     """
     p = eq.params
     denom = _coupling_denominator(eq, energy)
@@ -433,9 +436,11 @@ def _complete(
     high_r, high_w = _norm_rule(edges, bf.mu, high_order)
     at = np.concatenate([r, low_r, high_r])
     centrifugal = eq.mirror * (eq.state.kappa + p.tensor_h) / at
-    solved, s_d_ds, _ = bf.evaluate(-2.0 * p.alpha * at)
-    d_dr = -2.0 * p.alpha * s_d_ds
-    partner = (d_dr - centrifugal * solved) / denom
+    table = f"the spinor table on r in [{float(r[0])!r}, {float(r[-1])!r}] at alpha = {p.alpha!r}"
+    with within_doubles(table):
+        solved, s_d_ds, _ = bf.evaluate(-2.0 * p.alpha * at)
+        d_dr = -2.0 * p.alpha * s_d_ds
+        partner = (d_dr - centrifugal * solved) / denom
     density = solved * solved + partner * partner
     split = r.size + low_r.size
     low = float(low_w @ density[r.size : split])
@@ -447,7 +452,8 @@ def _complete(
             f"{low!r} at order {low_order}"
         )
     norm = 1.0 / math.sqrt(integral)
-    residual = verify_ode(eq, energy, branch=bf.branch, grid=r)
+    with within_doubles(table):
+        residual = verify_ode(eq, energy, branch=bf.branch, grid=r)
     solved, partner = solved[: r.size], partner[: r.size]
     g, f = (solved, partner) if p.symmetry == PSEUDOSPIN else (partner, solved)
     return WavefunctionTable(

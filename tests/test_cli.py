@@ -344,12 +344,14 @@ BAD_CONFIGS = [
     (SOLVE_ONE, {"symmetry": "spin", "assembly": "bogus"}, "assembly"),
     (WAVE_ONE, {"symmetry": "spin", "assembly": "bogus"}, "assembly"),
     (SOLVE_ONE, {"out": 3}, "out"),
+    (SOLVE_ONE, {"mass": 10**400}, "mass"),
+    (WAVE_ONE, {"wf_points": 10**400}, "wf_points"),
 ]
 
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("args, data, key", BAD_CONFIGS,
-                             ids=[f"{a[0]} {json.dumps(d)}" for a, d, _ in BAD_CONFIGS])
+                             ids=[f"{a[0]} {json.dumps(d)[:40]}" for a, d, _ in BAD_CONFIGS])
     def test_exits_2_naming_the_key(self, args, data, key, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
         path = tmp_path / "cfg.json"
@@ -362,7 +364,31 @@ class TestMalformedConfig:
         assert captured.err.count("\n") == 1
 
 
+# a profile grid outside the rule of analysis.log_grid, and the message it gives
+BAD_PROFILE_GRIDS = [
+    ({"profile_points": -1}, "n_points must be >= 2"),
+    ({"profile_points": 1}, "n_points must be >= 2"),
+    ({"profile_r_min": 0}, "need finite 0 < r_min < r_max"),
+    ({"profile_r_min": -1}, "need finite 0 < r_min < r_max"),
+    ({"profile_r_min": 20.0}, "need finite 0 < r_min < r_max"),
+    ({"profile_r_min": 10.0}, "need finite 0 < r_min < r_max"),
+    ({"profile_r_max": float("inf")}, "need finite 0 < r_min < r_max"),
+]
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("data, message", BAD_PROFILE_GRIDS,
+                             ids=[json.dumps(d) for d, _ in BAD_PROFILE_GRIDS])
+    def test_bad_profile_grid_exits_2(self, data, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code = main(["analyze", "--which", "potential", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_approx_columns(self):
         code, out, _ = run_cli("analyze", "--which", "approx", "--format", "csv")
         assert code == 0
@@ -426,8 +452,9 @@ class TestAnalyze:
 # limits completed a table through one function; every other digest is the
 # output from before the subcommands shared one serializer; the two sweeps
 # with a config are the output from before both doublet members were solved
-# by one function; the approximation study is the output from before config
-# values were type-checked.  A name in braces stands for a config file of
+# by one function; the two approximation studies print rel_err below
+# alpha r = 1/2 from its series, which no CPU's exp kernel changes.  A name
+# in braces stands for a config file of
 # PINNED_CONFIGS: "{intcfg}" holds integer-valued floats and one state that
 # has no spectroscopic label.
 PINNED = [
@@ -470,11 +497,11 @@ PINNED = [
      "2715056bf433ae0027aa3e8b8e50ae27e5e2e7df68f3adc7fd7fde5859296073",
      "7c2c75a01dcf67d8fc854ec8f02cd98326135a17bb819cfaef577acddac09c88"),
     (("analyze", "--which", "approx"), 0,
-     "e414be5d8e73cd99b110929245b69ceb831ba225bbace3086432658204b365d5",
-     "4aca6551f4cda8c9b0ab9f9327f72fcb2ffeea41b80a5d18ccaa67b692fdd081"),
+     "4967742820e852de952c0589d716ecdf8414bb3696b4c75b8cd634207b4dd50e",
+     "b2b834a6c6ffcb776c8ede8c7f23cd3f17bdc9a91d2f82e22c874f235c647d36"),
     (("analyze", "--which", "approx", "--config", "{approx_study}"), 0,
-     "19cc9fdf663a71badcf268f10b8a555adfaeb88c5da4628444ea69dc73371060",
-     "85a6dae6b598af96824dcf51d5d62af93f8ce6cf5bd34751f673b4c967e0c1a5"),
+     "8aab7488f3eaf39d792859e7ddf046ae8df4da70603087a74a72509e9112166e",
+     "7a5e32acf7b4bca932df59135b13452a2fbc4a050cda14fd949eb98ea5a82166"),
     (("analyze", "--which", "potential"), 0,
      "631a8a32566eade416b7ede35e62dcc25ba3a59dce90a346daed09c5782e3177",
      "6cb2dd3ca13fcc48c23840af80024989017fa98801b69b0d271468e24a904d7c"),
@@ -506,6 +533,44 @@ PINNED_CONFIGS = {
 }
 
 
+# finite inputs whose derived quantities leave the doubles, each with the
+# exit code and the parameter its error names
+OVERFLOWS = [
+    (("solve", "--mass", "1e75", "--tensor-h", "1", "--n", "1", "--kappa", "-1"), 3, "mass"),
+    (("solve", "--c-sym", "1e155", "--n", "1", "--kappa", "-1"), 3, "c_sym"),
+    (("solve", "--tensor-h", "1e155", "--n", "2", "--kappa", "-3"), 3, "tensor_h"),
+    (("solve", "--mass", "1e300", "--n", "1", "--kappa", "-1"), 3, "mass"),
+    (("analyze", "--which", "sweep", "--alpha", "1e-300", "--no-strict-domain"), 3, "alpha"),
+    (("analyze", "--which", "approx", "--alpha", "1e155", "--no-strict-domain"), 2, "alpha"),
+    (("analyze", "--which", "potential", "--alpha", "1e155", "--no-strict-domain"), 2, "alpha"),
+    (("analyze", "--which", "potential", "--profile-r-min", "1e-300"), 2, "alpha"),
+    (("wavefunction", "--r-min", "1e-270", "--n", "2", "--kappa", "3"), 3, "r in"),
+    (("solve", "--n", "1", "--kappa", str(-10**400)), 2, "'states'"),
+    (("wavefunction", "--n", str(10**400), "--kappa", "-1"), 2, "'states'"),
+]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("args, code, name", OVERFLOWS,
+                             ids=[" ".join(a)[:80] for a, _, _ in OVERFLOWS])
+    def test_named_error_without_traceback(self, args, code, name, capsys, monkeypatch):
+        # in process, so a RuntimeWarning or an escaping exception fails the test
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        got = main(list(args))
+        captured = capsys.readouterr()
+        assert got == code
+        if captured.err:
+            errors = [captured.err]
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        else:  # solve and sweep put the error into the failed records
+            errors = [rec["error"] for rec in json.loads(captured.out)["records"]]
+        assert errors and all(e.startswith(("error: DomainError: ", "DomainError: "))
+                              or code == 2 for e in errors)
+        assert all(name in e for e in errors)
+        if code == 2:
+            assert captured.out == ""
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
@@ -523,6 +588,19 @@ class TestPinnedOutput:
         assert got_code == code
         digest = json_digest if fmt == "json" else csv_digest
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_flags_and_config_keys_are_one_schema(self, tmp_path, capsys, monkeypatch):
+        # every scalar config key is a flag too, and a flag overrides the file
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**PINNED_CONFIGS["approx_study"], "format": "json"}))
+        study = PINNED_CONFIGS["approx_study"]
+        flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in study.items()]
+        by_flags = run_main(capsys, "analyze", "--which", "approx", *flags, "--format", "csv")
+        by_file = run_main(capsys, "analyze", "--which", "approx", "--config", str(path),
+                           "--format", "csv")
+        assert by_flags == by_file
+        assert hashlib.sha256(by_file[1].encode()).hexdigest() == PINNED[13][3]
 
     def test_integer_config_values_become_floats(self):
         cfg = RunConfig.from_dict({"mass": 5, "tensor_h": 1, "margin": 0, "grid_points": 101})
