@@ -61,8 +61,8 @@ def approx_report(
 ) -> ApproxReport:
     """Evaluate both surrogate variants on a :func:`log_grid`."""
     r = log_grid(r_min, r_max, n_points)
-    with within_doubles(f"1/r^2 or its surrogate on r in [{r_min!r}, {r_max!r}] "
-                        f"at alpha = {params.alpha!r}"):
+    with within_doubles(lambda: f"1/r^2 or its surrogate on r in [{r_min!r}, {r_max!r}] "
+                                f"at alpha = {params.alpha!r}"):
         exact = 1.0 / (r * r)
         approx = np.asarray(centrifugal_approx(params, r))
         nocorr = np.asarray(centrifugal_approx(replace(params, c0=0.0), r))
@@ -126,8 +126,8 @@ class PotentialProfile:
 def potential_profile(params: ModelParams, r: NDArray[np.float64]) -> PotentialProfile:
     """Evaluate V(r) and U(r) on the given radii."""
     r = np.asarray(r, dtype=float)
-    with within_doubles(f"V or U at alpha = {params.alpha!r}, a_shape = {params.a_shape!r}, "
-                        f"tensor_h = {params.tensor_h!r}"):
+    with within_doubles(lambda: f"V or U at alpha = {params.alpha!r}, "
+                                f"a_shape = {params.a_shape!r}, tensor_h = {params.tensor_h!r}"):
         v = np.asarray(eval_potential(params, r))
         u = np.asarray(eval_tensor(params.tensor_h, r))
     return PotentialProfile(r=r, v=v, u=u, asymptote=potential_coeffs(params).v3)

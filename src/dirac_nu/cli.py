@@ -430,12 +430,8 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 3
 
-    summary = {
-        "E": table.energy,
-        "norm_constant": table.norm_constant,
-        "node_count": table.node_count,
-        "residual_norm": table.residual_norm,
-    }
+    summary = {"E": table.energy, "norm_constant": table.norm_constant,
+               "node_count": table.node_count, "residual_norm": table.residual_norm}
     columns = ["r", "G", "F"]
     records = _records(columns, table.r, table.g, table.f)
     header = _header(params, cfg, n=n, kappa=kappa, branch=table.branch)
@@ -522,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then the flags, checked once by ``from_dict``."""
+    """Defaults, then the config file, then the flags, checked by ``from_dict``."""
     data: dict[str, Any] = {}
     path = ns.config or os.environ.get("PSEUDOSPIN_CONFIG")
     if path:
@@ -542,6 +538,7 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError("--n and --kappa must be given together")
     if ns.n is not None:
         flags["states"] = [[ns.n, ns.kappa]]
+    RunConfig.from_dict(data)  # a malformed file value is refused even where a flag overrides it
     return RunConfig.from_dict({**data, **flags})
 
 
@@ -559,9 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_table(cfg, ns.which)
         if ns.command == "wavefunction":
             return cmd_wavefunction(cfg)
-        if ns.command == "analyze":
-            return cmd_analyze(cfg, ns.which)
-        raise ConfigError(f"unknown command {ns.command!r}")
+        return cmd_analyze(cfg, ns.which)  # the parser admits no other command
     except (ConfigError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

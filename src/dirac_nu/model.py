@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -105,14 +105,15 @@ class PotentialCoeffs:
 
 
 @contextmanager
-def within_doubles(what: str) -> Iterator[None]:
-    """DomainError naming ``what`` where a numpy operation inside overflows,
-    divides by zero or makes a NaN, instead of a warning and a non-finite value."""
+def within_doubles(what: Callable[[], str]) -> Iterator[None]:
+    """DomainError naming ``what()`` where a numpy operation inside overflows,
+    divides by zero or makes a NaN, instead of a warning and a non-finite value;
+    ``what`` is called only then, so a block that succeeds formats no message."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise DomainError(f"{what} leaves the doubles: {exc}") from None
+        raise DomainError(f"{what()} leaves the doubles: {exc}") from None
 
 
 def four_alpha2(alpha: float) -> float:
@@ -129,7 +130,6 @@ def four_alpha2(alpha: float) -> float:
 def potential_coeffs(params: ModelParams) -> PotentialCoeffs:
     """Coefficients (V1, V2, V3) for the given screening rate and shape;
     DomainError when one of them leaves the doubles."""
-    four_alpha2(params.alpha)
     a2 = params.alpha * params.alpha
     coeffs = PotentialCoeffs(
         v1=a2 / 4.0,

@@ -99,6 +99,9 @@ BACKSUB_REL_TOL = 1e-6
 # at most this many bisection steps per root
 BISECT_MAX_ITER = 200
 
+# the largest double, past which the oracle's coefficients cannot be cast
+_DOUBLE_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class EnergyEquation:
@@ -603,8 +606,8 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     # comes from memory already mapped, while separate grid-sized rows are
     # trimmed and faulted in again on every solve
     rows = np.empty((4, grid.size))
-    with within_doubles(f"f on the scan of the window ({lo!r}, {hi!r}) at "
-                        f"{_given(eq.params, 'mass', 'c_sym')}"):
+    with within_doubles(lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
+                                f"{_given(eq.params, 'mass', 'c_sym')}"):
         f = _f_arrays(terms, grid, rows)
     valid = np.isfinite(f)
 
@@ -785,13 +788,13 @@ def quartic_oracle(
     order written above.
     """
     poly = _sextic(eq)
-    # np.roots takes doubles; a coefficient past them would be cast to inf
-    largest = np.abs(poly).max()
-    if not largest <= np.finfo(float).max:
+    # np.roots takes doubles; a coefficient past them (or a NaN) would be cast
+    # to inf.  Seven scalar compares cost less than numpy's reductions.
+    if not all(abs(c) <= _DOUBLE_MAX for c in poly.tolist()):
         raise DomainError(
             f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put a "
             f"coefficient of the oracle's polynomial at "
-            f"{np.format_float_scientific(largest, precision=3)}, past the doubles"
+            f"{np.format_float_scientific(np.abs(poly).max(), precision=3)}, past the doubles"
         )
     coeffs_ld = poly[::-1]  # high degree first
     if not coeffs_ld.any():

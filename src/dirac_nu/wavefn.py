@@ -319,8 +319,8 @@ def lower_component(
     if eq.params.symmetry != PSEUDOSPIN:
         raise DomainError("lower_component expects a pseudospin-limit equation")
     bf, r = _branch_and_grid(eq, energy, branch, grid)
-    with within_doubles(f"the lower component on r in [{float(r[0])!r}, {float(r[-1])!r}] "
-                        f"at alpha = {eq.params.alpha!r}"):
+    with within_doubles(lambda: f"the lower component on r in [{float(r[0])!r}, "
+                                f"{float(r[-1])!r}] at alpha = {eq.params.alpha!r}"):
         g = bf.evaluate(-2.0 * eq.params.alpha * r)[0]
     return WavefunctionTable(
         state=eq.state,
@@ -436,7 +436,11 @@ def _complete(
     high_r, high_w = _norm_rule(edges, bf.mu, high_order)
     at = np.concatenate([r, low_r, high_r])
     centrifugal = eq.mirror * (eq.state.kappa + p.tensor_h) / at
-    table = f"the spinor table on r in [{float(r[0])!r}, {float(r[-1])!r}] at alpha = {p.alpha!r}"
+
+    def table() -> str:
+        return (f"the spinor table on r in [{float(r[0])!r}, {float(r[-1])!r}] "
+                f"at alpha = {p.alpha!r}")
+
     with within_doubles(table):
         solved, s_d_ds, _ = bf.evaluate(-2.0 * p.alpha * at)
         d_dr = -2.0 * p.alpha * s_d_ds

@@ -346,6 +346,10 @@ BAD_CONFIGS = [
     (SOLVE_ONE, {"out": 3}, "out"),
     (SOLVE_ONE, {"mass": 10**400}, "mass"),
     (WAVE_ONE, {"wf_points": 10**400}, "wf_points"),
+    # a malformed file value is refused even where a flag overrides it
+    ((*SOLVE_ONE, "--mass", "5"), {"mass": "x"}, "mass"),
+    ((*WAVE_ONE, "--format", "csv"), {"format": "xml"}, "format"),
+    (SOLVE_ONE, {"states": [[1.5, -1]]}, "states"),
 ]
 
 
@@ -600,7 +604,9 @@ class TestPinnedOutput:
         by_file = run_main(capsys, "analyze", "--which", "approx", "--config", str(path),
                            "--format", "csv")
         assert by_flags == by_file
-        assert hashlib.sha256(by_file[1].encode()).hexdigest() == PINNED[13][3]
+        csv_digest = next(csv for args, _, _, csv in PINNED
+                          if args == ("analyze", "--which", "approx", "--config", "{approx_study}"))
+        assert hashlib.sha256(by_file[1].encode()).hexdigest() == csv_digest
 
     def test_integer_config_values_become_floats(self):
         cfg = RunConfig.from_dict({"mass": 5, "tensor_h": 1, "margin": 0, "grid_points": 101})
