@@ -33,7 +33,7 @@ from .model import (
     eval_tensor,
     potential_coeffs,
 )
-from .nu_core import NuDerived, NuProblem, derive_constants, quantization_residual
+from .nu_core import NuProblem
 from .refdata import ReferenceData, load_reference
 from .spectrum import (
     ASSEMBLY_REFERENCE,
@@ -47,7 +47,6 @@ from .spectrum import (
     build_equation,
     check_doublet,
     negative_root,
-    normal_form,
     quantization_function,
     quartic_oracle,
     search_window,
@@ -58,7 +57,6 @@ from .spectrum import (
 from .wavefn import (
     DECAYING,
     TERMINATING,
-    JacobiSpec,
     WavefunctionTable,
     jacobi_eval,
     lower_component,

@@ -14,6 +14,7 @@ from .model import (
     ModelParams,
     StateIndex,
     centrifugal_approx,
+    check_points,
     eval_potential,
     eval_tensor,
     potential_coeffs,
@@ -22,6 +23,10 @@ from .model import (
 from .spectrum import SolveOptions, _doublet_energies, check_doublet
 
 DEFAULT_H_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
+# the radii and point count of approx_report's grid
+DEFAULT_APPROX_R_MIN = 1e-3
+DEFAULT_APPROX_R_MAX = 10.0
+DEFAULT_APPROX_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -45,19 +50,19 @@ class ApproxReport:
 
 
 def log_grid(r_min: float, r_max: float, n_points: int) -> NDArray[np.float64]:
-    """The one rule for a log-spaced radial grid: finite 0 < r_min < r_max, n_points >= 2."""
+    """The one rule for a log-spaced radial grid: finite 0 < r_min < r_max and
+    2 <= n_points <= MAX_POINTS."""
     if not (0.0 < r_min < r_max and math.isfinite(r_max)):
         raise DomainError(f"need finite 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points!r}")
+    check_points("n_points", n_points, 2)
     return np.geomspace(r_min, r_max, n_points)
 
 
 def approx_report(
     params: ModelParams,
-    r_min: float = 1e-3,
-    r_max: float = 10.0,
-    n_points: int = 2000,
+    r_min: float = DEFAULT_APPROX_R_MIN,
+    r_max: float = DEFAULT_APPROX_R_MAX,
+    n_points: int = DEFAULT_APPROX_POINTS,
 ) -> ApproxReport:
     """Evaluate both surrogate variants on a :func:`log_grid`."""
     r = log_grid(r_min, r_max, n_points)

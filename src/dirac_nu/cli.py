@@ -10,8 +10,9 @@ Subcommands:
 Configuration comes from (in increasing precedence) built-in defaults, a
 JSON config file (``--config`` or the PSEUDOSPIN_CONFIG environment
 variable), and command-line flags.  Every scalar ``RunConfig`` field is both
-a config key and a flag, and both pass one check: an unknown key, or a value
-of the wrong type or outside its choices, is rejected by key name.
+a config key and a flag, and both pass one check: an unknown key, a value
+of the wrong type or outside its choices, or a point count above
+``model.MAX_POINTS`` is rejected by key name.
 Output is CSV or JSON (``--format``), written to stdout or ``--out``;
 floats carry 12 significant digits and runs are byte-deterministic.
 
@@ -30,9 +31,18 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Optional, Sequence
 
-from .analysis import DEFAULT_H_VALUES, approx_report, h_sweep, log_grid, potential_profile
+from .analysis import (
+    DEFAULT_APPROX_POINTS,
+    DEFAULT_APPROX_R_MAX,
+    DEFAULT_APPROX_R_MIN,
+    DEFAULT_H_VALUES,
+    approx_report,
+    h_sweep,
+    log_grid,
+    potential_profile,
+)
 from .errors import ConfigError, DomainError, SolverError
-from .model import PSEUDOSPIN, SPIN, ModelParams, StateIndex
+from .model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex
 from .refdata import load_reference
 from .spectrum import (
     ASSEMBLY_REFERENCE,
@@ -45,6 +55,8 @@ from .spectrum import (
 )
 from .wavefn import (
     DECAYING,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_R_MIN,
     MIN_INTERIOR,
     TERMINATING,
     check_r_min,
@@ -90,11 +102,11 @@ class RunConfig:
     bisect_tol: float = SolveOptions.bisect_tol
     margin: Optional[float] = SolveOptions.margin
     branch: str = DECAYING
-    wf_points: int = 2000
-    r_min: float = 1e-4
-    approx_r_min: float = 1e-3
-    approx_r_max: float = 10.0
-    approx_points: int = 2000
+    wf_points: int = DEFAULT_GRID_POINTS
+    r_min: float = DEFAULT_R_MIN
+    approx_r_min: float = DEFAULT_APPROX_R_MIN
+    approx_r_max: float = DEFAULT_APPROX_R_MAX
+    approx_points: int = DEFAULT_APPROX_POINTS
     profile_r_min: float = 1e-2
     profile_r_max: float = 10.0
     profile_points: int = 500
@@ -106,10 +118,11 @@ class RunConfig:
         """The config of JSON-like ``data``, each value checked against its key's type.
 
         A float key takes an int or a float and stores a float, an int key
-        takes an int, ``strict_domain`` takes a bool (a bool is never a
-        number here), a choice key takes one of its ``_CHOICES``, and the
-        entries of ``states``, ``doublets`` and ``h_values`` follow the same
-        rules.  Anything else raises ConfigError naming the key.
+        (each is a point count) takes an int up to ``MAX_POINTS``,
+        ``strict_domain`` takes a bool (a bool is never a number here), a
+        choice key takes one of its ``_CHOICES``, and the entries of
+        ``states``, ``doublets`` and ``h_values`` follow the same rules.
+        Anything else raises ConfigError naming the key.
         """
         checked = {}
         for key, value in data.items():
@@ -185,7 +198,12 @@ def _check_value(key: str, annotation: str, value: Any) -> Any:
         if not isinstance(value, str):
             raise _bad(key, value, "a string")
         return value
-    return _number(key, value, int if annotation == "int" else float)
+    if annotation == "int":  # a point count, bounded before anything is allocated
+        count = _number(key, value, int)
+        if count > MAX_POINTS:
+            raise _bad(key, value, f"a point count up to {MAX_POINTS}")
+        return count
+    return _number(key, value, float)
 
 
 # 12 significant digits: the text of format(float(x), ".12g") for ints,

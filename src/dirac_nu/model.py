@@ -39,6 +39,10 @@ PSEUDOSPIN = "pseudospin"
 SPIN = "spin"
 _SYMMETRIES = (PSEUDOSPIN, SPIN)
 
+# the most points any grid may have, 50 times the default energy scan: a
+# larger count is refused before anything is allocated
+MAX_POINTS = 10**6
+
 # spectroscopic letters indexed by orbital angular momentum
 _L_LETTERS = "spdfghiklmnoqrtuvwxyz"
 
@@ -114,6 +118,15 @@ def within_doubles(what: Callable[[], str]) -> Iterator[None]:
             yield
     except FloatingPointError as exc:
         raise DomainError(f"{what()} leaves the doubles: {exc}") from None
+
+
+def check_points(name: str, value: int, least: int) -> None:
+    """The one rule for a point count: from ``least`` to MAX_POINTS; DomainError
+    naming ``name`` otherwise."""
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    if value > MAX_POINTS:
+        raise DomainError(f"{name} must be <= {MAX_POINTS}, got {value!r}")
 
 
 def four_alpha2(alpha: float) -> float:

@@ -78,6 +78,7 @@ from .model import (
     ModelParams,
     PotentialCoeffs,
     StateIndex,
+    check_points,
     four_alpha2,
     kappa_to_l_j,
     kappa_to_pseudo_l,
@@ -400,10 +401,10 @@ class SolveOptions:
     with ``grid_points=2001, oracle_check=False``.  Bisection stops after
     at most ``BISECT_MAX_ITER`` steps per root.
 
-    Construction raises DomainError unless ``grid_points`` is at least 3,
-    ``bisect_tol`` is finite and positive, and ``margin`` is None (the
-    default, 1e-9 * mass) or finite and positive, so bad settings fail
-    before any state is solved.
+    Construction raises DomainError unless ``grid_points`` is from 3 to
+    ``model.MAX_POINTS``, ``bisect_tol`` is finite and positive, and
+    ``margin`` is None (the default, 1e-9 * mass) or finite and positive,
+    so bad settings fail before any state is solved.
     """
 
     grid_points: int = 20001
@@ -412,8 +413,7 @@ class SolveOptions:
     oracle_check: bool = True
 
     def __post_init__(self) -> None:
-        if self.grid_points < 3:
-            raise DomainError(f"grid_points must be >= 3, got {self.grid_points!r}")
+        check_points("grid_points", self.grid_points, 3)
         if not (math.isfinite(self.bisect_tol) and self.bisect_tol > 0.0):
             raise DomainError(
                 f"bisect_tol must be finite and positive, got {self.bisect_tol!r}"
@@ -574,18 +574,21 @@ def _require_resolvable(energy: float, opts: SolveOptions) -> None:
 def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> SpectrumResult:
     """Locate every root of f in the physical window.
 
-    A uniform scan with ``opts.grid_points`` samples brackets the sign
+    When ``opts.oracle_check`` is on, the eliminated-polynomial oracle runs
+    first, so a polynomial it refuses ends the solve before the scan.  A
+    uniform scan with ``opts.grid_points`` samples then brackets the sign
     changes (points with negative radicands are masked out); each bracket
     is refined by bisection to ``opts.bisect_tol``.  Extra samples are
     packed against the radicand zero crossings, where f can cross zero
-    inside a sliver narrower than the uniform spacing.  When
-    ``opts.oracle_check`` is on, the bisection roots are cross-checked
-    against the eliminated-polynomial oracle and any unexplained mismatch
-    raises OracleMismatch; a mismatch within two ulps of the root, where
-    ``ORACLE_MATCH_FACTOR * opts.bisect_tol`` is too small for doubles to
-    meet, raises DomainError instead.
+    inside a sliver narrower than the uniform spacing.  The bisection roots
+    and the oracle's survivors must match in both directions: any
+    unexplained mismatch raises OracleMismatch, and a mismatch within two
+    ulps of the root, where ``ORACLE_MATCH_FACTOR * opts.bisect_tol`` is
+    too small for doubles to meet, raises DomainError instead.
     """
     lo, hi = search_window(eq, opts.margin)
+    terms = _f_terms(eq)
+    oracle = quartic_oracle(eq, window=(lo, hi)) if opts.oracle_check else None
     grid = np.linspace(lo, hi, opts.grid_points)
     boundaries = _radicand_boundaries(eq, lo, hi)
     if boundaries:
@@ -600,7 +603,6 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
             # only a window a few ulps wide makes linspace repeat or misorder
             # samples; np.unique sorts them and drops the repeats
             grid = np.unique(grid)
-    terms = _f_terms(eq)
     # one (4, n) block, not four rows: glibc raises its mmap threshold to the
     # largest block it has freed, so after a solve or two a block this size
     # comes from memory already mapped, while separate grid-sized rows are
@@ -632,43 +634,31 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
             zeros.append(e)
     energies = sorted(bisected + zeros)
 
-    roots: list[EnergyRoot] = []
-    for e in energies:
-        fe, q8e, q9e, rhse = _f_point(terms, e)
-        roots.append(
-            EnergyRoot(
-                energy=e,
-                sign_class=NEGATIVE if e < 0.0 else POSITIVE,
-                residual=abs(fe),
-                rhs_scale=abs(rhse),
-                radicand_c8=q8e,
-                radicand_c9=q9e,
-                method="bisection",
-            )
-        )
-
-    oracle: Optional[OracleResult] = None
-    if opts.oracle_check:
-        oracle = quartic_oracle(eq, window=(lo, hi))
+    if oracle is not None:
         tol = ORACLE_MATCH_FACTOR * opts.bisect_tol
-        confirmed: list[EnergyRoot] = []
-        for r in roots:
-            if any(abs(r.energy - s) <= tol for s in oracle.survivors):
-                confirmed.append(replace(r, method="oracle-confirmed"))
-            else:
-                _require_resolvable(r.energy, opts)
+        for e in energies:
+            if not any(abs(e - s) <= tol for s in oracle.survivors):
+                _require_resolvable(e, opts)
                 raise OracleMismatch(
-                    f"bisection root {r.energy!r} has no oracle partner within {tol!r}; "
+                    f"bisection root {e!r} has no oracle partner within {tol!r}; "
                     f"oracle survivors: {oracle.survivors!r}"
                 )
         for s in oracle.survivors:
-            if not any(abs(r.energy - s) <= tol for r in roots):
+            if not any(abs(e - s) <= tol for e in energies):
                 _require_resolvable(s, opts)
                 raise OracleMismatch(
                     f"oracle root {s!r} was not found by bisection; "
-                    f"bisection roots: {[r.energy for r in roots]!r}"
+                    f"bisection roots: {energies!r}"
                 )
-        roots = confirmed
+
+    # each root is built once, after both routes agree on it
+    method = "bisection" if oracle is None else "oracle-confirmed"
+    roots: list[EnergyRoot] = []
+    for e in energies:
+        fe, q8e, q9e, rhse = _f_point(terms, e)
+        roots.append(EnergyRoot(energy=e, sign_class=NEGATIVE if e < 0.0 else POSITIVE,
+                                residual=abs(fe), rhs_scale=abs(rhse), radicand_c8=q8e,
+                                radicand_c9=q9e, method=method))
 
     wanted = eq.physical_sign
     candidates = [r for r in roots if r.sign_class == wanted]

@@ -47,7 +47,7 @@ from .errors import (
     GridTooCoarse,
     NonNormalizable,
 )
-from .model import PSEUDOSPIN, SPIN, StateIndex, within_doubles
+from .model import PSEUDOSPIN, SPIN, StateIndex, check_points, within_doubles
 from .nu_core import NuProblem, derive_constants
 from .spectrum import EnergyEquation, normal_form
 
@@ -59,6 +59,9 @@ _BRANCHES = (DECAYING, TERMINATING)
 DECAY_TARGET = 1e-12
 # verify_ode needs this many interior grid points
 MIN_INTERIOR = 50
+# the point count and inner radius of default_grid
+DEFAULT_GRID_POINTS = 2000
+DEFAULT_R_MIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -220,23 +223,23 @@ def check_r_min(r_min: float) -> None:
 def default_grid(
     eq: EnergyEquation,
     energy: float,
-    n_points: int = 2000,
-    r_min: float = 1e-4,
+    n_points: int = DEFAULT_GRID_POINTS,
+    r_min: float = DEFAULT_R_MIN,
 ) -> NDArray[np.float64]:
     """Log-spaced radial grid reaching far enough for the decaying tail.
 
     r_max satisfies e^{-2 alpha nu r_max} = DECAY_TARGET, so the decaying
     envelope is negligible at the last point.
     """
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points!r}")
+    check_points("n_points", n_points, 2)
     check_r_min(r_min)
     nu = derive_constants(normal_form(eq, energy)).sqrt_c8
     return _log_grid(eq.params.alpha, nu, energy, n_points, r_min)
 
 
 def _log_grid(
-    alpha: float, nu: float, energy: float, n_points: int = 2000, r_min: float = 1e-4
+    alpha: float, nu: float, energy: float, n_points: int = DEFAULT_GRID_POINTS,
+    r_min: float = DEFAULT_R_MIN,
 ) -> NDArray[np.float64]:
     """``default_grid`` for a decay exponent nu that is already known."""
     if nu <= 0.0:

@@ -6,10 +6,11 @@ from dirac_nu.analysis import (
     DEFAULT_H_VALUES,
     approx_report,
     h_sweep,
+    log_grid,
     potential_profile,
 )
 from dirac_nu.errors import DomainError
-from dirac_nu.model import PSEUDOSPIN, SPIN, ModelParams, StateIndex, eval_potential
+from dirac_nu.model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex, eval_potential
 from dirac_nu.spectrum import SolveOptions
 
 OPTS = SolveOptions()
@@ -66,6 +67,12 @@ class TestApproxReport:
             approx_report(params(), r_min=0.0, r_max=1.0)
         with pytest.raises(DomainError):
             approx_report(params(), r_min=0.1, r_max=1.0, n_points=1)
+
+    def test_point_count_bounded_before_anything_is_allocated(self):
+        with pytest.raises(DomainError, match=f"n_points must be <= {MAX_POINTS}, got"):
+            approx_report(params(), n_points=MAX_POINTS + 1)
+        with pytest.raises(DomainError, match=f"n_points must be <= {MAX_POINTS}, got"):
+            log_grid(1e-2, 10.0, MAX_POINTS + 1)
 
 
 class TestPotentialProfile:

@@ -9,6 +9,7 @@ import pytest
 
 from dirac_nu import spectrum
 from dirac_nu.cli import RunConfig, main
+from dirac_nu.model import MAX_POINTS
 
 
 def run_cli(*args, env_extra=None):
@@ -366,6 +367,39 @@ class TestMalformedConfig:
         assert captured.out == ""
         assert captured.err.startswith(f"error: config key {key!r}: ")
         assert captured.err.count("\n") == 1
+
+
+# each point count with a command that reads it
+POINT_COUNTS = [
+    (SOLVE_ONE, "grid_points"),
+    (("table", "--which", "pseudospin"), "grid_points"),
+    (SWEEP, "grid_points"),
+    (WAVE_ONE, "wf_points"),
+    (("analyze", "--which", "approx"), "approx_points"),
+    (("analyze", "--which", "potential"), "profile_points"),
+]
+
+
+class TestPointCountBound:
+    # one past the bound, never a count that would be allocated
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("args, key", POINT_COUNTS,
+                             ids=[f"{a[0]} {k}" for a, k in POINT_COUNTS])
+    def test_one_past_the_bound_exits_2_naming_the_key(self, args, key, source, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        if source == "flag":
+            extra = ["--" + key.replace("_", "-"), str(MAX_POINTS + 1)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: MAX_POINTS + 1}))
+            extra = ["--config", str(path)]
+        code = main([*args, *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: config key {key!r}: {MAX_POINTS + 1} is not a "
+                                f"point count up to {MAX_POINTS}\n")
 
 
 # a profile grid outside the rule of analysis.log_grid, and the message it gives

@@ -24,7 +24,7 @@ from dirac_nu.errors import (
     WindowViolation,
 )
 from dirac_nu import spectrum
-from dirac_nu.model import PSEUDOSPIN, SPIN, ModelParams, PotentialCoeffs, StateIndex
+from dirac_nu.model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, PotentialCoeffs, StateIndex
 from dirac_nu.spectrum import (
     ASSEMBLY_REFERENCE,
     ASSEMBLY_STRICT,
@@ -239,6 +239,11 @@ class TestSolveSpectrum:
             SolveOptions(grid_points=2)
         with pytest.raises(DomainError):
             SolveOptions(bisect_tol=0.0)
+
+    def test_grid_points_bounded_before_anything_is_allocated(self):
+        assert SolveOptions(grid_points=MAX_POINTS).grid_points == MAX_POINTS
+        with pytest.raises(DomainError, match=f"grid_points must be <= {MAX_POINTS}, got"):
+            SolveOptions(grid_points=MAX_POINTS + 1)
 
     @pytest.mark.parametrize("bad", [
         {"bisect_tol": math.inf}, {"bisect_tol": math.nan}, {"bisect_tol": -1e-12},
@@ -462,6 +467,67 @@ class TestPinnedResults:
 
     def test_oracle_without_window(self, ref):
         assert repr_digest(quartic_oracle(eq) for eq in pinned_equations(ref)) == self.ORACLE
+
+
+class TestOnePass:
+    """The oracle's verdict comes before the scan, and each root is built once."""
+
+    def test_oracle_off_roots_differ_only_in_method(self, ref):
+        off = SolveOptions(oracle_check=False)
+        count = 0
+        for eq in pinned_equations(ref):
+            on, alone = solve_spectrum(eq), solve_spectrum(eq, off)
+            assert alone.oracle is None and on.oracle is not None
+            assert all(r.method == "bisection" for r in alone.roots)
+            assert all(r.method == "oracle-confirmed" for r in on.roots)
+            as_bisection = tuple(dataclasses.replace(r, method="bisection") for r in on.roots)
+            assert alone.roots == as_bisection
+            assert alone == dataclasses.replace(
+                on, roots=as_bisection, oracle=None,
+                selected=on.selected and dataclasses.replace(on.selected, method="bisection"))
+            count += len(alone.roots)
+        assert count > 97
+
+    @pytest.mark.parametrize("oracle_check", [True, False])
+    def test_constants_then_oracle_then_scan(self, oracle_check, monkeypatch):
+        calls = []
+        for name in ("_f_terms", "quartic_oracle", "_f_arrays"):
+            def traced(*args, _name=name, _fn=getattr(spectrum, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectrum, name, traced)
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        solve_spectrum(eq, SolveOptions(oracle_check=oracle_check))
+        firsts = sorted(set(calls), key=calls.index)
+        expected = ["_f_terms", "quartic_oracle", "_f_arrays"]
+        assert firsts == (expected if oracle_check else ["_f_terms", "_f_arrays"])
+
+    @pytest.mark.parametrize("oracle_check", [True, False])
+    def test_each_root_built_once(self, oracle_check, monkeypatch):
+        built = []
+
+        class Counted(EnergyRoot):
+            def __init__(self, **fields):
+                built.append(fields["energy"])
+                super().__init__(**fields)
+
+        monkeypatch.setattr(spectrum, "EnergyRoot", Counted)
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        res = solve_spectrum(eq, SolveOptions(oracle_check=oracle_check))
+        assert built == [r.energy for r in res.roots] and len(built) == 2
+
+    def test_refused_polynomial_ends_the_solve_before_the_scan(self, monkeypatch):
+        # at mass 1e75 f is rounding noise over the window, with thousands of
+        # sign changes; the oracle's coefficient check refuses the equation
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(spectrum, "_f_arrays", no_scan)
+        eq = build_equation(ps_params(1.0, mass=1e75), StateIndex(1, -1))
+        with pytest.raises(DomainError, match=r"^mass = 1e\+75, .* coefficient of the oracle's"):
+            solve_spectrum(eq)
+        with pytest.raises(AssertionError, match="the scan ran"):
+            solve_spectrum(eq, SolveOptions(oracle_check=False))
 
 
 def same_series(a, b):

@@ -10,7 +10,7 @@ from scipy.special import eval_jacobi
 
 from dirac_nu import wavefn
 from dirac_nu.errors import DomainError, GridTooCoarse, NonNormalizable
-from dirac_nu.model import PSEUDOSPIN, SPIN, ModelParams, StateIndex
+from dirac_nu.model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex
 from dirac_nu.spectrum import (
     ASSEMBLY_STRICT,
     SolveOptions,
@@ -537,6 +537,11 @@ class TestGridAndGuards:
         eq = ps_eq(1, -1, 1.0)
         with pytest.raises(DomainError, match="r_min must be finite and positive"):
             default_grid(eq, solved(eq), r_min=r_min)
+
+    def test_default_grid_points_bounded(self):
+        eq = ps_eq(1, -1, 1.0)
+        with pytest.raises(DomainError, match=f"n_points must be <= {MAX_POINTS}, got"):
+            default_grid(eq, solved(eq), n_points=MAX_POINTS + 1)
 
     def test_default_grid_reaches_decay_target(self):
         eq = ps_eq(1, -1, 1.0)
