@@ -42,7 +42,7 @@ from .analysis import (
     potential_profile,
 )
 from .errors import ConfigError, DomainError, SolverError
-from .model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex
+from .model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex, check_points
 from .refdata import load_reference
 from .spectrum import (
     ASSEMBLY_REFERENCE,
@@ -464,7 +464,10 @@ _DEFAULT_DOUBLETS = {PSEUDOSPIN: (((1, -1), (1, 2)),), SPIN: (((0, -2), (0, 1)),
 def cmd_analyze(cfg: RunConfig, which: str) -> int:
     """Approximation report, potential profile, or tensor-strength sweep."""
     params = _model_params(cfg)
+    # a grid needs both its ends; checked here so that the error names the
+    # key rather than log_grid's n_points
     if which == "approx":
+        check_points("approx_points", cfg.approx_points, 2)
         report = approx_report(params, cfg.approx_r_min, cfg.approx_r_max, cfg.approx_points)
         notes = [
             f"max_rel_err = {_fmt(report.max_rel_err)} at r = {_fmt(report.r_at_max)}",
@@ -476,6 +479,7 @@ def cmd_analyze(cfg: RunConfig, which: str) -> int:
         return 0
 
     if which == "potential":
+        check_points("profile_points", cfg.profile_points, 2)
         r = log_grid(cfg.profile_r_min, cfg.profile_r_max, cfg.profile_points)
         profile = potential_profile(params, r)
         notes = [f"asymptote V3 = {_fmt(profile.asymptote)}"]

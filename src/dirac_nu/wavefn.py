@@ -30,6 +30,11 @@ out s underflows to zero long before s^nu does, and near the origin
 1 - s loses digits that -expm1(log s) keeps.  The joint normalization
 integral is a fixed-order Gauss rule over panels of r, evaluated in one
 vectorized call at two orders that must agree.
+
+Each caller evaluates the solved component only up to the derivative order
+it reads: ``lower_component`` takes psi, the completion (``_complete``)
+takes psi and s psi' for the coupled partner, and only ``verify_ode``
+takes s^2 psi'' as well.
 """
 
 from __future__ import annotations
@@ -84,57 +89,84 @@ def _binomial(top: float, k: int) -> float:
     return math.prod((top - k + i) / i for i in range(1, k + 1))
 
 
-def jacobi_eval(spec: JacobiSpec, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Evaluate P_n^{(a, b)}(x) from its explicit sum,
+def _horner(specs: list[JacobiSpec], x: NDArray[np.float64]) -> list[NDArray[np.float64]]:
+    """P_n^{(a, b)}(x) of each spec from its explicit sum,
 
         P_n^{(a, b)}(x) = sum_j C(n + a, n - j) C(n + b, j)
                           ((x - 1)/2)^j ((x + 1)/2)^(n - j),
 
-    summed by Horner's rule in (x + 1)/2.  Valid for arbitrary real
-    exponents; the classical orthogonality range a, b > -1 is not required.
-    The coefficients are plain products, so nothing divides by the factors
-    k + a + b of the three-term recurrence, which loses digits as they near
-    zero -- on the terminating branch (a = -2 nu < 0) that happens often.
+    summed by Horner's rule in (x + 1)/2, all specs in one pass over the
+    shared powers of (x - 1)/2.  Each sum takes the same steps as it would
+    alone, so sharing the pass changes no bit of it.  The sums and the
+    power are updated in place; they are this call's own arrays.
     """
-    x = np.asarray(x, dtype=float)
-    n, a, b = spec.n, spec.a, spec.b
     lower = 0.5 * (x - 1.0)
     upper = 0.5 * (x + 1.0)
-    total = np.full_like(x, _binomial(n + a, n))
+    totals = [np.full_like(x, _binomial(spec.n + spec.a, spec.n)) for spec in specs]
     lower_pow = np.ones_like(x)
-    for j in range(1, n + 1):
-        lower_pow = lower_pow * lower
-        total = total * upper + _binomial(n + a, n - j) * _binomial(n + b, j) * lower_pow
-    return total
+    for j in range(1, max((spec.n for spec in specs), default=0) + 1):
+        lower_pow *= lower
+        for spec, total in zip(specs, totals):
+            if j <= spec.n:
+                n, a, b = spec.n, spec.a, spec.b
+                total *= upper
+                total += _binomial(n + a, n - j) * _binomial(n + b, j) * lower_pow
+    return totals
+
+
+def jacobi_eval(spec: JacobiSpec, x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Evaluate P_n^{(a, b)}(x) from its explicit sum (see ``_horner``).
+
+    Valid for arbitrary real exponents; the classical orthogonality range
+    a, b > -1 is not required.  The coefficients are plain products, so
+    nothing divides by the factors k + a + b of the three-term recurrence,
+    which loses digits as they near zero -- on the terminating branch
+    (a = -2 nu < 0) that happens often.  A scalar x gives a scalar.
+    """
+    return _horner([spec], np.asarray(x, dtype=float))[0][()]
+
+
+def _derivatives(spec: JacobiSpec, x: NDArray[np.float64], top: int) -> list[NDArray[np.float64]]:
+    """d^m/dx^m P_n^{(a, b)}(x) for m = 1 .. top, from one Horner pass, via
+    the degree-lowering identity
+
+        d/dx P_n^{(a, b)} = (n + a + b + 1)/2 * P_{n-1}^{(a+1, b+1)}.
+
+    Orders above n give zeros.
+    """
+    n, a, b = spec.n, spec.a, spec.b
+    factors: list[float] = []
+    lowered: list[JacobiSpec] = []
+    factor = 1.0
+    for m in range(min(top, n)):
+        factor *= 0.5 * (n - m + a + m + b + m + 1.0)
+        factors.append(factor)
+        lowered.append(JacobiSpec(n - (m + 1), a + (m + 1), b + (m + 1)))
+    sums = _horner(lowered, x)
+    return ([f * total for f, total in zip(factors, sums)]
+            + [np.zeros_like(x) for _ in range(top - len(sums))])
 
 
 def jacobi_deriv(spec: JacobiSpec, x: NDArray[np.float64], order: int = 1) -> NDArray[np.float64]:
-    """Derivative d^m/dx^m P_n^{(a, b)}(x), via the degree-lowering identity.
-
-    d/dx P_n^{(a, b)} = (n + a + b + 1)/2 * P_{n-1}^{(a+1, b+1)}.
-    """
+    """Derivative d^m/dx^m P_n^{(a, b)}(x) (see ``_derivatives``)."""
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order!r}")
-    x = np.asarray(x, dtype=float)
-    n, a, b = spec.n, spec.a, spec.b
-    factor = 1.0
-    for m in range(order):
-        if n - m <= 0:
-            return np.zeros_like(x)
-        factor *= 0.5 * (n - m + a + m + b + m + 1.0)
     if order == 0:
         return jacobi_eval(spec, x)
-    return factor * jacobi_eval(JacobiSpec(n - order, a + order, b + order), x)
+    return _derivatives(spec, np.asarray(x, dtype=float), order)[-1]
 
 
 @dataclass(frozen=True)
 class BranchFunctions:
     """Analytic solved component of one state on one branch.
 
-    ``evaluate`` gives the function of s and its first two s-derivatives
-    from log s; everything downstream (radial derivatives, coupling,
-    normalization, residuals) chains these.  ``value`` and ``d_ds`` are
-    the same evaluation taken at s.
+    ``evaluate`` gives the function of s and its s-derivatives up to the
+    order its caller reads, from log s; everything downstream (radial
+    derivatives, coupling, normalization, residuals) chains these.  The
+    lower table and ``value`` read psi alone (order 0), the completion and
+    ``d_ds`` read psi and s psi' (order 1), and only ``verify_ode`` reads
+    s^2 psi'' (order 2).  ``value`` and ``d_ds`` are the evaluation taken
+    at s.
     """
 
     branch: str
@@ -146,9 +178,10 @@ class BranchFunctions:
     problem: NuProblem
 
     def evaluate(
-        self, log_s: NDArray[np.float64]
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-        """psi, s psi' and s^2 psi'' at s = e^{log_s}, primes meaning d/ds.
+        self, log_s: NDArray[np.float64], order: int
+    ) -> tuple[NDArray[np.float64], ...]:
+        """psi, s psi' and s^2 psi'' at s = e^{log_s}, primes meaning d/ds,
+        up to the given derivative order (0, 1 or 2).
 
         With W = P_n^{(a, b)}(1 - 2 s), q = s / (1 - s) and the common
         factor e = s^p (1 - s)^t divided out,
@@ -160,34 +193,40 @@ class BranchFunctions:
 
         e is formed as exp(p log s + t log(-expm1(log s))), so an underflowed
         s or a negative power of s on the growing branch never meets 0 * inf.
+        A lower order stops early and returns a bit-identical prefix of the
+        full tuple.  Order 0 forms neither q nor W'; order 1 forms q but not
+        q^2, which leaves the doubles first as s nears 1 (r near 0).  W' and
+        W'' come from one shared Horner pass.
         """
         log_s = np.asarray(log_s, dtype=float)
         s = np.exp(log_s)
         one_minus = -np.expm1(log_s)
-        q = s / one_minus
         p, t = self.s_exponent, self.one_minus_exponent
         x = 1.0 - 2.0 * s
         w = jacobi_eval(self.jacobi, x)
-        dw = jacobi_deriv(self.jacobi, x)
-        d2w = jacobi_deriv(self.jacobi, x, order=2)
         common = np.exp(p * log_s + t * np.log(one_minus))
+        psi = common * w
+        if order == 0:
+            return (psi,)
+        q = s / one_minus
         slope = p - t * q
-        return (
-            common * w,
-            common * (slope * w - 2.0 * s * dw),
-            common * (
-                (slope * slope - p - t * q * q) * w
-                - 4.0 * s * slope * dw
-                + 4.0 * s * s * d2w
-            ),
+        dw, *higher = _derivatives(self.jacobi, x, order)
+        s_dpsi = common * (slope * w - 2.0 * s * dw)
+        if order == 1:
+            return psi, s_dpsi
+        (d2w,) = higher
+        return psi, s_dpsi, common * (
+            (slope * slope - p - t * q * q) * w
+            - 4.0 * s * slope * dw
+            + 4.0 * s * s * d2w
         )
 
     def value(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.evaluate(np.log(s))[0]
+        return self.evaluate(np.log(s), 0)[0]
 
     def d_ds(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
         s = np.asarray(s, dtype=float)
-        return self.evaluate(np.log(s))[1] / s
+        return self.evaluate(np.log(s), 1)[1] / s
 
 
 def branch_functions(eq: EnergyEquation, energy: float, branch: str = DECAYING) -> BranchFunctions:
@@ -324,7 +363,7 @@ def lower_component(
     bf, r = _branch_and_grid(eq, energy, branch, grid)
     with within_doubles(lambda: f"the lower component on r in [{float(r[0])!r}, "
                                 f"{float(r[-1])!r}] at alpha = {eq.params.alpha!r}"):
-        g = bf.evaluate(-2.0 * eq.params.alpha * r)[0]
+        (g,) = bf.evaluate(-2.0 * eq.params.alpha * r, 0)
     return WavefunctionTable(
         state=eq.state,
         symmetry=eq.params.symmetry,
@@ -367,7 +406,10 @@ def _gauss_jacobi(order: int, beta: float) -> tuple[NDArray[np.float64], NDArray
     diag[0] = beta / (beta + 2.0)
     diag[1:] = beta * beta / (two_k * (two_k + 2.0))
     off = 2.0 * k * (k + beta) / (two_k * np.sqrt(two_k * two_k - 1.0))
-    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # eigh reads only the lower triangle: the diagonal and the subdiagonal
+    matrix = np.diag(diag)
+    matrix.flat[order :: order + 1] = off
+    nodes, vectors = np.linalg.eigh(matrix)
     return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vectors[0] ** 2
 
 
@@ -445,7 +487,7 @@ def _complete(
                 f"at alpha = {p.alpha!r}")
 
     with within_doubles(table):
-        solved, s_d_ds, _ = bf.evaluate(-2.0 * p.alpha * at)
+        solved, s_d_ds = bf.evaluate(-2.0 * p.alpha * at, 1)
         d_dr = -2.0 * p.alpha * s_d_ds
         partner = (d_dr - centrifugal * solved) / denom
     density = solved * solved + partner * partner
@@ -541,7 +583,7 @@ def verify_ode(
             f"{log_s.size} interior points < required {MIN_INTERIOR}"
         )
     problem = bf.problem
-    psi, s_dpsi, s2_d2psi = bf.evaluate(log_s)
+    psi, s_dpsi, s2_d2psi = bf.evaluate(log_s, 2)
     s = np.exp(log_s)
     rational = (
         (-problem.big_a * s * s + problem.big_b * s - problem.big_c)

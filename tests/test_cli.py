@@ -402,10 +402,12 @@ class TestPointCountBound:
                                 f"point count up to {MAX_POINTS}\n")
 
 
-# a profile grid outside the rule of analysis.log_grid, and the message it gives
+# a profile or approx grid outside the rule of analysis.log_grid, and the
+# message it gives
 BAD_PROFILE_GRIDS = [
-    ({"profile_points": -1}, "n_points must be >= 2"),
-    ({"profile_points": 1}, "n_points must be >= 2"),
+    ({"profile_points": -1}, "profile_points must be >= 2, got -1"),
+    ({"profile_points": 1}, "profile_points must be >= 2, got 1"),
+    ({"approx_points": 1}, "approx_points must be >= 2, got 1"),
     ({"profile_r_min": 0}, "need finite 0 < r_min < r_max"),
     ({"profile_r_min": -1}, "need finite 0 < r_min < r_max"),
     ({"profile_r_min": 20.0}, "need finite 0 < r_min < r_max"),
@@ -421,7 +423,8 @@ class TestAnalyze:
         monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
-        code = main(["analyze", "--which", "potential", "--config", str(path)])
+        which = "approx" if "approx_points" in data else "potential"
+        code = main(["analyze", "--which", which, "--config", str(path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -583,6 +586,9 @@ OVERFLOWS = [
     (("analyze", "--which", "potential", "--alpha", "1e155", "--no-strict-domain"), 2, "alpha"),
     (("analyze", "--which", "potential", "--profile-r-min", "1e-300"), 2, "alpha"),
     (("wavefunction", "--r-min", "1e-270", "--n", "2", "--kappa", "3"), 3, "r in"),
+    # the lower table holds; the completion's residual s^2 psi'' leaves the doubles
+    (("wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1", "--r-min", "1e-200"),
+     3, "the spinor table"),
     (("solve", "--n", "1", "--kappa", str(-10**400)), 2, "'states'"),
     (("wavefunction", "--n", str(10**400), "--kappa", "-1"), 2, "'states'"),
 ]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -492,14 +494,102 @@ class TestWorkPerTable:
             counts["derive"] += 1
             return derive(problem)
 
-        def counted_evaluate(bf, log_s):
+        def counted_evaluate(bf, log_s, order):
             counts["evaluate"] += 1
-            return evaluate(bf, log_s)
+            return evaluate(bf, log_s, order)
 
         monkeypatch.setattr(wavefn, "derive_constants", counted_derive)
         monkeypatch.setattr(wavefn.BranchFunctions, "evaluate", counted_evaluate)
         components(eq, energy)
         assert counts == {"derive": calls, "evaluate": calls}
+
+
+def seeded_bound_states(per_cell=2):
+    """(equation, selected energy) for ``per_cell`` seeded strict-domain states
+    of each limit and each n in 0..8; masses 5 to 40 bind every such n."""
+    rng = random.Random("wavefn/bit-identity")
+    for symmetry in (PSEUDOSPIN, SPIN):
+        for n in range(9):
+            found = 0
+            for _ in range(50):
+                mass = rng.uniform(5.0, 40.0)
+                params = ModelParams(
+                    mass=mass, symmetry=symmetry, c_sym=rng.uniform(-0.5, 0.5) * mass,
+                    tensor_h=rng.uniform(-3.0, 3.0), alpha=rng.uniform(0.51, 1.0),
+                    a_shape=rng.uniform(4.05, 7.95),
+                )
+                state = StateIndex(n, rng.choice((-3, -2, -1, 1, 2, 3)))
+                eq = build_equation(params, state, ASSEMBLY_STRICT)
+                selected = solve_spectrum(eq, OPTS).selected
+                if selected is not None:
+                    yield eq, selected.energy
+                    found += 1
+                    if found == per_cell:
+                        break
+            assert found == per_cell, (symmetry, n)
+
+
+def update_with_table(digest, table):
+    digest.update(repr((
+        table.state, table.symmetry, table.branch, table.energy, table.nu, table.mu,
+        table.s_exponent, table.one_minus_exponent, table.norm_constant,
+        table.node_count, table.residual_norm,
+    )).encode())
+    for values in (table.r, table.g, table.f):
+        digest.update(values.astype("<f8").tobytes())
+
+
+class TestBitIdentity:
+    """Tables and Jacobi derivatives hash to SHA-256 digests recorded before
+    ``evaluate`` computed only the derivative orders its caller reads.
+
+    The tables' bits follow the kernels of exp, log, expm1 and power:
+    numpy's own AVX-512 ones, or the C library's where numpy's are switched
+    off (NPY_DISABLE_CPU_FEATURES).  A digest was recorded under each, on
+    numpy 2.4.6 and glibc 2.36.  The Jacobi sums use only + and *.
+    """
+
+    TABLES = {
+        "58820770a5e90b4f7540b136a510735ed3a1c9818952998ed4955756bcc67aeb",  # AVX-512
+        "2110d4e23153becd24492902bd98487adf6798e516082ee1665a20f2933edeb6",  # C library
+    }
+    JACOBI = "479408f8af9703bb5568493b16820afdf11b050bcbc1d1af847ad5a8d65dd4f2"
+
+    def test_tables(self):
+        digest = hashlib.sha256()
+        tables = 0
+        for eq, energy in seeded_bound_states():
+            builds = ((lower_component, pseudospin_components)
+                      if eq.params.symmetry == PSEUDOSPIN else (spin_limit_components,))
+            for branch in (DECAYING, TERMINATING):
+                for build in builds:
+                    update_with_table(digest, build(eq, energy, branch=branch))
+                    tables += 1
+        assert tables == 108
+        assert digest.hexdigest() in self.TABLES
+
+    def test_jacobi_derivatives(self):
+        rng = random.Random("wavefn/jacobi")
+        digest = hashlib.sha256()
+        for _ in range(200):
+            spec = JacobiSpec(rng.randint(0, 12), rng.uniform(-12.0, 12.0), rng.uniform(-12.0, 12.0))
+            x = np.array([rng.uniform(-1.0, 1.0) for _ in range(16)])
+            for order in (0, 1, 2):
+                digest.update(jacobi_deriv(spec, x, order).astype("<f8").tobytes())
+        assert digest.hexdigest() == self.JACOBI
+
+    @pytest.mark.parametrize("branch", [DECAYING, TERMINATING])
+    def test_lower_orders_are_a_prefix(self, branch):
+        eq = ps_eq(4, -2, 1.0)
+        energy = solved(eq)
+        bf = branch_functions(eq, energy, branch)
+        log_s = -2.0 * eq.params.alpha * default_grid(eq, energy)
+        full = bf.evaluate(log_s, 2)
+        for order in (0, 1):
+            part = bf.evaluate(log_s, order)
+            assert len(part) == order + 1
+            for ours, theirs in zip(part, full):
+                assert ours.tobytes() == theirs.tobytes()
 
 
 GRID = np.geomspace(1e-3, 30.0, 200)
@@ -542,6 +632,19 @@ class TestGridAndGuards:
         eq = ps_eq(1, -1, 1.0)
         with pytest.raises(DomainError, match=f"n_points must be <= {MAX_POINTS}, got"):
             default_grid(eq, solved(eq), n_points=MAX_POINTS + 1)
+
+    def test_lower_table_near_the_origin_reads_psi_alone(self):
+        # at r = 1e-200, q = s / (1 - s) is about 1e200 and s^2 psi'' leaves
+        # the doubles; the lower table never forms it, the completion's
+        # verify_ode does
+        eq = ps_eq(1, -1, 1.0)
+        energy = solved(eq)
+        grid = default_grid(eq, energy, r_min=1e-200)
+        table = lower_component(eq, energy, grid=grid)
+        assert np.all(np.isfinite(table.g))
+        assert table.node_count == 1
+        with pytest.raises(DomainError, match="the spinor table on r in .* leaves the doubles"):
+            pseudospin_components(eq, energy, grid=grid)
 
     def test_default_grid_reaches_decay_target(self):
         eq = ps_eq(1, -1, 1.0)
