@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -14,9 +13,9 @@ from .model import (
     ModelParams,
     StateIndex,
     centrifugal_approx,
-    check_points,
     eval_potential,
     eval_tensor,
+    log_grid,
     potential_coeffs,
     within_doubles,
 )
@@ -47,15 +46,6 @@ class ApproxReport:
     max_rel_err: float
     r_at_max: float
     max_rel_err_nocorr: float
-
-
-def log_grid(r_min: float, r_max: float, n_points: int) -> NDArray[np.float64]:
-    """The one rule for a log-spaced radial grid: finite 0 < r_min < r_max and
-    2 <= n_points <= MAX_POINTS."""
-    if not (0.0 < r_min < r_max and math.isfinite(r_max)):
-        raise DomainError(f"need finite 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
-    check_points("n_points", n_points, 2)
-    return np.geomspace(r_min, r_max, n_points)
 
 
 def approx_report(

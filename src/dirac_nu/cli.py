@@ -38,11 +38,11 @@ from .analysis import (
     DEFAULT_H_VALUES,
     approx_report,
     h_sweep,
-    log_grid,
     potential_profile,
 )
 from .errors import ConfigError, DomainError, SolverError
-from .model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex, check_points
+from .model import (MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex, check_points,
+                    check_r_min, log_grid)
 from .refdata import load_reference
 from .spectrum import (
     ASSEMBLY_REFERENCE,
@@ -59,7 +59,6 @@ from .wavefn import (
     DEFAULT_R_MIN,
     MIN_INTERIOR,
     TERMINATING,
-    check_r_min,
     default_grid,
     pseudospin_components,
     spin_limit_components,
@@ -423,8 +422,7 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     if len(cfg.states) != 1:
         raise ConfigError(f"wavefunction needs exactly one state, got {len(cfg.states)}")
     # the table's own verify_ode needs MIN_INTERIOR points between the ends
-    if cfg.wf_points < MIN_INTERIOR + 2:
-        raise ConfigError(f"wf_points must be at least {MIN_INTERIOR + 2}, got {cfg.wf_points}")
+    check_points("wf_points", cfg.wf_points, MIN_INTERIOR + 2)
     # r_max depends on the solved energy, so only r_min itself is checked here
     check_r_min(cfg.r_min)
     opts = _solve_options(cfg)

@@ -129,6 +129,23 @@ def check_points(name: str, value: int, least: int) -> None:
         raise DomainError(f"{name} must be <= {MAX_POINTS}, got {value!r}")
 
 
+def check_r_min(r_min: float) -> None:
+    """The one rule for a radial grid's inner end: finite and positive."""
+    if not (math.isfinite(r_min) and r_min > 0.0):
+        raise DomainError(f"r_min must be finite and positive, got {r_min!r}")
+
+
+def log_grid(r_min: float, r_max: float, n_points: int) -> NDArray[np.float64]:
+    """The one log-spaced radial grid, ``n_points`` radii from r_min to r_max:
+    r_min passes :func:`check_r_min`, r_max is finite and above it, and
+    n_points is from 2 to MAX_POINTS; DomainError otherwise."""
+    check_r_min(r_min)
+    if not (r_min < r_max and math.isfinite(r_max)):
+        raise DomainError(f"need finite 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
+    check_points("n_points", n_points, 2)
+    return np.geomspace(r_min, r_max, n_points)
+
+
 def four_alpha2(alpha: float) -> float:
     """4 alpha^2, the scale of the 1/r^2 surrogate; DomainError unless it is a
     finite nonzero double."""

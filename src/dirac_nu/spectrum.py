@@ -192,26 +192,31 @@ def _check_margin(margin: Optional[float]) -> None:
         raise DomainError(f"margin must be finite and positive, got {margin!r}")
 
 
-def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[float, float]:
-    """Open interval of trial energies with nonnegative decay rate.
+def _physical_window(eq: EnergyEquation) -> tuple[float, float]:
+    """The edges in E where the decay rate vanishes: b2 is a downward parabola
+    in x = sigma E with roots -M and M + sigma C_sym, taken back to E.  A
+    window wider than the doubles is a DomainError."""
+    p = eq.params
+    x_lo, x_hi = -p.mass, p.mass + eq.mirror * p.c_sym
+    lo, hi = (x_lo, x_hi) if eq.mirror > 0.0 else (-x_hi, -x_lo)
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"mass = {p.mass!r} and c_sym = {p.c_sym!r} make the window "
+                          f"({lo!r}, {hi!r}) wider than the doubles")
+    return lo, hi
 
-    The decay-rate factor b2 is a downward parabola in x = sigma E whose
-    roots -M and M + sigma C_sym are the window edges, taken back to E; a
-    small margin keeps the solver off the exact edges where the decay
-    exponent vanishes.  ``margin`` is None (1e-9 * mass) or finite and
-    positive; anything else is a DomainError.
+
+def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[float, float]:
+    """The physical window narrowed by ``margin`` on each side, the interval a
+    solve scans and keeps oracle roots in; the margin keeps the scan off the
+    exact edges, where the decay exponent vanishes.
+
+    ``margin`` is None (1e-9 * mass) or finite and positive, else DomainError;
+    an empty window, or one the margin closes, is NoPhysicalWindow.
     """
     p = eq.params
-    s = eq.mirror
     _check_margin(margin)
     eps = (1e-9 * p.mass) if margin is None else margin
-    x_lo, x_hi = -p.mass, p.mass + s * p.c_sym
-    core_lo, core_hi = (x_lo, x_hi) if s > 0.0 else (-x_hi, -x_lo)
-    if not math.isfinite(core_hi - core_lo):
-        raise DomainError(
-            f"mass = {p.mass!r} and c_sym = {p.c_sym!r} make the window "
-            f"({core_lo!r}, {core_hi!r}) wider than the doubles"
-        )
+    core_lo, core_hi = _physical_window(eq)
     lo, hi = core_lo + eps, core_hi - eps
     if not core_lo < core_hi:
         raise NoPhysicalWindow(
@@ -373,12 +378,13 @@ def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
 
 
 def quantization_function(eq: EnergyEquation, energy: float) -> float:
-    """f(E) at a single trial energy inside the search window.
+    """f(E) at a single trial energy in the physical window, edges included;
+    the margin of :func:`search_window` narrows only what a solve scans.
 
     Raises WindowViolation outside the window and NegativeRadicand when a
     square-root argument is negative beyond the clamp tolerance.
     """
-    lo, hi = search_window(eq)
+    lo, hi = _physical_window(eq)
     if not lo <= energy <= hi:
         raise WindowViolation(
             f"energy {energy!r} outside physical window ({lo!r}, {hi!r})"

@@ -52,7 +52,7 @@ from .errors import (
     GridTooCoarse,
     NonNormalizable,
 )
-from .model import PSEUDOSPIN, SPIN, StateIndex, check_points, within_doubles
+from .model import PSEUDOSPIN, SPIN, StateIndex, log_grid, within_doubles
 from .nu_core import NuProblem, derive_constants
 from .spectrum import EnergyEquation, normal_form
 
@@ -253,40 +253,27 @@ def branch_functions(eq: EnergyEquation, energy: float, branch: str = DECAYING) 
     )
 
 
-def check_r_min(r_min: float) -> None:
-    """The one rule for a radial grid's inner end: finite and positive."""
-    if not (math.isfinite(r_min) and r_min > 0.0):
-        raise DomainError(f"r_min must be finite and positive, got {r_min!r}")
-
-
 def default_grid(
     eq: EnergyEquation,
     energy: float,
     n_points: int = DEFAULT_GRID_POINTS,
     r_min: float = DEFAULT_R_MIN,
 ) -> NDArray[np.float64]:
-    """Log-spaced radial grid reaching far enough for the decaying tail.
-
-    r_max satisfies e^{-2 alpha nu r_max} = DECAY_TARGET, so the decaying
-    envelope is negligible at the last point.
+    """The :func:`~.model.log_grid` from r_min out to where the decaying tail
+    has died: r_max satisfies e^{-2 alpha nu r_max} = DECAY_TARGET.
     """
-    check_points("n_points", n_points, 2)
-    check_r_min(r_min)
     nu = derive_constants(normal_form(eq, energy)).sqrt_c8
-    return _log_grid(eq.params.alpha, nu, energy, n_points, r_min)
+    return _decay_grid(eq.params.alpha, nu, energy, n_points, r_min)
 
 
-def _log_grid(
+def _decay_grid(
     alpha: float, nu: float, energy: float, n_points: int = DEFAULT_GRID_POINTS,
     r_min: float = DEFAULT_R_MIN,
 ) -> NDArray[np.float64]:
     """``default_grid`` for a decay exponent nu that is already known."""
     if nu <= 0.0:
         raise NonNormalizable(f"decay exponent vanishes at E = {energy!r}")
-    r_max = math.log(1.0 / DECAY_TARGET) / (2.0 * alpha * nu)
-    if r_max <= r_min:
-        raise DomainError(f"r_max = {r_max!r} does not exceed r_min = {r_min!r}")
-    return np.geomspace(r_min, r_max, n_points)
+    return log_grid(r_min, math.log(1.0 / DECAY_TARGET) / (2.0 * alpha * nu), n_points)
 
 
 def _branch_and_grid(
@@ -296,7 +283,7 @@ def _branch_and_grid(
     once checked, or the default grid of the branch's own nu."""
     bf = branch_functions(eq, energy, branch)
     if grid is None:
-        return bf, _log_grid(eq.params.alpha, bf.nu, energy)
+        return bf, _decay_grid(eq.params.alpha, bf.nu, energy)
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise DomainError("grid must be a 1-d array with at least two points")

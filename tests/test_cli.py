@@ -106,6 +106,19 @@ class TestSolve:
         assert captured.err.count("\n") == 1
         assert not target.parent.exists()
 
+    def test_narrow_margin_keeps_the_root_near_the_window_edge(self, capsys, monkeypatch):
+        # the scan finds a root 2e-9 inside the window edge; f and the oracle
+        # must take it too, however narrow the margin
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        code, out = run_main(capsys, "solve", "--c0", "0.49999999311960147", "--n", "0",
+                             "--kappa", "-1", "--margin", "1e-12", "--format", "csv")
+        assert code == 0
+        header, (row,) = csv_body(out)
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["E_all_real_roots"] == "-4.90463232239;4.999999998"
+        assert record["E_selected"] == "-4.90463232239"
+        assert record["error"] == ""
+
     def test_deterministic_stdout(self):
         args = ("solve", "--tensor-h", "1", "--n", "2", "--kappa", "-1", "--format", "csv")
         a = run_cli(*args)
@@ -258,7 +271,7 @@ class TestWavefunction:
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
-            assert "at least 52" in captured.err
+            assert "wf_points must be >= 52" in captured.err
 
     @pytest.mark.parametrize("r_min", ["0", "-1", "inf", "nan"])
     def test_nonpositive_r_min_is_config_error_before_solving(
@@ -285,7 +298,7 @@ class TestWavefunction:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "does not exceed r_min = 1000.0" in captured.err
+        assert "need finite 0 < r_min < r_max, got 1000.0, " in captured.err
 
     def test_minimum_points_table(self, capsys, monkeypatch):
         monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
@@ -402,14 +415,14 @@ class TestPointCountBound:
                                 f"point count up to {MAX_POINTS}\n")
 
 
-# a profile or approx grid outside the rule of analysis.log_grid, and the
+# a profile or approx grid outside the rule of model.log_grid, and the
 # message it gives
 BAD_PROFILE_GRIDS = [
     ({"profile_points": -1}, "profile_points must be >= 2, got -1"),
     ({"profile_points": 1}, "profile_points must be >= 2, got 1"),
     ({"approx_points": 1}, "approx_points must be >= 2, got 1"),
-    ({"profile_r_min": 0}, "need finite 0 < r_min < r_max"),
-    ({"profile_r_min": -1}, "need finite 0 < r_min < r_max"),
+    ({"profile_r_min": 0}, "r_min must be finite and positive, got 0.0"),
+    ({"profile_r_min": -1}, "r_min must be finite and positive, got -1.0"),
     ({"profile_r_min": 20.0}, "need finite 0 < r_min < r_max"),
     ({"profile_r_min": 10.0}, "need finite 0 < r_min < r_max"),
     ({"profile_r_max": float("inf")}, "need finite 0 < r_min < r_max"),

@@ -147,6 +147,41 @@ class TestQuantizationFunction:
             quantization_function(eq, 4.99)
 
 
+def edge_root_equation():
+    """A state with a root 2e-9 inside the upper window edge, which the
+    default margin (5e-9) leaves out and a margin of 1e-12 takes in."""
+    return build_equation(ModelParams(mass=5.0, c0=0.49999999311960147), StateIndex(0, -1))
+
+
+class TestWindowRule:
+    """f is defined on the whole physical window; the margin narrows only the
+    solve's scan and the oracle's filter."""
+
+    def test_f_between_the_margin_and_the_edge(self):
+        eq = edge_root_equation()
+        assert search_window(eq)[1] < 4.999999998
+        assert quantization_function(eq, 4.999999998) == pytest.approx(-2.474e-11, rel=1e-3)
+
+    def test_f_at_the_exact_edges(self):
+        eq = edge_root_equation()
+        assert math.isfinite(quantization_function(eq, -5.0))
+        assert math.isfinite(quantization_function(eq, 5.0))
+        with pytest.raises(WindowViolation, match=r"outside physical window \(-5.0, 5.0\)"):
+            quantization_function(eq, math.nextafter(5.0, 6.0))
+
+    def test_narrow_margin_roots_are_oracle_confirmed(self):
+        res = solve_spectrum(edge_root_equation(), SolveOptions(margin=1e-12))
+        assert [r.energy for r in res.roots] == [pytest.approx(-4.904632322387, abs=1e-12),
+                                                 4.999999998000847]
+        assert all(r.method == "oracle-confirmed" for r in res.roots)
+        assert len(res.oracle.survivors) == 2
+
+    def test_default_margin_leaves_the_edge_root_out(self):
+        res = solve_spectrum(edge_root_equation(), OPTS)
+        assert [r.energy for r in res.roots] == [pytest.approx(-4.904632322387, abs=1e-12)]
+        assert res.oracle.survivors == pytest.approx([-4.904632322387], abs=1e-12)
+
+
 class TestSolveSpectrum:
     def test_tabulated_pair(self):
         res = solve_spectrum(build_equation(ps_params(), StateIndex(1, -1)), OPTS)
@@ -799,6 +834,33 @@ class TestKnownOracleBreaches:
     def test_roots_are_oracle_confirmed(self, eq):
         res = solve_spectrum(eq, OPTS)
         assert res.roots and all(r.method == "oracle-confirmed" for r in res.roots)
+
+
+class TestCrossCheckBranches:
+    """The two cross-check branches of solve_spectrum that the default grid
+    rarely reaches."""
+
+    def test_oracle_root_the_scan_missed(self):
+        # both roots (1.2451..., 6.6309...) fall in one cell of a 4-point grid
+        params = ModelParams(mass=9.695646549768895, c_sym=7.255963151421806,
+                             tensor_h=1.6933592857421633, alpha=1.9780664756666617,
+                             a_shape=6.951612938471577)
+        eq = build_equation(params, StateIndex(3, 2))
+        with pytest.raises(OracleMismatch, match=r"oracle root 1\.2451136144435488 was not "
+                                                 r"found by bisection; bisection roots: \[\]"):
+            solve_spectrum(eq, SolveOptions(grid_points=4))
+        assert [r.energy for r in solve_spectrum(eq, OPTS).roots] == pytest.approx(
+            [1.2451136144, 6.6309472512], abs=1e-9)
+
+    def test_exact_zeros_on_the_grid(self):
+        # at mass 1e40 f is rounding noise: exactly 0 at many grid points, and
+        # no double near the roots meets the oracle within 1e3 * bisect_tol
+        eq = build_equation(ps_params(tensor_h=1.0, mass=1e40), StateIndex(1, -1))
+        opts = SolveOptions(grid_points=2001)
+        f = spectrum._f_arrays(spectrum._f_terms(eq), np.linspace(*search_window(eq), 2001))
+        assert np.count_nonzero(f == 0.0) > 0
+        with pytest.raises(DomainError, match="bisect_tol=1e-12 is too small to match roots"):
+            solve_spectrum(eq, opts)
 
 
 class TestDegeneracy:
