@@ -55,10 +55,11 @@ single assembly, named "strict".
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -99,6 +100,8 @@ ORACLE_MATCH_FACTOR = 1e3
 BACKSUB_REL_TOL = 1e-6
 # at most this many bisection steps per root
 BISECT_MAX_ITER = 200
+# the scan bounds f on about this many blocks of its grid before evaluating any
+SCAN_BLOCKS = 64
 
 # the largest double, past which the oracle's coefficients cannot be cast
 _DOUBLE_MAX = float(np.finfo(float).max)
@@ -353,6 +356,66 @@ def _f_arrays(
     return f
 
 
+def _f_bounds(
+    t: _FTerms, e_lo: NDArray[np.float64], e_hi: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Interval twin of :func:`_f_point`: bounds of f, 4 c8, 4 c9 and 4 A,
+    each a (2, n) array of lows and highs, on the values :func:`_f_arrays`
+    computes at every double E with e_lo[i] <= E <= e_hi[i]; the radicand
+    bounds are taken before the clamp.
+
+    The ends see the IEEE operations of :func:`_f_arrays` in the same order.
+    Each is monotone in each argument and rounding to nearest is monotone,
+    so the bounds hold for the rounded values with no outward rounding.
+    w V1 + q (q - 1) C0, w V3 + q (q - 1) C0, 4 c9 and the two factors of
+    b2 are each monotone in E alone, so they lie between their values at
+    the two ends; b2 lies between its extreme corner products, and the
+    square of an interval across 0 starts at 0.  An end that overflows is
+    infinite and one made by inf * 0 or inf - inf is NaN, so finite bounds
+    also prove that no value leaves the doubles.  f's bounds are NaN where a
+    radicand may be negative, the clamp band included.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rows w V1 + ll C0, w V3 + ll C0, 4 c9, M + x and M - x + sigma C at both ends
+        ends = np.empty((5, 2, e_lo.size))
+        s1, s3, q9, up, down = ends
+        x = np.multiply((e_lo, e_hi), t.mirror, out=up)
+        np.subtract(t.mass, x, out=down)
+        down += t.c_sym
+        w = np.subtract(x, t.mass, out=q9)
+        w -= t.c_sym
+        w *= t.w_scale
+        np.multiply(w, t.v1, out=s1)
+        s1 += t.ll_c0
+        np.multiply(w, t.v3, out=s3)
+        s3 += t.ll_c0
+        q9 *= t.v_total
+        q9 += t.c9_base
+        q9 *= 4.0
+        up += t.mass
+        corners = (up[:, None] * down).reshape(4, -1)
+        b = np.array((np.minimum.reduce(corners), np.maximum.reduce(corners)))
+        b /= t.four_a2
+
+        low, high = np.minimum(ends[:3, 0], ends[:3, 1]), np.maximum(ends[:3, 0], ends[:3, 1])
+        # 4 A and 4 c8 in one (2, 2, n) block: ((w V + ll C0) + b) * 4
+        a4_q8 = np.array((low[:2], high[:2]))
+        a4_q8 += b[:, None]
+        a4_q8 *= 4.0
+        a4, q8 = a4_q8[:, 0], a4_q8[:, 1]
+        q9 = np.array((low[2], high[2]))
+
+        # W + sqrt(4 c9) - sqrt(4 c8): the low end takes the high 4 c8
+        d = np.sqrt(q9)
+        d += t.width
+        d -= np.sqrt(q8[::-1])
+        sq = np.square(d)
+        f = np.array((np.minimum(sq[0], sq[1]), np.maximum(sq[0], sq[1])))
+        f[0, (d[0] < 0.0) & (d[1] > 0.0)] = 0.0
+        f -= a4[::-1]
+        return f, q8, q9, a4
+
+
 def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
     """Scalar twin of :func:`_f_arrays`: the same IEEE operations in the same
     order on Python floats, so its f is bit-identical to the array one; it also
@@ -381,18 +444,28 @@ def quantization_function(eq: EnergyEquation, energy: float) -> float:
     """f(E) at a single trial energy in the physical window, edges included;
     the margin of :func:`search_window` narrows only what a solve scans.
 
-    Raises WindowViolation outside the window and NegativeRadicand when a
-    square-root argument is negative beyond the clamp tolerance.
+    Raises WindowViolation outside the window, NegativeRadicand when a
+    square-root argument is negative beyond the clamp tolerance, and
+    DomainError naming the parameters when 4 c8, 4 c9, 4 A or f leaves the
+    doubles.
     """
     lo, hi = _physical_window(eq)
     if not lo <= energy <= hi:
         raise WindowViolation(
             f"energy {energy!r} outside physical window ({lo!r}, {hi!r})"
         )
-    f, q8, q9, _ = _f_point(_f_terms(eq), float(energy))
+    f, q8, q9, four_a = _f_point(_f_terms(eq), float(energy))
     if not math.isfinite(f):
-        which = "c8" if q8 < 0.0 else "c9"
-        raise NegativeRadicand(which, (q8 if which == "c8" else q9) / 4.0)
+        past = [(name, value) for name, value in (("4 c8", q8), ("4 c9", q9), ("4 A", four_a))
+                if not math.isfinite(value)]
+        if not past and (q8 < 0.0 or q9 < 0.0):
+            which = "c8" if q8 < 0.0 else "c9"
+            raise NegativeRadicand(which, (q8 if which == "c8" else q9) / 4.0)
+        name, value = past[0] if past else ("f", f)
+        raise DomainError(
+            f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put {name} = "
+            f"{value!r} past the doubles at energy {energy!r}"
+        )
     return f
 
 
@@ -577,25 +650,10 @@ def _require_resolvable(energy: float, opts: SolveOptions) -> None:
         )
 
 
-def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> SpectrumResult:
-    """Locate every root of f in the physical window.
-
-    When ``opts.oracle_check`` is on, the eliminated-polynomial oracle runs
-    first, so a polynomial it refuses ends the solve before the scan.  A
-    uniform scan with ``opts.grid_points`` samples then brackets the sign
-    changes (points with negative radicands are masked out); each bracket
-    is refined by bisection to ``opts.bisect_tol``.  Extra samples are
-    packed against the radicand zero crossings, where f can cross zero
-    inside a sliver narrower than the uniform spacing.  The bisection roots
-    and the oracle's survivors must match in both directions: any
-    unexplained mismatch raises OracleMismatch, and a mismatch within two
-    ulps of the root, where ``ORACLE_MATCH_FACTOR * opts.bisect_tol`` is
-    too small for doubles to meet, raises DomainError instead.
-    """
-    lo, hi = search_window(eq, opts.margin)
-    terms = _f_terms(eq)
-    oracle = quartic_oracle(eq, window=(lo, hi)) if opts.oracle_check else None
-    grid = np.linspace(lo, hi, opts.grid_points)
+def _scan_grid(eq: EnergyEquation, lo: float, hi: float, points: int) -> NDArray[np.float64]:
+    """The energies a solve scans: ``points`` uniform samples over [lo, hi],
+    plus samples packed against each radicand zero crossing inside it."""
+    grid = np.linspace(lo, hi, points)
     boundaries = _radicand_boundaries(eq, lo, hi)
     if boundaries:
         span = hi - lo
@@ -609,31 +667,118 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
             # only a window a few ulps wide makes linspace repeat or misorder
             # samples; np.unique sorts them and drops the repeats
             grid = np.unique(grid)
+    return grid
+
+
+class _Scan(NamedTuple):
+    """What the sign-change scan of f on a grid finds."""
+
+    brackets: list[tuple[float, float, float, float]]  # (E_i, E_i+1, f_i, f_i+1), ascending
+    zeros: list[float]  # grid energies where f is exactly 0, ascending
+    masked: int  # grid points with a negative radicand
+
+
+def _scan(t: _FTerms, grid: NDArray[np.float64], what: Callable[[], str]) -> _Scan:
+    """Brackets, exact zeros and masked count of f on the ascending ``grid``,
+    the same as evaluating f at every point, without evaluating most of them.
+
+    The grid is cut into about SCAN_BLOCKS index blocks that share their end
+    points, and :func:`_f_bounds` bounds f on each from its two end
+    energies.  A block whose f bounds are finite and of one strict sign
+    holds no masked point, no zero and no sign change.  A block whose upper
+    bound on 4 c8 or 4 c9 is below the clamp is masked at every point, and
+    finite bounds on 4 c8, 4 c9 and 4 A prove that none of its points leaves
+    the doubles.  Only the other blocks are evaluated, runs of adjacent ones
+    together, by :func:`_f_arrays` under ``within_doubles(what)``, so a point
+    whose evaluation leaves the doubles raises the same DomainError as in a
+    scan of every point.  Brackets pair consecutive grid points, so none
+    straddles two runs.
+    """
+    last = grid.size - 1
+    blocks = min(SCAN_BLOCKS, last)
+    edges = np.arange(blocks + 1) * last // blocks
+    f, q8, q9, a4 = _f_bounds(t, grid[edges[:-1]], grid[edges[1:]])
+    signed = np.isfinite(f).all(axis=0) & ((f[0] > 0.0) | (f[1] < 0.0))
+    masked = ((q8[1] < t.clamp) | (q9[1] < t.clamp)) & np.isfinite((q8, q9, a4)).all(axis=(0, 1))
+    # block k owns its points but the last, which the next block owns
+    owned = edges[1:] - edges[:-1]
+    owned[-1] += 1
+    masked_points = int(owned[masked].sum())
+
+    # runs of adjacent open blocks as [first, last] grid indices, and the
+    # position of each run's last point among the evaluated energies
+    cuts = edges.tolist()
+    runs: list[list[int]] = []
+    for k in np.flatnonzero(~(signed | masked)).tolist():
+        if runs and runs[-1][1] == cuts[k]:
+            runs[-1][1] = cuts[k + 1]
+        else:
+            runs.append([cuts[k], cuts[k + 1]])
+    if not runs:
+        return _Scan([], [], masked_points)
+    run_ends = [end - 1 for end in itertools.accumulate(j - i + 1 for i, j in runs)]
+    energies = (grid[runs[0][0]:runs[0][1] + 1] if len(runs) == 1 else
+                np.concatenate([grid[i:j + 1] for i, j in runs]))
     # one (4, n) block, not four rows: glibc raises its mmap threshold to the
     # largest block it has freed, so after a solve or two a block this size
-    # comes from memory already mapped, while separate grid-sized rows are
+    # comes from memory already mapped, while separate rows of that size are
     # trimmed and faulted in again on every solve
-    rows = np.empty((4, grid.size))
-    with within_doubles(lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
-                                f"{_given(eq.params, 'mass', 'c_sym')}"):
-        f = _f_arrays(terms, grid, rows)
+    rows = np.empty((4, energies.size))
+    with within_doubles(what):
+        f = _f_arrays(t, energies, rows)
     valid = np.isfinite(f)
 
     # the product goes into the 4 A row, free once f is done; one past the
     # doubles is +-inf, its sign intact
     with np.errstate(over="ignore"):
         sign_change = np.multiply(f[:-1], f[1:], out=rows[0, :-1]) < 0.0
-    both_valid = valid[:-1] & valid[1:]
-    bracket_lo = list(np.nonzero(sign_change & both_valid)[0])
+    sign_change &= valid[:-1]
+    sign_change &= valid[1:]
+    sign_change[run_ends[:-1]] = False  # the last point of a run and the first of the next
+    brackets = [(float(energies[i]), float(energies[i + 1]), float(f[i]), float(f[i + 1]))
+                for i in np.flatnonzero(sign_change)]
+    zeros = energies[valid & (f == 0.0)].tolist()
+
+    # a run's last point belongs to the block after it, unless it ends the grid
+    invalid = ~valid
+    invalid[run_ends[:-1] if runs[-1][1] == last else run_ends] = False
+    return _Scan(brackets, zeros, masked_points + int(np.count_nonzero(invalid)))
+
+
+def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> SpectrumResult:
+    """Locate every root of f in the physical window.
+
+    When ``opts.oracle_check`` is on, the eliminated-polynomial oracle runs
+    first, so a polynomial it refuses ends the solve before the scan.  A
+    uniform scan with ``opts.grid_points`` samples then brackets the sign
+    changes (points with negative radicands are masked out); each bracket
+    is refined by bisection to ``opts.bisect_tol``.  Extra samples are
+    packed against the radicand zero crossings, where f can cross zero
+    inside a sliver narrower than the uniform spacing.  The scan evaluates
+    f only on the blocks of the grid where interval bounds cannot prove one
+    strict sign of f or a negative radicand at every point (see
+    :func:`_scan`); no bracket or zero lies in the others, so the brackets,
+    zeros and masked count are those of f at every point, bit for bit.
+
+    The bisection roots and the oracle's survivors must match in both
+    directions: any unexplained mismatch raises OracleMismatch, and a
+    mismatch within two ulps of the root, where ``ORACLE_MATCH_FACTOR *
+    opts.bisect_tol`` is too small for doubles to meet, raises DomainError
+    instead.
+    """
+    lo, hi = search_window(eq, opts.margin)
+    terms = _f_terms(eq)
+    oracle = quartic_oracle(eq, window=(lo, hi)) if opts.oracle_check else None
+    grid = _scan_grid(eq, lo, hi, opts.grid_points)
+    scan = _scan(terms, grid, lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
+                                      f"{_given(eq.params, 'mass', 'c_sym')}")
 
     # one root per bracket, ascending as the brackets are
-    bisected = [_bisect(terms, float(grid[i]), float(grid[i + 1]), float(f[i]), float(f[i + 1]),
-                        opts) for i in bracket_lo]
+    bisected = [_bisect(terms, *bracket, opts) for bracket in scan.brackets]
     # exact zeros on the grid (rare but cheap to honor), each unless a
     # bisection root or the last zero kept lies within bisect_tol of it
     zeros: list[float] = []
-    for i in np.nonzero(valid & (f == 0.0))[0]:
-        e = float(grid[i])
+    for e in scan.zeros:
         at = bisect.bisect_left(bisected, e)
         near = bisected[max(at - 1, 0):at + 1] + zeros[-1:]
         if not any(abs(e - r) <= opts.bisect_tol for r in near):
@@ -673,10 +818,9 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
         note = ""
     else:
         selected = None
-        masked = int(np.count_nonzero(~valid))
         note = (
             f"no {wanted} root in window ({lo!r}, {hi!r}); "
-            f"{masked} of {grid.size} grid points had negative radicands"
+            f"{scan.masked} of {grid.size} grid points had negative radicands"
         )
 
     return SpectrumResult(
@@ -757,11 +901,28 @@ def _sextic(eq: EnergyEquation) -> NDArray:
     return poly[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
+def _companion_roots(coeffs: NDArray[np.float64]) -> list[complex]:
+    """The roots ``np.roots(coeffs)`` returns, in its order: the eigenvalues of
+    the companion matrix it builds once leading and trailing zeros are
+    stripped, then a 0 for each trailing zero, without its array checks."""
+    nonzero = np.flatnonzero(coeffs)
+    if not nonzero.size:
+        return []
+    p = coeffs[nonzero[0]:nonzero[-1] + 1]
+    roots: list[complex] = []
+    if p.size > 1:
+        companion = np.diag(np.ones(p.size - 2), -1)
+        companion[0, :] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion).tolist()
+    return roots + [0j] * (coeffs.size - 1 - int(nonzero[-1]))
+
+
 def quartic_oracle(
     eq: EnergyEquation,
     window: Optional[tuple[float, float]] = None,
 ) -> OracleResult:
-    """Independent root finder: eliminate the radicals, then use np.roots.
+    """Independent root finder: eliminate the radicals, then take the roots
+    np.roots would (:func:`_companion_roots`).
 
     Writing W = 2n + 1, u = sqrt(4 c9), v = sqrt(4 c8) and R = 4 A, the
     condition (W + u - v)^2 = R implies, after isolating and squaring each
@@ -784,8 +945,9 @@ def quartic_oracle(
     order written above.
     """
     poly = _sextic(eq)
-    # np.roots takes doubles; a coefficient past them (or a NaN) would be cast
-    # to inf.  Seven scalar compares cost less than numpy's reductions.
+    # the companion matrix takes doubles; a coefficient past them (or a NaN)
+    # would be cast to inf.  Seven scalar compares cost less than numpy's
+    # reductions.
     if not all(abs(c) <= _DOUBLE_MAX for c in poly.tolist()):
         raise DomainError(
             f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put a "
@@ -801,14 +963,15 @@ def quartic_oracle(
             f"eliminated polynomial degenerated to degree {degree}"
         )
 
-    # np.roots only handles double precision; its output seeds a Newton
-    # polish against the extended precision coefficients (double rounding
-    # of the coefficients alone shifts roots by ~1e-9 here)
+    # the eigenvalues are double precision; they seed a Newton polish
+    # against the extended precision coefficients (double rounding of the
+    # coefficients alone shifts roots by ~1e-9 here)
     coeffs = coeffs_ld.astype(float)
-    deriv_ld = np.polyder(coeffs_ld)
     # Horner on long double scalars: the operations np.polyval performs,
-    # without its per-call array set-up
-    poly_terms, deriv_terms = list(coeffs_ld), list(deriv_ld)
+    # without its per-call array set-up; the derivative's terms are the
+    # products np.polyder forms
+    poly_terms = list(coeffs_ld)
+    deriv_terms = [c * k for c, k in zip(poly_terms, range(degree, 0, -1))]
 
     def horner(terms: list, x: np.longdouble) -> np.longdouble:
         y = np.longdouble(0)
@@ -820,21 +983,23 @@ def quartic_oracle(
         if abs(z.imag) > 1e-6 * max(1.0, abs(z.real)):
             return z  # clearly complex; spurious anyway, no polish needed
         x = np.longdouble(z.real)
+        px = horner(poly_terms, x)
         for _ in range(6):
-            px = horner(poly_terms, x)
             dx = horner(deriv_terms, x)
             if dx == 0:
                 break
             step = px / dx
-            if abs(horner(poly_terms, x - step)) <= abs(px):
-                x = x - step
+            moved = x - step
+            p_moved = horner(poly_terms, moved)
+            if abs(p_moved) <= abs(px):
+                x, px = moved, p_moved
                 if abs(step) < 1e-18 * max(1.0, abs(x)):
                     break
             else:
                 break
         return complex(float(x), 0.0)
 
-    all_roots = tuple(polish(complex(z)) for z in np.roots(coeffs))
+    all_roots = tuple(polish(complex(z)) for z in _companion_roots(coeffs))
     terms = _f_terms(eq)
     survivors: list[float] = []
     spurious: list[complex] = []

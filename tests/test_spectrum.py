@@ -146,6 +146,17 @@ class TestQuantizationFunction:
         with pytest.raises(NegativeRadicand):
             quantization_function(eq, 4.99)
 
+    def test_overflow_is_a_domain_error_not_a_negative_radicand(self):
+        # at mass 1e160, b2 / (4 alpha^2) overflows, so 4 c8 and 4 A are inf and
+        # f is NaN while 4 c9 is a positive 7.5e159; f used to be reported as
+        # the negative radicand c9 = 1.875e+159
+        eq = build_equation(ps_params(1.0, mass=1e160), StateIndex(1, -1))
+        with pytest.raises(DomainError) as info:
+            quantization_function(eq, 0.0)
+        assert str(info.value) == (
+            "mass = 1e+160, c_sym = 0.0, tensor_h = 1.0, alpha = 0.6, "
+            "c0 = 0.08333333333333333 put 4 c8 = inf past the doubles at energy 0.0")
+
 
 def edge_root_equation():
     """A state with a root 2e-9 inside the upper window edge, which the
@@ -321,15 +332,15 @@ def seeded_equations(count, seed="scalar-twin"):
 def solve_grid(eq, monkeypatch, opts=SolveOptions(oracle_check=False)):
     """The energies solve_spectrum scans, boundary packing included."""
     seen = []
-    scan = spectrum._f_arrays
+    scan_grid = spectrum._scan_grid
 
-    def recording(terms, energies, *rest):
-        seen.append(energies)
-        return scan(terms, energies, *rest)
+    def recording(*args):
+        seen.append(scan_grid(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(spectrum, "_f_arrays", recording)
+    monkeypatch.setattr(spectrum, "_scan_grid", recording)
     solve_spectrum(eq, opts)
-    monkeypatch.setattr(spectrum, "_f_arrays", scan)
+    monkeypatch.setattr(spectrum, "_scan_grid", scan_grid)
     (grid,) = seen
     return grid
 
@@ -698,6 +709,187 @@ class TestScanAndCache:
         other = dataclasses.replace(eq, state=StateIndex(2, -1))
         assert repr(quartic_oracle(other)) == repr(
             quartic_oracle(build_equation(ps_params(1.0), StateIndex(2, -1))))
+
+
+KINDS = ((PSEUDOSPIN, ASSEMBLY_STRICT), (SPIN, ASSEMBLY_REFERENCE), (SPIN, ASSEMBLY_STRICT))
+
+
+def full_scan(terms, grid):
+    """The scan as it was written before blocks: f at every grid point."""
+    with spectrum.within_doubles(lambda: "the scan"):
+        f = spectrum._f_arrays(terms, grid)
+    valid = np.isfinite(f)
+    with np.errstate(over="ignore"):
+        change = (f[:-1] * f[1:] < 0.0) & valid[:-1] & valid[1:]
+    brackets = [(float(grid[i]), float(grid[i + 1]), float(f[i]), float(f[i + 1]))
+                for i in np.flatnonzero(change)]
+    return spectrum._Scan(brackets, grid[valid & (f == 0.0)].tolist(),
+                          int(np.count_nonzero(~valid)))
+
+
+def outcome(scan, terms, grid):
+    try:
+        return repr(scan(terms, grid))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def scan_cases():
+    """(equation, margin, grid_points): draws with masses log-uniform up to
+    1e8 in every limit and assembly, then the edge cases named below."""
+    rng = random.Random("certified scan")
+    cases = []
+    for i in range(150):
+        case = draw_case(rng)
+        mass = math.exp(rng.uniform(0.0, math.log(1e8)))
+        params = ModelParams(**dict(case.params(), mass=mass,
+                                    c_sym=case.c_sym / case.mass * mass))
+        points = (20001, 2001, 3, 4)[i % 4]
+        cases.append((build_equation(params, StateIndex(case.n, case.kappa), case.assembly),
+                      None, points))
+    # the 113-point window, packed against its radicand boundaries
+    narrow = ModelParams(mass=5.0, symmetry=PSEUDOSPIN, c_sym=-10.0 + 1e-13, tensor_h=1.0,
+                         strict_domain=False)
+    cases.append((build_equation(narrow, StateIndex(1, -1)), 1e-30, 20001))
+    for mass in (1e45, 1e160):  # f is rounding noise; f's terms leave the doubles
+        for points in (20001, 3):
+            cases.append((build_equation(ps_params(1.0, mass=mass), StateIndex(1, -1)),
+                          None, points))
+    # every block has a negative radicand, and b2 leaves the doubles in most
+    cases.append((build_equation(spin_params(1.0, mass=2e154), StateIndex(0, -2)), None, 20001))
+    # a root in the radicand sliver and a spin reference cell
+    cases.append((build_equation(spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT), None, 20001))
+    cases.append((build_equation(spin_params(1.0), StateIndex(0, -2)), None, 20001))
+    return cases
+
+
+class TestCertifiedScan:
+    """The blocked scan finds what f at every grid point finds, and the
+    interval bounds it settles blocks with enclose f."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        log_mass=st.floats(min_value=0.0, max_value=math.log(1e8)),
+        c_frac=st.floats(min_value=-0.99, max_value=0.99),
+        tensor_h=st.floats(min_value=-3.0, max_value=3.0),
+        alpha=st.floats(min_value=0.5, max_value=3.0, exclude_min=True),
+        a_shape=st.floats(min_value=4.0, max_value=8.0, exclude_min=True, exclude_max=True),
+        n=st.integers(min_value=0, max_value=5),
+        kappa=st.integers(min_value=-6, max_value=6).filter(bool),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bounds_enclose_f_arrays(self, log_mass, c_frac, tensor_h, alpha, a_shape, n,
+                                     kappa, kind, seed):
+        symmetry, assembly = kind
+        mass = math.exp(log_mass)
+        params = ModelParams(mass=mass, symmetry=symmetry, c_sym=c_frac * mass,
+                             tensor_h=tensor_h, alpha=alpha, a_shape=a_shape)
+        eq = build_equation(params, StateIndex(n, kappa), assembly)
+        terms = spectrum._f_terms(eq)
+        lo, hi = search_window(eq)
+        # 16 blocks of widths from the whole window down to 1e-12 of it, around
+        # random points, the radicand boundaries and the zeros of
+        # W + sqrt(4 c9) - sqrt(4 c8), where the square's bound starts at 0
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(lo, hi, 16)
+        coarse = np.linspace(lo, hi, 201)
+        base = [spectrum._f_point(terms, e) for e in coarse.tolist()]
+        d = np.array([terms.width + math.sqrt(q9) - math.sqrt(q8) if min(q8, q9) >= 0.0
+                      else math.nan for _, q8, q9, _ in base])
+        crossings = coarse[np.flatnonzero(d[:-1] * d[1:] < 0.0)].tolist()
+        special = spectrum._radicand_boundaries(eq, lo, hi) + crossings
+        centers[:len(special[:16])] = special[:16]
+        half = (hi - lo) * 10.0 ** rng.uniform(-12.0, 0.0, 16)
+        e_lo, e_hi = np.maximum(centers - half, lo), np.minimum(centers + half, hi)
+        f_b, q8_b, q9_b, a4_b = spectrum._f_bounds(terms, e_lo, e_hi)
+        unclamped = terms._replace(clamp=0.0)
+        for k in range(16):
+            inside = np.clip(rng.uniform(e_lo[k], e_hi[k], 30), e_lo[k], e_hi[k])
+            energies = np.concatenate([[e_lo[k], e_hi[k]], inside])
+            f = spectrum._f_arrays(terms, energies)
+            points = [spectrum._f_point(unclamped, e) for e in energies.tolist()]
+            for bound, values in ((q8_b, [p[1] for p in points]), (q9_b, [p[2] for p in points]),
+                                  (a4_b, [p[3] for p in points])):
+                low, high = bound[:, k]
+                if not (math.isnan(low) or math.isnan(high)):
+                    assert all(low <= v <= high for v in values), (k, low, high, values)
+            low, high = f_b[:, k]
+            if math.isfinite(low) and math.isfinite(high):
+                assert np.isfinite(f).all() and ((low <= f) & (f <= high)).all(), (k, low, high)
+            if q8_b[1, k] < terms.clamp or q9_b[1, k] < terms.clamp:
+                assert np.isnan(f).all(), k
+
+    def test_square_across_zero_starts_at_zero(self):
+        # b2 / (4 alpha^2) negligible and V1 = V3 = 0 make 4 A = 16 and
+        # 4 c8 = 16 constant, while 4 c9 = 4 (11 - E); so W + sqrt(4 c9) - sqrt(4 c8)
+        # = 2 sqrt(11 - E) - 3 vanishes at E = 8.75, where f = -16 exactly
+        terms = spectrum._FTerms(mirror=1.0, mass=10.0, c_sym=0.0, ll_c0=4.0, c9_base=1.0,
+                                 w_scale=1.0, four_a2=1e300, v1=0.0, v3=0.0, v_total=-1.0,
+                                 width=1.0, clamp=-4e-12)
+        assert spectrum._f_point(terms, 8.75)[0] == -16.0
+        f, q8, q9, a4 = spectrum._f_bounds(terms, np.array([8.0]), np.array([9.5]))
+        assert f[0, 0] == -16.0 and f[1, 0] == pytest.approx((2 * math.sqrt(1.5) - 3) ** 2 - 16)
+        assert (q8[:, 0] == 16.0).all() and (a4[:, 0] == 16.0).all()
+        assert q9[:, 0].tolist() == [6.0, 12.0]
+
+    @pytest.mark.parametrize("masked_parity", [0, 1])
+    def test_brackets_never_join_two_runs(self, masked_parity, monkeypatch):
+        # bounds that call every other block masked leave runs of one block
+        # each; each bracket still pairs two consecutive grid points
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        lo, hi = search_window(eq)
+        grid = spectrum._scan_grid(eq, lo, hi, 20001)
+        terms = spectrum._f_terms(eq)
+        f_bounds = spectrum._f_bounds
+
+        def every_other_masked(t, e_lo, e_hi):
+            f, q8, q9, a4 = (np.array(b) for b in f_bounds(t, e_lo, e_hi))
+            f[:] = np.nan
+            q8[:, masked_parity::2] = 2.0 * t.clamp
+            return f, q8, q9, a4
+
+        monkeypatch.setattr(spectrum, "_f_bounds", every_other_masked)
+        scan = spectrum._scan(terms, grid, str)
+        full = full_scan(terms, grid)
+        at = np.searchsorted(grid, [b[0] for b in scan.brackets])
+        assert [grid[i + 1] for i in at] == [b[1] for b in scan.brackets]
+        assert set(scan.brackets) <= set(full.brackets) and len(full.brackets) == 2
+
+    def test_same_scan_as_the_full_grid(self, monkeypatch):
+        evaluated = []
+        f_arrays = spectrum._f_arrays
+
+        def counting(terms, energies, *rest):
+            evaluated.append(energies.size)
+            return f_arrays(terms, energies, *rest)
+
+        light = light_evaluated = brackets = zeros = masked = errors = with_boundaries = 0
+        for eq, margin, points in scan_cases():
+            evaluated.clear()
+            lo, hi = search_window(eq, margin)
+            grid = spectrum._scan_grid(eq, lo, hi, points)
+            terms = spectrum._f_terms(eq)
+            want = outcome(full_scan, terms, grid)
+            monkeypatch.setattr(spectrum, "_f_arrays", counting)
+            got = outcome(lambda t, g: spectrum._scan(t, g, lambda: "the scan"), terms, grid)
+            monkeypatch.setattr(spectrum, "_f_arrays", f_arrays)
+            assert got == want, (eq, margin, points)
+            if eq.params.mass < 1e3:
+                light += grid.size
+                light_evaluated += sum(evaluated)
+            if want.startswith("DomainError"):
+                errors += 1
+                continue
+            scan = full_scan(terms, grid)
+            brackets += len(scan.brackets)
+            zeros += len(scan.zeros)
+            masked += scan.masked > 0
+            with_boundaries += bool(spectrum._radicand_boundaries(eq, lo, hi))
+        # every kind of outcome is covered, and below mass 1e3 most points were
+        # never evaluated
+        assert min(brackets, zeros, masked, errors, with_boundaries) > 0
+        assert light_evaluated < 0.2 * light, (light_evaluated, light)
 
 
 # warm solves at the README state in a fresh interpreter: minor page faults per
