@@ -58,14 +58,12 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
-    DegenerateLeadingCoefficient,
     DomainError,
     NegativeRadicand,
     NoPhysicalWindow,
@@ -96,15 +94,10 @@ POSITIVE = "positive"
 
 # relative tolerance used when matching the polynomial oracle to bisection
 ORACLE_MATCH_FACTOR = 1e3
-# an oracle root survives back substitution when |f| <= BACKSUB_REL_TOL * max(1, |4 A|)
-BACKSUB_REL_TOL = 1e-6
 # at most this many bisection steps per root
 BISECT_MAX_ITER = 200
 # the scan bounds f on about this many blocks of its grid before evaluating any
 SCAN_BLOCKS = 64
-
-# the largest double, past which the oracle's coefficients cannot be cast
-_DOUBLE_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -153,12 +146,6 @@ class EnergyEquation:
         if self.assembly == ASSEMBLY_REFERENCE:
             return 4.0 * self.params.alpha * self.params.alpha
         return 1.0
-
-    @cached_property
-    def _pieces(self) -> tuple[NDArray, NDArray, NDArray]:
-        """The polynomial pieces (Q9, Q8, R) of :func:`_poly_pieces`, built on
-        first use and shared by the radicand boundaries and the oracle."""
-        return _poly_pieces(self)
 
     @property
     def physical_sign(self) -> str:
@@ -520,12 +507,13 @@ class EnergyRoot:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Companion-matrix roots of the radical-free eliminated polynomial.
+    """The roots of the radical-free polynomial U of :func:`quartic_oracle`.
 
-    Squaring f(E) = 0 twice to clear the two square roots yields a degree-6
-    polynomial in E; its roots are a superset of the true roots.  Spurious
-    roots (artifacts of squaring, complex pairs, out-of-window reals) are
-    reported but flagged.
+    ``coefficients`` are U's seven coefficients in u = sqrt(4 c9), highest
+    degree first, and ``degree`` is 6.  ``all_roots``, ``survivors`` and
+    ``spurious`` are energies E, each root u taken to E(u): the survivors
+    are the roots of f, ascending; the spurious roots are the rest, complex
+    pairs included, in the order of ``all_roots``.
     """
 
     all_roots: tuple[complex, ...]
@@ -625,17 +613,24 @@ def _real_roots(poly: NDArray) -> list[float]:
     return roots
 
 
-def _radicand_boundaries(eq: EnergyEquation, lo: float, hi: float) -> list[float]:
-    """Energies inside (lo, hi) where a radicand crosses zero.
+def _radicand_polys(t: _FTerms) -> tuple[list[float], list[float]]:
+    """4 c9 and 4 c8 as polynomials in the core's x = sigma E, lowest degree
+    first, from the constants of f: 4 c9 is linear and 4 c8 quadratic."""
+    g0 = -(t.mass + t.c_sym)  # g = x + g0
+    q9 = [4.0 * (t.c9_base + g0 * t.w_scale * t.v_total), 4.0 * t.w_scale * t.v_total]
+    q8 = [4.0 * (t.ll_c0 + g0 * t.w_scale * t.v3 + t.mass * (t.mass + t.c_sym) / t.four_a2),
+          4.0 * (t.w_scale * t.v3 + t.c_sym / t.four_a2), -4.0 / t.four_a2]
+    return q9, q8
 
-    The radicands 4 c8 and 4 c9 are polynomials in E of degree <= 2, so
-    the crossings are exact quadratic (or linear) roots.
-    """
-    q9, q8, _ = eq._pieces
-    return sorted(z for poly in (q8, q9) for z in _real_roots(poly) if lo < z < hi)
+
+def _radicand_boundaries(t: _FTerms, lo: float, hi: float) -> list[float]:
+    """Energies inside (lo, hi) where a radicand crosses zero: the exact
+    linear and quadratic roots of :func:`_radicand_polys`, taken to E."""
+    crossings = (t.mirror * z for poly in _radicand_polys(t) for z in _real_roots(poly))
+    return sorted(e for e in crossings if lo < e < hi)
 
 
-def _require_resolvable(energy: float, opts: SolveOptions) -> None:
+def _require_resolvable(energy: float, opts: SolveOptions, params: ModelParams) -> None:
     """Blame an unmatched root on ``bisect_tol`` when no double can meet it.
 
     Bisection and the oracle each land within about one ulp of a root, so
@@ -646,15 +641,15 @@ def _require_resolvable(energy: float, opts: SolveOptions) -> None:
         raise DomainError(
             f"bisect_tol={opts.bisect_tol!r} is too small to match roots near "
             f"{energy!r} to the oracle; the smallest bisect_tol that always resolves "
-            f"them there is {floor / ORACLE_MATCH_FACTOR!r}"
+            f"them there is {floor / ORACLE_MATCH_FACTOR!r}, for {_given(params, 'mass', 'c_sym')}"
         )
 
 
-def _scan_grid(eq: EnergyEquation, lo: float, hi: float, points: int) -> NDArray[np.float64]:
+def _scan_grid(t: _FTerms, lo: float, hi: float, points: int) -> NDArray[np.float64]:
     """The energies a solve scans: ``points`` uniform samples over [lo, hi],
     plus samples packed against each radicand zero crossing inside it."""
     grid = np.linspace(lo, hi, points)
-    boundaries = _radicand_boundaries(eq, lo, hi)
+    boundaries = _radicand_boundaries(t, lo, hi)
     if boundaries:
         span = hi - lo
         offsets = span * np.array([10.0 ** -k for k in range(7, 13)])
@@ -748,11 +743,11 @@ def _scan(t: _FTerms, grid: NDArray[np.float64], what: Callable[[], str]) -> _Sc
 def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> SpectrumResult:
     """Locate every root of f in the physical window.
 
-    When ``opts.oracle_check`` is on, the eliminated-polynomial oracle runs
-    first, so a polynomial it refuses ends the solve before the scan.  A
-    uniform scan with ``opts.grid_points`` samples then brackets the sign
-    changes (points with negative radicands are masked out); each bracket
-    is refined by bisection to ``opts.bisect_tol``.  Extra samples are
+    When ``opts.oracle_check`` is on, the polynomial oracle
+    (:func:`quartic_oracle`) runs first, so a polynomial it refuses ends the
+    solve before the scan.  A uniform scan with ``opts.grid_points`` samples
+    then brackets the sign changes (points with negative radicands are
+    masked out); each bracket is refined by bisection to ``opts.bisect_tol``.  Extra samples are
     packed against the radicand zero crossings, where f can cross zero
     inside a sliver narrower than the uniform spacing.  The scan evaluates
     f only on the blocks of the grid where interval bounds cannot prove one
@@ -769,7 +764,7 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     lo, hi = search_window(eq, opts.margin)
     terms = _f_terms(eq)
     oracle = quartic_oracle(eq, window=(lo, hi)) if opts.oracle_check else None
-    grid = _scan_grid(eq, lo, hi, opts.grid_points)
+    grid = _scan_grid(terms, lo, hi, opts.grid_points)
     scan = _scan(terms, grid, lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
                                       f"{_given(eq.params, 'mass', 'c_sym')}")
 
@@ -789,14 +784,14 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
         tol = ORACLE_MATCH_FACTOR * opts.bisect_tol
         for e in energies:
             if not any(abs(e - s) <= tol for s in oracle.survivors):
-                _require_resolvable(e, opts)
+                _require_resolvable(e, opts, eq.params)
                 raise OracleMismatch(
                     f"bisection root {e!r} has no oracle partner within {tol!r}; "
                     f"oracle survivors: {oracle.survivors!r}"
                 )
         for s in oracle.survivors:
             if not any(abs(e - s) <= tol for e in energies):
-                _require_resolvable(s, opts)
+                _require_resolvable(s, opts, eq.params)
                 raise OracleMismatch(
                     f"oracle root {s!r} was not found by bisection; "
                     f"bisection roots: {energies!r}"
@@ -835,72 +830,6 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     )
 
 
-def _poly_pieces(eq: EnergyEquation) -> tuple[NDArray, NDArray, NDArray]:
-    """(Q9, Q8, R) = (4 c9, 4 c8, 4 A) as polynomials in E.
-
-    They are the core's pieces (see module docstring) with x = sigma E.
-
-    Each is a long double array of length 3, coefficients lowest degree
-    first; Q9 is linear, so its degree-2 entry is a zero.  Extended
-    precision because the double squaring in the elimination amplifies
-    coefficient roundoff into root shifts of order 1e-9, which double
-    precision construction cannot keep below the matching tolerance.
-    Callers read the pieces through ``eq._pieces``, which builds them once
-    per equation; the arrays are read-only.
-    """
-    p = eq.params
-    c = eq.coeffs
-    ld = np.longdouble
-    s = ld(eq.mirror)
-    alpha = ld(p.alpha)
-    a2 = alpha * alpha
-    q = ld(eq.q)
-    ll = q * (q - 1.0)
-    sc = ld(eq.scale) / a2
-    mass, c_sym, c0 = ld(p.mass), s * ld(p.c_sym), ld(p.c0)
-    v1, v3, total = s * ld(c.v1), s * ld(c.v3), s * (ld(c.v1) + ld(c.v2) + ld(c.v3))
-
-    # g and b2 of the core in x = sigma E, taken to E by scaling their odd
-    # coefficients by sigma; the pieces built from them are then in E
-    to_e = np.array([ld(1.0), s, ld(1.0)])
-    g = np.array([-(mass + c_sym), ld(1.0), ld(0.0)]) * to_e
-    b2 = np.array([mass * (mass + c_sym), c_sym, ld(-1.0)]) * to_e
-
-    base = b2 / a2
-    base[0] += 4.0 * ll * c0
-    q9 = sc * total * g
-    q9[0] += (2.0 * q - 1.0) ** 2
-    q8 = base + sc * v3 * g
-    rr = base + sc * v1 * g
-    for piece in (q9, q8, rr):
-        piece.flags.writeable = False
-    return q9, q8, rr
-
-
-def _sextic(eq: EnergyEquation) -> NDArray:
-    """The eliminated polynomial of :func:`quartic_oracle`, long double
-    coefficients lowest degree first.
-
-    Built from the fixed-length pieces in the docstring's order, with
-    ``np.convolve`` for products.  Exact trailing zeros are trimmed once,
-    at the end, down to one coefficient: the length is the degree built
-    plus one, however small the leading coefficient is next to the others.
-    """
-    q9, q8, rr = eq._pieces
-    w = np.longdouble(2 * eq.state.n + 1)
-    w2 = np.array([w * w, 0.0, 0.0], dtype=np.longdouble)
-
-    s1 = (w2 + q9) + (q8 - rr)
-    # S1 and Q9 are linear, so both products are exactly zero at degree 4
-    bracket = np.convolve(s1, s1) - 4.0 * np.convolve(q9, q8)
-    bracket[:3] += 4.0 * w * w * q9 - 4.0 * w * w * q8
-    t = 2.0 * q8 - s1
-    poly = np.convolve(bracket, bracket)
-    poly[:7] -= 16.0 * w * w * np.convolve(q9, np.convolve(t, t))
-    nonzero = np.flatnonzero(poly)
-    return poly[: nonzero[-1] + 1 if nonzero.size else 1]
-
-
 def _companion_roots(coeffs: NDArray[np.float64]) -> list[complex]:
     """The roots ``np.roots(coeffs)`` returns, in its order: the eigenvalues of
     the companion matrix it builds once leading and trailing zeros are
@@ -917,118 +846,160 @@ def _companion_roots(coeffs: NDArray[np.float64]) -> list[complex]:
     return roots + [0j] * (coeffs.size - 1 - int(nonzero[-1]))
 
 
+def _polymul(a: list, b: list) -> list:
+    """The product of two polynomials, coefficients lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _u_polynomial(t: _FTerms) -> list:
+    """U's seven coefficients in u (see :func:`quartic_oracle`), lowest degree
+    first, from the constants of f.  The literals are integers, so the
+    coefficients are doubles for double constants and exact for
+    ``fractions.Fraction`` ones."""
+    # w = w0 + w2 u^2 and g = x - M - sigma C = w / w_scale are even in u,
+    # and b2 = (M + x)(M - x + sigma C) = -g (g + 2 M + sigma C)
+    w2, w0 = 1 / (4 * t.v_total), -t.c9_base / t.v_total
+    g2, g0 = w2 / t.w_scale, w0 / t.w_scale
+    m2 = 2 * t.mass + t.c_sym
+    q8 = [4 * (t.ll_c0 + w0 * t.v3 - g0 * (g0 + m2) / t.four_a2), 0,
+          4 * (w2 * t.v3 - g2 * (2 * g0 + m2) / t.four_a2), 0,
+          -4 * g2 * g2 / t.four_a2]
+    dv = 4 * (t.v3 - t.v1)
+    s = [t.width * t.width + dv * w0, 2 * t.width, 1 + dv * w2]
+    sq = _polymul(s, s) + [0, 0]
+    return [x - y for x, y in zip(sq, _polymul([4 * t.width * t.width, 8 * t.width, 4], q8))]
+
+
+def _u_value(t: _FTerms, u: float, w: float, x: float) -> tuple[float, float, float]:
+    """U(u) from its factors, U'(u) and S(u), given the w and x that go with u;
+    4 c8 is formed as :func:`_f_point` forms it."""
+    wu = t.width + u
+    dv = 4.0 * (t.v3 - t.v1)
+    s = wu * wu + dv * w
+    q8 = 4.0 * (t.ll_c0 + w * t.v3 + (t.mass + x) * (t.mass - x + t.c_sym) / t.four_a2)
+    dw = 0.5 * u / t.v_total
+    dq8 = 4.0 * dw * (t.v3 + (t.c_sym - 2.0 * x) / (t.w_scale * t.four_a2))
+    slope = 2.0 * s * (2.0 * wu + dv * dw) - 8.0 * wu * q8 - 4.0 * wu * wu * dq8
+    return s * s - 4.0 * wu * wu * q8, slope, s
+
+
+# Newton steps on U's factored value per real root: in u, then for a
+# survivor in x = sigma E
+U_STEPS = 3
+X_STEPS = 2
+
+
+def _polish_u(t: _FTerms, u: float) -> tuple[float, float, float]:
+    """U_STEPS Newton steps in u from a real root of U's coefficients; returns
+    u, its x and S(u)."""
+    for step in range(U_STEPS + 1):
+        w = (0.25 * u * u - t.c9_base) / t.v_total
+        x = w / t.w_scale + t.mass + t.c_sym
+        value, slope, s = _u_value(t, u, w, x)
+        if step == U_STEPS or slope == 0.0:
+            break
+        u -= value / slope
+    return u, x, s
+
+
+def _polish_x(t: _FTerms, x: float) -> float:
+    """X_STEPS Newton steps on U in x, each piece taken from x as f takes it:
+    u = sqrt(4 c9(x)), with dx/du = u / (2 V w_scale)."""
+    for _ in range(X_STEPS):
+        w = (x - t.mass - t.c_sym) * t.w_scale
+        q9 = 4.0 * (t.c9_base + w * t.v_total)
+        if not q9 >= 0.0:
+            break
+        u = math.sqrt(q9)
+        value, slope, _ = _u_value(t, u, w, x)
+        if slope == 0.0:
+            break
+        x -= value / slope * (0.5 * u / (t.v_total * t.w_scale))
+    return x
+
+
 def quartic_oracle(
     eq: EnergyEquation,
     window: Optional[tuple[float, float]] = None,
 ) -> OracleResult:
-    """Independent root finder: eliminate the radicals, then take the roots
-    np.roots would (:func:`_companion_roots`).
+    """Independent root finder: eliminate the radicals in u = sqrt(4 c9),
+    then take the roots np.roots would (:func:`_companion_roots`).
 
-    Writing W = 2n + 1, u = sqrt(4 c9), v = sqrt(4 c8) and R = 4 A, the
-    condition (W + u - v)^2 = R implies, after isolating and squaring each
-    radical in turn,
+    4 c9 is linear in E, so E is a polynomial in u.  With V = sigma (V1 +
+    V2 + V3) of the core, which is -3 alpha^2 / 4 times sigma and never 0,
 
-        S1 := (W^2 + Q9) + (Q8 - R)        (linear in E: the b2 parts cancel)
-        S1^2 - 4 Q9 Q8 + 4 W^2 Q9 - 4 W^2 Q8 = 4 W u (2 Q8 - S1)
+        w = (u^2 / 4 - (q - 1/2)^2) / V,   x = w / w_scale + M + sigma C,   E = sigma x.
 
-    and squaring once more gives
+    With W = 2n + 1, v = sqrt(4 c8) and R = 4 A, f = (W + u - v)^2 - R
+    vanishes exactly when 2 (W + u) v = S(u), where
 
-        P := (S1^2 - 4 Q9 Q8 + 4 W^2 Q9 - 4 W^2 Q8)^2 - 16 W^2 Q9 (2 Q8 - S1)^2,
+        S(u) = (W + u)^2 + 4 c8 - R = (W + u)^2 + 4 sigma (V3 - V1) w,
 
-    a polynomial of degree 6 whose real roots contain every true root.
-    Each candidate is filtered by back substitution into f; the rest are
-    reported as spurious.
+    and squaring once gives, with Q8 = 4 c8 taken at E(u),
 
-    The pieces Q9, Q8 and R are the equation's cached ``eq._pieces``, so a
-    solve builds them once for both this oracle and the radicand
-    boundaries.  :func:`_sextic` builds P from them in long double, in the
-    order written above.
+        U(u) = S(u)^2 - 4 (W + u)^2 Q8(u),
+
+    of degree 6, with the positive leading coefficient 1 / (V^2 w_scale^2
+    4 alpha^2).  A real root of U with u >= 0 and S(u) >= 0 is a root of f,
+    with no tolerance: v = S / (2 (W + u)) is then the nonnegative square
+    root of 4 c8.  A root with u < 0 is a root of U(-u), which E(u) also
+    maps to, and one with S < 0 solves (W + u + v)^2 = R instead.  The
+    survivors are the real roots with u >= 0 and S(u) >= 0 whose E lies in
+    ``window`` (any E if it is None) and where f is defined: the tie rule
+    for S or a radicand about 0 (nu -> 0 at a radicand boundary) is that a
+    root where :func:`quantization_function` raises NegativeRadicand or
+    WindowViolation is spurious.  Every other root is spurious.
+
+    Each real root is polished by Newton steps on U's factored value, not
+    on its coefficients: U_STEPS in u (:func:`_polish_u`), then, for a root
+    with u >= 0 and S >= 0, X_STEPS in x with every piece taken from x as f
+    takes it (:func:`_polish_x`).  A coefficient past the doubles is a
+    DomainError naming the parameters.
     """
-    poly = _sextic(eq)
-    # the companion matrix takes doubles; a coefficient past them (or a NaN)
-    # would be cast to inf.  Seven scalar compares cost less than numpy's
-    # reductions.
-    if not all(abs(c) <= _DOUBLE_MAX for c in poly.tolist()):
+    t = _f_terms(eq)
+    coeffs = _u_polynomial(t)[::-1]  # highest degree first
+    if not (coeffs[0] > 0.0 and all(math.isfinite(c) for c in coeffs)):
         raise DomainError(
             f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put a "
             f"coefficient of the oracle's polynomial at "
-            f"{np.format_float_scientific(np.abs(poly).max(), precision=3)}, past the doubles"
+            f"{next((c for c in coeffs if not math.isfinite(c)), coeffs[0])!r}, past the doubles"
         )
-    coeffs_ld = poly[::-1]  # high degree first
-    if not coeffs_ld.any():
-        raise DegenerateLeadingCoefficient("eliminated polynomial is identically zero")
-    degree = coeffs_ld.size - 1
-    if degree < 1:
-        raise DegenerateLeadingCoefficient(
-            f"eliminated polynomial degenerated to degree {degree}"
-        )
+    lo, hi = window if window is not None else (-math.inf, math.inf)
 
-    # the eigenvalues are double precision; they seed a Newton polish
-    # against the extended precision coefficients (double rounding of the
-    # coefficients alone shifts roots by ~1e-9 here)
-    coeffs = coeffs_ld.astype(float)
-    # Horner on long double scalars: the operations np.polyval performs,
-    # without its per-call array set-up; the derivative's terms are the
-    # products np.polyder forms
-    poly_terms = list(coeffs_ld)
-    deriv_terms = [c * k for c, k in zip(poly_terms, range(degree, 0, -1))]
-
-    def horner(terms: list, x: np.longdouble) -> np.longdouble:
-        y = np.longdouble(0)
-        for c in terms:
-            y = y * x + c
-        return y
-
-    def polish(z: complex) -> complex:
-        if abs(z.imag) > 1e-6 * max(1.0, abs(z.real)):
-            return z  # clearly complex; spurious anyway, no polish needed
-        x = np.longdouble(z.real)
-        px = horner(poly_terms, x)
-        for _ in range(6):
-            dx = horner(deriv_terms, x)
-            if dx == 0:
-                break
-            step = px / dx
-            moved = x - step
-            p_moved = horner(poly_terms, moved)
-            if abs(p_moved) <= abs(px):
-                x, px = moved, p_moved
-                if abs(step) < 1e-18 * max(1.0, abs(x)):
-                    break
-            else:
-                break
-        return complex(float(x), 0.0)
-
-    all_roots = tuple(polish(complex(z)) for z in _companion_roots(coeffs))
-    terms = _f_terms(eq)
+    all_roots: list[complex] = []
     survivors: list[float] = []
     spurious: list[complex] = []
-    for z in all_roots:
-        if abs(z.imag) > 1e-8 * max(1.0, abs(z.real)):
-            spurious.append(z)
+    for z in _companion_roots(np.array(coeffs)):
+        if z.imag != 0.0:
+            w = (0.25 * z * z - t.c9_base) / t.v_total
+            all_roots.append(t.mirror * (w / t.w_scale + t.mass + t.c_sym))
+            spurious.append(all_roots[-1])
             continue
-        e = z.real
-        if window is not None and not window[0] <= e <= window[1]:
-            spurious.append(z)
-            continue
-        try:
-            fe = quantization_function(eq, e)
-        except (WindowViolation, NegativeRadicand):
-            spurious.append(z)
-            continue
-        rhse = _f_point(terms, e)[3]
-        if abs(fe) <= BACKSUB_REL_TOL * max(1.0, abs(rhse)):
-            survivors.append(e)
-        else:
-            spurious.append(z)
+        u, x, s = _polish_u(t, z.real)
+        keep = u >= 0.0 and s >= 0.0
+        e = t.mirror * (_polish_x(t, x) if keep else x)
+        all_roots.append(complex(e))
+        if keep and lo <= e <= hi:
+            try:
+                quantization_function(eq, e)
+            except (WindowViolation, NegativeRadicand):
+                pass
+            else:
+                survivors.append(e)
+                continue
+        spurious.append(all_roots[-1])
     survivors.sort()
 
     return OracleResult(
-        all_roots=all_roots,
+        all_roots=tuple(all_roots),
         survivors=tuple(survivors),
         spurious=tuple(spurious),
-        coefficients=tuple(float(x) for x in coeffs),
-        degree=degree,
+        coefficients=tuple(coeffs),
+        degree=len(coeffs) - 1,
     )
 
 

@@ -8,12 +8,12 @@ import subprocess
 import sys
 import types
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial import polynomial as npoly
 
 from dirac_nu.errors import (
     DomainError,
@@ -381,7 +381,7 @@ class TestScalarTwin:
                                 case.assembly)
             terms = spectrum._f_terms(eq)
             energies = []
-            for z in spectrum._radicand_boundaries(eq, *search_window(eq)):
+            for z in spectrum._radicand_boundaries(terms, *search_window(eq)):
                 energies.append(z)
                 below = above = z
                 for _ in range(40):
@@ -500,16 +500,20 @@ def repr_digest(values):
 
 
 class TestPinnedResults:
-    """Whole results, every root and every OracleResult field included, pinned
-    before the oracle stopped using numpy.polynomial and np.polyval."""
+    """Whole results, every root and every OracleResult field included.  The
+    solve and oracle digests were re-pinned when the oracle moved from the
+    E-form sextic to U in u; ROOTS, the roots alone, is the E-form oracle's."""
 
-    SOLVE = "ed7aed6020e8dea09bdcdad60a70e863bd145a7173d4ea6f10fbbd1d136c933c"
-    ORACLE = "20a71e420f4c95f930b8b3556d73faddf545b42adb0dbd6524cc145b3c8ac8d2"
+    SOLVE = "4003d4b3e26d6ca8c7b8c8a8ed872799ea235c4486935c0a7e2ac58d712ef8bf"
+    ORACLE = "4dbdf7849a5510e6e410ba435b8a931ae193b69ff8e6efdf33ee2a8358726e85"
+    ROOTS = "2c3212b7c3ce061f35c059068386081d26179f1c412462d0d5cfb498076e37ee"
 
     def test_solve_spectrum_results(self, ref):
         eqs = pinned_equations(ref)
         assert len(eqs) == 97
-        assert repr_digest(solve_spectrum(eq) for eq in eqs) == self.SOLVE
+        results = [solve_spectrum(eq) for eq in eqs]
+        assert repr_digest(results) == self.SOLVE
+        assert repr_digest(res.roots for res in results) == self.ROOTS
 
     def test_oracle_without_window(self, ref):
         assert repr_digest(quartic_oracle(eq) for eq in pinned_equations(ref)) == self.ORACLE
@@ -563,39 +567,26 @@ class TestOnePass:
         assert built == [r.energy for r in res.roots] and len(built) == 2
 
     def test_refused_polynomial_ends_the_solve_before_the_scan(self, monkeypatch):
-        # at mass 1e75 f is rounding noise over the window, with thousands of
-        # sign changes; the oracle's coefficient check refuses the equation
+        # at H = 1e80, (q - 1/2)^2 is 1e160 and U's coefficients leave the
+        # doubles; the oracle's coefficient check refuses the equation
         def no_scan(*args, **kwargs):
             raise AssertionError("the scan ran")
 
-        monkeypatch.setattr(spectrum, "_f_arrays", no_scan)
-        eq = build_equation(ps_params(1.0, mass=1e75), StateIndex(1, -1))
-        with pytest.raises(DomainError, match=r"^mass = 1e\+75, .* coefficient of the oracle's"):
+        monkeypatch.setattr(spectrum, "_scan", no_scan)
+        eq = build_equation(ps_params(1e80), StateIndex(1, -1))
+        with pytest.raises(DomainError, match=r"^mass = 5\.0, .*tensor_h = 1e\+80, .* "
+                                              r"coefficient of the oracle's"):
             solve_spectrum(eq)
         with pytest.raises(AssertionError, match="the scan ran"):
             solve_spectrum(eq, SolveOptions(oracle_check=False))
 
-
-def same_series(a, b):
-    """Equal length, dtype, values and zero signs."""
-    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
-def polynomial_sextic(eq):
-    """The eliminated polynomial as numpy.polynomial builds it from the pieces,
-    in quartic_oracle's docstring order: the reference for _sextic."""
-    q9, q8, rr = eq._pieces
-    w = np.longdouble(2 * eq.state.n + 1)
-    w2 = np.array([w * w])
-    s1 = npoly.polyadd(npoly.polyadd(w2, q9), npoly.polysub(q8, rr))
-    bracket = npoly.polyadd(
-        npoly.polysub(npoly.polymul(s1, s1), 4.0 * npoly.polymul(q9, q8)),
-        npoly.polysub(4.0 * w * w * q9, 4.0 * w * w * q8),
-    )
-    t = npoly.polysub(2.0 * q8, s1)
-    rhs_sq = npoly.polymul(q9, npoly.polymul(t, t))
-    return npoly.polysub(npoly.polymul(bracket, bracket), 16.0 * w * w * rhs_sq)
+    def test_noise_at_mass_1e75_is_a_named_domain_error(self):
+        # U stays in the doubles at mass 1e75, so the scan runs; f there is
+        # rounding noise, and its roots cannot be matched to the oracle's
+        eq = build_equation(ps_params(1.0, mass=1e75), StateIndex(1, -1))
+        with pytest.raises(DomainError, match=r"^bisect_tol=1e-12 is too small .*, for "
+                                              r"mass = 1e\+75, c_sym = 0\.0$"):
+            solve_spectrum(eq)
 
 
 def log_mass_equations(count, seed):
@@ -626,24 +617,78 @@ def signed_zero_equations():
     return out
 
 
-class TestSextic:
-    """The fixed-length sextic build is numpy.polynomial's build, bit for bit."""
+def exact_terms(eq):
+    """The constants of f as the exact rationals of their doubles."""
+    t = spectrum._f_terms(eq)
+    return t._replace(**{name: Fraction(value) for name, value in t._asdict().items()})
 
-    def test_matches_numpy_polynomial(self, ref):
-        eqs = (pinned_equations(ref) + log_mass_equations(1200, "sextic reference")
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_add(*polys):
+    return [sum(c) for c in itertools.zip_longest(*polys, fillvalue=0)]
+
+
+def poly_scale(k, p):
+    return [k * c for c in p]
+
+
+def e_form_sextic(t):
+    """The oracle's polynomial before U, lowest degree first: with W = 2n + 1,
+    Q9 = 4 c9, Q8 = 4 c8 and R = 4 A as polynomials in E, isolating and
+    squaring each radical of (W + sqrt(Q9) - sqrt(Q8))^2 = R in turn gives
+
+        S1 = W^2 + Q9 + Q8 - R
+        P = (S1^2 - 4 Q9 Q8 + 4 W^2 Q9 - 4 W^2 Q8)^2 - 16 W^2 Q9 (2 Q8 - S1)^2."""
+    x = [0, t.mirror]
+    w = poly_scale(t.w_scale, poly_add(x, [-t.mass - t.c_sym]))
+    b = poly_scale(1 / t.four_a2, poly_mul(poly_add(x, [t.mass]),
+                                           poly_add(poly_scale(-1, x), [t.mass + t.c_sym])))
+    q9 = poly_scale(4, poly_add([t.c9_base], poly_scale(t.v_total, w)))
+    q8 = poly_scale(4, poly_add([t.ll_c0], poly_scale(t.v3, w), b))
+    r = poly_scale(4, poly_add([t.ll_c0], poly_scale(t.v1, w), b))
+    w2 = t.width * t.width
+    s1 = poly_add([w2], q9, q8, poly_scale(-1, r))
+    bracket = poly_add(poly_mul(s1, s1), poly_scale(-4, poly_mul(q9, q8)),
+                       poly_scale(4 * w2, q9), poly_scale(-4 * w2, q8))
+    t2 = poly_add(poly_scale(2, q8), poly_scale(-1, s1))
+    return poly_add(poly_mul(bracket, bracket),
+                    poly_scale(-16 * w2, poly_mul(q9, poly_mul(t2, t2))))
+
+
+class TestUFactorsTheSextic:
+    """U(u) U(-u) is the E-form sextic P at E(u), exactly: U is the factor of P
+    that holds the roots of f, and U(-u) the mirror u -> -u."""
+
+    def test_exact_identity(self, ref):
+        eqs = (pinned_equations(ref) + log_mass_equations(40, "u factors the sextic")
                + signed_zero_equations())
         for eq in eqs:
-            assert same_series(spectrum._sextic(eq), polynomial_sextic(eq)), eq
-
-    def test_pieces_have_the_fixed_layout(self, ref):
-        for eq in pinned_equations(ref):
-            q9, q8, rr = eq._pieces
-            assert all(p.dtype == np.longdouble and p.shape == (3,) for p in (q9, q8, rr))
-            assert q9[2] == 0.0 and q8[2] == rr[2] != 0.0
+            t = exact_terms(eq)
+            u_poly = spectrum._u_polynomial(t)
+            assert all(isinstance(c, Fraction) for c in u_poly) and len(u_poly) == 7
+            mirror = [c if k % 2 == 0 else -c for k, c in enumerate(u_poly)]
+            # E(u) = sigma (w / w_scale + M + sigma C), w = (u^2 / 4 - (q - 1/2)^2) / V
+            e_of_u = poly_scale(t.mirror, [-t.c9_base / t.v_total / t.w_scale + t.mass + t.c_sym,
+                                           0, 1 / (4 * t.v_total * t.w_scale)])
+            p_of_u = [0]
+            for c in reversed(e_form_sextic(t)):
+                p_of_u = poly_add(poly_mul(p_of_u, e_of_u), [c])
+            assert not any(poly_add(p_of_u, poly_scale(-1, poly_mul(u_poly, mirror)))), eq
+            # the oracle's coefficients are these, built in doubles
+            coeffs = quartic_oracle(eq).coefficients
+            assert coeffs == tuple(spectrum._u_polynomial(spectrum._f_terms(eq))[::-1])
+            assert u_poly[6] > 0 and coeffs[0] > 0.0
 
 
 class TestScanAndCache:
-    """The in-place scan leaves its input alone and the pieces cache is per equation."""
+    """The in-place scan leaves its input alone, and an oracle sees only its own equation."""
 
     def test_f_arrays_reads_its_input_only(self, monkeypatch):
         equations = [build_equation(ps_params(1.0), StateIndex(1, -1)),
@@ -664,7 +709,7 @@ class TestScanAndCache:
                              tensor_h=1.0, strict_domain=False)
         eq = build_equation(params, StateIndex(1, -1))
         opts = SolveOptions(margin=1e-30, oracle_check=False)
-        assert spectrum._radicand_boundaries(eq, *search_window(eq, opts.margin))
+        assert spectrum._radicand_boundaries(spectrum._f_terms(eq), *search_window(eq, opts.margin))
         grid = solve_grid(eq, monkeypatch, opts)
         assert grid.size == 113 and np.array_equal(grid, np.unique(grid))
         assert "of 113 grid points" in solve_spectrum(eq, opts).selection_note
@@ -682,28 +727,11 @@ class TestScanAndCache:
         solved = solve_spectrum(eq, OPTS).oracle
         assert repr(quartic_oracle(eq, window=search_window(eq))) == repr(solved)
 
-    def test_pieces_built_once_per_equation(self, monkeypatch):
-        built = []
-        pieces = spectrum._poly_pieces
-
-        def counting(eq):
-            built.append(eq)
-            return pieces(eq)
-
-        monkeypatch.setattr(spectrum, "_poly_pieces", counting)
-        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
-        solve_spectrum(eq, OPTS)
-        solve_spectrum(eq, OPTS)
-        quartic_oracle(eq)
-        assert built == [eq]
-        assert not any(p.flags.writeable for p in eq._pieces)
-
     def test_replaced_params_do_not_see_the_old_cache(self):
         eq = build_equation(ps_params(1.0), StateIndex(1, -1))
         old = quartic_oracle(eq)
         moved = build_equation(dataclasses.replace(eq.params, tensor_h=0.5), eq.state)
         fresh = build_equation(ps_params(0.5), StateIndex(1, -1))
-        assert moved._pieces is not eq._pieces
         assert repr(quartic_oracle(moved)) == repr(quartic_oracle(fresh)) != repr(old)
         assert repr(solve_spectrum(moved, OPTS)) == repr(solve_spectrum(fresh, OPTS))
         other = dataclasses.replace(eq, state=StateIndex(2, -1))
@@ -798,7 +826,7 @@ class TestCertifiedScan:
         d = np.array([terms.width + math.sqrt(q9) - math.sqrt(q8) if min(q8, q9) >= 0.0
                       else math.nan for _, q8, q9, _ in base])
         crossings = coarse[np.flatnonzero(d[:-1] * d[1:] < 0.0)].tolist()
-        special = spectrum._radicand_boundaries(eq, lo, hi) + crossings
+        special = spectrum._radicand_boundaries(terms, lo, hi) + crossings
         centers[:len(special[:16])] = special[:16]
         half = (hi - lo) * 10.0 ** rng.uniform(-12.0, 0.0, 16)
         e_lo, e_hi = np.maximum(centers - half, lo), np.minimum(centers + half, hi)
@@ -839,8 +867,8 @@ class TestCertifiedScan:
         # each; each bracket still pairs two consecutive grid points
         eq = build_equation(ps_params(1.0), StateIndex(1, -1))
         lo, hi = search_window(eq)
-        grid = spectrum._scan_grid(eq, lo, hi, 20001)
         terms = spectrum._f_terms(eq)
+        grid = spectrum._scan_grid(terms, lo, hi, 20001)
         f_bounds = spectrum._f_bounds
 
         def every_other_masked(t, e_lo, e_hi):
@@ -868,8 +896,8 @@ class TestCertifiedScan:
         for eq, margin, points in scan_cases():
             evaluated.clear()
             lo, hi = search_window(eq, margin)
-            grid = spectrum._scan_grid(eq, lo, hi, points)
             terms = spectrum._f_terms(eq)
+            grid = spectrum._scan_grid(terms, lo, hi, points)
             want = outcome(full_scan, terms, grid)
             monkeypatch.setattr(spectrum, "_f_arrays", counting)
             got = outcome(lambda t, g: spectrum._scan(t, g, lambda: "the scan"), terms, grid)
@@ -885,7 +913,7 @@ class TestCertifiedScan:
             brackets += len(scan.brackets)
             zeros += len(scan.zeros)
             masked += scan.masked > 0
-            with_boundaries += bool(spectrum._radicand_boundaries(eq, lo, hi))
+            with_boundaries += bool(spectrum._radicand_boundaries(terms, lo, hi))
         # every kind of outcome is covered, and below mass 1e3 most points were
         # never evaluated
         assert min(brackets, zeros, masked, errors, with_boundaries) > 0
@@ -957,7 +985,7 @@ class TestClosedFormBoundaries:
         eqs = pinned_equations(ref) + seeded_equations(200, seed="closed-form boundaries")
         degrees = set()
         for eq in eqs:
-            for poly in eq._pieces[:2]:
+            for poly in spectrum._radicand_polys(spectrum._f_terms(eq)):
                 want, got = np_roots_reference(poly), sorted(spectrum._real_roots(poly))
                 assert len(got) == len(want), (eq, want, got)
                 for w, g in zip(want, got):
@@ -975,7 +1003,8 @@ class TestClosedFormBoundaries:
                                  a_shape=4.0, strict_domain=False)
             eq = build_equation(params, StateIndex(3, -1))
             opts = SolveOptions(grid_points=2001, oracle_check=False)
-            results.append((spectrum._radicand_boundaries(eq, *search_window(eq)),
+            results.append((spectrum._radicand_boundaries(spectrum._f_terms(eq),
+                                                          *search_window(eq)),
                             repr(solve_spectrum(eq, opts))))
         assert results[0] == results[1]
 
@@ -1007,13 +1036,11 @@ def reference_spin(mass, state, **kw):
     return build_equation(params, state, ASSEMBLY_REFERENCE)
 
 
-class TestKnownOracleBreaches:
-    """Spin/reference states whose roots cluster near E = -M, where the
-    long-double oracle misses them (ROADMAP item 2); the exact oracle flips
-    these."""
+class TestEdgeClusters:
+    """States whose roots cluster near a window edge, each of which made the
+    long-double E-form oracle raise OracleMismatch: every root of f is
+    oracle-confirmed, and every survivor is a root of f."""
 
-    @pytest.mark.xfail(strict=True, raises=OracleMismatch,
-                       reason="ROADMAP item 2: long-double oracle near E = -M")
     @pytest.mark.parametrize("eq", [
         reference_spin(26.82759853298316, StateIndex(0, -3), c_sym=-24.571165422508077,
                        tensor_h=2.804423525633683, alpha=1.6718217147505874,
@@ -1022,10 +1049,28 @@ class TestKnownOracleBreaches:
                        a_shape=5.0),
         reference_spin(50.0, StateIndex(0, -1), c_sym=0.0, tensor_h=0.0, alpha=0.6,
                        a_shape=5.0),
-    ], ids=["mass-26.8", "mass-20", "mass-50"])
+        reference_spin(91.0154751060097, StateIndex(1, -4), c_sym=-51.82389226295651,
+                       tensor_h=2.292311902451914, alpha=2.1098326392879683,
+                       a_shape=7.841277433730604),
+        reference_spin(97.3157805989763, StateIndex(0, -1), c_sym=8.559506076650422,
+                       tensor_h=-0.5811063025682865, alpha=2.6755161375984136,
+                       a_shape=4.114605757798798),
+        reference_spin(98.90198012878312, StateIndex(3, -4), c_sym=-39.58133241365142,
+                       tensor_h=-0.11799572086323806, alpha=2.4061369765873564,
+                       a_shape=5.331664440796413),
+    ] + [build_equation(ps_params(1.0, mass=mass), StateIndex(1, -1))
+         for mass in (300.0, 500.0, 1e4, 1e6)]
+      + [build_equation(spin_params(tensor_h, mass=mass), StateIndex(0, -2))
+         for tensor_h, mass in ((1.0, 240.0), (1.0, 300.0), (1.0, 1e3), (0.0, 300.0),
+                                (0.0, 1e3))],
+        ids=["mass-26.8", "mass-20", "mass-50", "mass-91", "mass-97.3", "mass-98.9"]
+        + [f"readme-mass-{m:g}" for m in (300, 500, 1e4, 1e6)]
+        + [f"spin-H{h:g}-mass-{m:g}" for h, m in ((1, 240), (1, 300), (1, 1e3), (0, 300),
+                                                  (0, 1e3))])
     def test_roots_are_oracle_confirmed(self, eq):
         res = solve_spectrum(eq, OPTS)
         assert res.roots and all(r.method == "oracle-confirmed" for r in res.roots)
+        assert len(res.oracle.survivors) == len(res.roots)
 
 
 class TestCrossCheckBranches:
@@ -1038,7 +1083,7 @@ class TestCrossCheckBranches:
                              tensor_h=1.6933592857421633, alpha=1.9780664756666617,
                              a_shape=6.951612938471577)
         eq = build_equation(params, StateIndex(3, 2))
-        with pytest.raises(OracleMismatch, match=r"oracle root 1\.2451136144435488 was not "
+        with pytest.raises(OracleMismatch, match=r"oracle root 1\.2451136144435466 was not "
                                                  r"found by bisection; bisection roots: \[\]"):
             solve_spectrum(eq, SolveOptions(grid_points=4))
         assert [r.energy for r in solve_spectrum(eq, OPTS).roots] == pytest.approx(
@@ -1078,7 +1123,7 @@ class TestDegeneracy:
                 assert repr(res_a.roots) == repr(res_b.roots)
 
     @pytest.mark.parametrize("tensor_h", [0.0, -0.0])
-    def test_h_zero_members_share_terms_and_pieces(self, tensor_h):
+    def test_h_zero_members_share_terms_and_u(self, tensor_h):
         # what lets _doublet_energies solve the H = 0 pair once: every pair
         # check_doublet admits builds one equation, bit for bit
         rng = random.Random("doublet identity")
@@ -1102,7 +1147,8 @@ class TestDegeneracy:
                         a = build_equation(params, neg, assembly)
                         b = build_equation(params, pos, assembly)
                         assert repr(spectrum._f_terms(a)) == repr(spectrum._f_terms(b))
-                        assert all(same_series(x, y) for x, y in zip(a._pieces, b._pieces))
+                        assert (quartic_oracle(a).coefficients
+                                == quartic_oracle(b).coefficients)
                         pairs += 1
         assert pairs == 3 * 3 * 6 * 5  # n <= 5 and five pairs with |kappa| <= 6 per n
 
@@ -1160,6 +1206,59 @@ class TestOracle:
         assert all(r.method == "oracle-confirmed" for r in res.roots)
         assert res.oracle.degree == 6
 
+    def test_root_with_negative_s_is_spurious(self):
+        # a root of U with u >= 0 and S < 0 inside the window solves
+        # (W + u + v)^2 = 4 A, f's decaying branch, where f itself is -40.7
+        params = ModelParams(mass=5.432062492492053, symmetry=SPIN, c_sym=-4.1599443525046835,
+                             tensor_h=-1.8494581524340783, alpha=1.0714623199855675,
+                             a_shape=6.711810612082385)
+        eq = build_equation(params, StateIndex(1, -2), ASSEMBLY_REFERENCE)
+        res = solve_spectrum(eq, OPTS)
+        (decaying,) = [z.real for z in res.oracle.spurious
+                       if z.imag == 0.0 and abs(z.real - 1.858838416) < 1e-9]
+        f, q8, q9, four_a = spectrum._f_point(spectrum._f_terms(eq), decaying)
+        assert f == pytest.approx(-40.732, abs=1e-3)
+        assert (3.0 + math.sqrt(q9) + math.sqrt(q8)) ** 2 == pytest.approx(four_a, rel=1e-12)
+        assert all(abs(r.energy - decaying) > 1.0 for r in res.roots)
+
+    def test_tie_rule_drops_a_candidate_outside_the_physical_window(self, monkeypatch):
+        # the tie rule: a root with u >= 0 and S >= 0 at which f is undefined
+        # is spurious.  Here, with no window, one sits at E = 42.3388, past
+        # the physical window's upper edge 42.2806, where f is a WindowViolation
+        params = ModelParams(mass=42.28060815358082, symmetry=SPIN, c_sym=-0.2683573667629267,
+                             tensor_h=1.5730702278063946, alpha=2.6694224562369655,
+                             a_shape=4.111545652280617)
+        eq = build_equation(params, StateIndex(2, 2), ASSEMBLY_STRICT)
+        asked = []
+
+        def recording(eq, energy):
+            asked.append(energy)
+            return quantization_function(eq, energy)
+
+        monkeypatch.setattr(spectrum, "quantization_function", recording)
+        orc = quartic_oracle(eq)
+        (outside,) = [e for e in asked if e not in orc.survivors]
+        assert outside == pytest.approx(42.33881249759, abs=1e-9)
+        assert complex(outside) in orc.spurious
+        assert sorted(asked) == sorted(orc.survivors + (outside,))  # one call per candidate
+        with pytest.raises(WindowViolation):
+            quantization_function(eq, outside)
+
+    def test_tie_rule_drops_a_candidate_at_a_negative_radicand(self, monkeypatch):
+        # no seeded state has a candidate where a radicand is negative past the
+        # clamp, so f is made undefined at the README state's positive root
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+
+        def undefined_above_zero(eq, energy):
+            if energy > 0.0:
+                raise NegativeRadicand("c8", -1e-9)
+            return quantization_function(eq, energy)
+
+        monkeypatch.setattr(spectrum, "quantization_function", undefined_above_zero)
+        orc = quartic_oracle(eq, window=search_window(eq))
+        assert orc.survivors == (-4.672750522580427,)
+        assert complex(4.849764677491085) in orc.spurious
+
     def test_root_in_radicand_sliver_is_found(self):
         # a positive root sits ~1e-4 below the 4c8 = 0 crossing, far inside
         # one uniform grid step; the boundary-packed samples must catch it
@@ -1216,10 +1315,11 @@ class TestMirror:
             assert same_bits(spectrum._f_point(terms, e), spectrum._f_point(core_terms, -e))
             assert normal_form(eq, e) == normal_form(core, -e)
 
-        # the core's pieces are in x = -E: their odd coefficients change sign
-        for piece, core_piece in zip(eq._pieces, spectrum._poly_pieces(core)):
-            to_e = (-1.0) ** np.arange(core_piece.size)
-            assert same_series(piece, core_piece * to_e)
+        # u does not see sigma: one U, bit for bit, whose roots x = sigma E mirror
+        oracle, core_oracle = quartic_oracle(eq), quartic_oracle(core)
+        assert same_bits(oracle.coefficients, core_oracle.coefficients)
+        assert oracle.all_roots == tuple(-z for z in core_oracle.all_roots)
+        assert oracle.survivors == tuple(-e for e in reversed(core_oracle.survivors))
 
 
 class TestMapping:
