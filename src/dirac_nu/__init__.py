@@ -10,7 +10,6 @@ oracle.
 from .analysis import ApproxReport, PotentialProfile, SweepResult, approx_report, h_sweep, potential_profile
 from .errors import (
     ConfigError,
-    DegenerateLeadingCoefficient,
     DenominatorNearZero,
     DomainError,
     GridTooCoarse,

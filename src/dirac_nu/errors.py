@@ -53,7 +53,3 @@ class NonNormalizable(SolverError):
 
 class GridTooCoarse(SolverError):
     """Not enough interior points for a meaningful residual check."""
-
-
-class DegenerateLeadingCoefficient(SolverError):
-    """Eliminated polynomial degenerated to the zero polynomial."""

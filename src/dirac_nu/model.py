@@ -73,6 +73,11 @@ class ModelParams:
             raise DomainError(f"symmetry must be one of {_SYMMETRIES}, got {self.symmetry!r}")
         for name in ("mass", "c_sym", "tensor_h", "alpha", "a_shape", "c0"):
             value = getattr(self, name)
+            if isinstance(value, np.floating):
+                # a numpy scalar warns where a float overflows silently, and
+                # prints its type in every message
+                value = float(value)
+                object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.mass <= 0.0:

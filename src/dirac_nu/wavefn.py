@@ -28,8 +28,12 @@ with the solved component G (sigma = +1, pseudospin) or F (sigma = -1, spin).
 Everything is evaluated from log s = -2 alpha r, never from s itself: far
 out s underflows to zero long before s^nu does, and near the origin
 1 - s loses digits that -expm1(log s) keeps.  The joint normalization
-integral is a fixed-order Gauss rule over panels of r, evaluated in one
-vectorized call at two orders that must agree.
+integral is taken over panels of r at two orders N that must agree, in
+one vectorized evaluation: N-point Gauss-Legendre on every panel but the
+first, and on the origin panel, where the integrand carries r^(mu - 1), a
+product rule for that power at 2N fixed Gauss-Legendre nodes whose
+weights come from closed-form moments.  All these rules are built from
+the Legendre recurrence, without LAPACK.
 
 Each caller evaluates the solved component only up to the derivative order
 it reads: ``lower_component`` takes psi, the completion (``_complete``)
@@ -39,6 +43,7 @@ takes s^2 psi'' as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -178,10 +183,12 @@ class BranchFunctions:
     problem: NuProblem
 
     def evaluate(
-        self, log_s: NDArray[np.float64], order: int
+        self, log_s: NDArray[np.float64], order: int,
+        log_scale: Optional[NDArray[np.float64]] = None,
     ) -> tuple[NDArray[np.float64], ...]:
         """psi, s psi' and s^2 psi'' at s = e^{log_s}, primes meaning d/ds,
-        up to the given derivative order (0, 1 or 2).
+        up to the given derivative order (0, 1 or 2), each multiplied by
+        e^{log_scale} where that is given.
 
         With W = P_n^{(a, b)}(1 - 2 s), q = s / (1 - s) and the common
         factor e = s^p (1 - s)^t divided out,
@@ -191,8 +198,10 @@ class BranchFunctions:
             s^2 psi'' = e [((p - t q)^2 - p - t q^2) W
                            - 4 s (p - t q) W' + 4 s^2 W''].
 
-        e is formed as exp(p log s + t log(-expm1(log s))), so an underflowed
-        s or a negative power of s on the growing branch never meets 0 * inf.
+        e is formed as exp(p log s + t log(-expm1(log s)) + log_scale), so an
+        underflowed s or a negative power of s on the growing branch never
+        meets 0 * inf, and a scale that cancels a power of r near the origin
+        (``_norm_rule``) is applied before anything leaves the doubles.
         A lower order stops early and returns a bit-identical prefix of the
         full tuple.  Order 0 forms neither q nor W'; order 1 forms q but not
         q^2, which leaves the doubles first as s nears 1 (r near 0).  W' and
@@ -204,7 +213,10 @@ class BranchFunctions:
         p, t = self.s_exponent, self.one_minus_exponent
         x = 1.0 - 2.0 * s
         w = jacobi_eval(self.jacobi, x)
-        common = np.exp(p * log_s + t * np.log(one_minus))
+        exponent = p * log_s + t * np.log(one_minus)
+        if log_scale is not None:
+            exponent += log_scale
+        common = np.exp(exponent)
         psi = common * w
         if order == 0:
             return (psi,)
@@ -379,31 +391,79 @@ def _coupling_denominator(eq: EnergyEquation, energy: float) -> float:
     return denom
 
 
-def _gauss_jacobi(order: int, beta: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Gauss rule on [-1, 1] for the weight (1 + x)^beta, beta > -1.
+def _legendre_rows(x: NDArray[np.float64], top: int) -> NDArray[np.float64]:
+    """P_0 .. P_top at x, one row each, from the three-term recurrence in the
+    form P_k = x P_{k-1} + (1 - 1/k)(x P_{k-1} - P_{k-2}), whose rounded
+    coefficient multiplies only the small difference near x = +-1."""
+    rows = np.empty((top + 1, x.size))
+    rows[0] = 1.0
+    rows[1] = x
+    for k in range(2, top + 1):
+        xp = x * rows[k - 1]
+        np.add(xp, (1.0 - 1.0 / k) * (xp - rows[k - 2]), out=rows[k])
+    return rows
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    polynomials orthogonal under the weight, the weights the squared first
-    components of its eigenvectors times the weight's mass
-    2^(beta + 1)/(beta + 1).  beta = 0 is Gauss-Legendre.
+
+def _frozen(*arrays: NDArray[np.float64]) -> tuple[NDArray[np.float64], ...]:
+    """The arrays, read-only: a cache hands the same ones to every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[NDArray[np.float64], ...]:
+    """Nodes x and weights w of the n-point Gauss-Legendre rule on [-1, 1],
+    and P_k(x) for k < n in the rows of a third array.
+
+    Newton's method on P_n from Tricomi's approximate nodes, whose third
+    step moves no node by more than a rounding; the weights are
+    2 (1 - x^2) / (n (P_{n-1} - x P_n))^2.  The starts come from the C
+    library's cos and the steps from +, -, * and / alone, so neither LAPACK
+    nor numpy's SIMD kernels reach the rule.  Built once, on first use, so
+    a command that builds no table never pays for it.
     """
-    k = np.arange(1.0, order)
-    two_k = 2.0 * k + beta
-    diag = np.empty(order)
-    diag[0] = beta / (beta + 2.0)
-    diag[1:] = beta * beta / (two_k * (two_k + 2.0))
-    off = 2.0 * k * (k + beta) / (two_k * np.sqrt(two_k * two_k - 1.0))
-    # eigh reads only the lower triangle: the diagonal and the subdiagonal
-    matrix = np.diag(diag)
-    matrix.flat[order :: order + 1] = off
-    nodes, vectors = np.linalg.eigh(matrix)
-    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vectors[0] ** 2
+    x = np.array([(1.0 - (n - 1.0) / (8.0 * n**3)) * math.cos(math.pi * (i + 0.75) / (n + 0.5))
+                  for i in range(n)])
+    for _ in range(3):
+        rows = _legendre_rows(x, n)
+        x = x - rows[n] * (1.0 - x) * (1.0 + x) / (n * (rows[n - 1] - x * rows[n]))
+    rows = _legendre_rows(x, n)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (rows[n - 1] - x * rows[n])) ** 2
+    return _frozen(x, w, rows[:n])
 
 
 # The normalization integral is taken at both orders; they must agree to NORM_RTOL.
 NORM_ORDERS = (16, 24)
 NORM_RTOL = 1e-10
-_LEGENDRE = {order: _gauss_jacobi(order, 0.0) for order in NORM_ORDERS}
+
+
+@functools.cache
+def _origin_basis(order: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The 2 order Gauss-Legendre nodes y_j on (0, 1) and the basis
+    lambda_j (2k + 1) P_k(2 y_j - 1), k < 2 order, of ``_origin_rule``."""
+    x, w, rows = _gauss_legendre(2 * order)
+    return _frozen(0.5 * (1.0 + x), (0.5 * w)[:, None] * (2.0 * np.arange(x.size) + 1.0) * rows.T)
+
+
+def _origin_rule(mu: float, order: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Nodes y and weights W on (0, 1) of the product rule for the weight
+    y^(mu - 1), exact for y^(mu - 1) p(y) with deg p < 2 order.
+
+    At the 2 order Gauss-Legendre nodes y_j, with weights lambda_j,
+
+        W_j = lambda_j sum_k (2k + 1) P_k(2 y_j - 1) m_k,
+
+    where the modified moments have the closed form
+
+        m_k = int_0^1 y^(mu - 1) P_k(2y - 1) dy
+            = prod_{j=1..k} (mu - j) / prod_{j=0..k} (mu + j),
+
+    one cumprod of the ratios (mu - k)/(mu + k) (Gautschi 2004, ch. 2).
+    """
+    y, basis = _origin_basis(order)
+    k = np.arange(float(y.size))
+    return y, basis @ np.cumprod((mu - k) / (mu + k)) / mu
 
 
 def _norm_edges(alpha: float, nu: float, r_max: float) -> NDArray[np.float64]:
@@ -426,22 +486,29 @@ def _norm_edges(alpha: float, nu: float, r_max: float) -> NDArray[np.float64]:
 
 def _norm_rule(
     edges: NDArray[np.float64], mu: float, order: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Nodes and weights of one order over the origin panel and every panel.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Nodes, weights and log scales of one order over the origin panel and
+    every panel.
 
-    Near r = 0 the integrand is r^(mu - 1) times a function analytic in
-    |r| < pi/alpha, so the origin panel uses the Gauss-Jacobi rule for
-    that power, divided back out of the weights; the rest is
-    Gauss-Legendre.
+    Near r = 0 the integrand is (r/e0)^(mu - 1) times a function analytic
+    in |r| < pi/alpha, with e0 = edges[0].  The origin panel (0, e0) uses
+    the product rule for that power (``_origin_rule``) at 2 order fixed
+    nodes, and its components are evaluated with the power divided out:
+    at each origin node the log scale is (1 - mu)/2 log(r/e0), so the
+    squares carry (r/e0)^(1 - mu) and the weight is the rule's own.  No
+    weight or value there leaves the doubles, however large mu is.  The
+    other panels use the Gauss-Legendre rule of the order, at log scale 0.
     """
-    x, w = _LEGENDRE[order]
+    x, w, _ = _gauss_legendre(order)
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
-    xj, wj = _gauss_jacobi(order, mu - 1.0)
-    origin = 0.5 * edges[0]
-    nodes = np.concatenate([origin * (1.0 + xj), (lo + half * (1.0 + x)).ravel()])
-    weights = np.concatenate([origin * wj * (1.0 + xj) ** (1.0 - mu), (half * w).ravel()])
-    return nodes, weights
+    y, wy = _origin_rule(mu, order)
+    origin = edges[0]
+    nodes = np.concatenate([origin * y, (lo + half * (1.0 + x)).ravel()])
+    weights = np.concatenate([origin * wy, (half * w).ravel()])
+    log_scale = np.zeros(nodes.size)
+    log_scale[: y.size] = (0.5 - 0.5 * mu) * np.log(y)
+    return nodes, weights, log_scale
 
 
 def _complete(
@@ -451,7 +518,8 @@ def _complete(
 
     The solved component and its first-order coupled partner come from one
     evaluation of the branch over r and the quadrature nodes of both
-    NORM_ORDERS.  The radial derivative uses the chain rule
+    NORM_ORDERS (``_norm_rule``), the origin panel's nodes with their log
+    scale and the rest unscaled.  The radial derivative uses the chain rule
     d/dr = -2 alpha s d/ds on the analytic s-derivative; no finite
     differences anywhere.  The integral of G^2 + F^2 on (0, r[-1]) is taken
     at both orders; a result that is not finite and positive, or two orders
@@ -464,9 +532,10 @@ def _complete(
     denom = _coupling_denominator(eq, energy)
     low_order, high_order = NORM_ORDERS
     edges = _norm_edges(p.alpha, bf.nu, float(r[-1]))
-    low_r, low_w = _norm_rule(edges, bf.mu, low_order)
-    high_r, high_w = _norm_rule(edges, bf.mu, high_order)
+    low_r, low_w, low_scale = _norm_rule(edges, bf.mu, low_order)
+    high_r, high_w, high_scale = _norm_rule(edges, bf.mu, high_order)
     at = np.concatenate([r, low_r, high_r])
+    log_scale = np.concatenate([np.zeros(r.size), low_scale, high_scale])
     centrifugal = eq.mirror * (eq.state.kappa + p.tensor_h) / at
 
     def table() -> str:
@@ -474,7 +543,7 @@ def _complete(
                 f"at alpha = {p.alpha!r}")
 
     with within_doubles(table):
-        solved, s_d_ds = bf.evaluate(-2.0 * p.alpha * at, 1)
+        solved, s_d_ds = bf.evaluate(-2.0 * p.alpha * at, 1, log_scale)
         d_dr = -2.0 * p.alpha * s_d_ds
         partner = (d_dr - centrifugal * solved) / denom
     density = solved * solved + partner * partner

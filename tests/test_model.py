@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dirac_nu.model import (
     kappa_to_pseudo_l,
     potential_coeffs,
 )
+from dirac_nu.spectrum import build_equation, solve_spectrum
 
 # admissible strict-domain parameter ranges
 alphas = st.floats(min_value=0.51, max_value=5.0, allow_nan=False)
@@ -48,6 +50,28 @@ class TestPotentialCoeffs:
         assert abs(c.total - expect_total) <= 4 * math.ulp(expect_total)
         got = c.v1 + c.v2 + 2.0 * c.v3
         assert abs(got - expect_v1v2_2v3) <= 4 * math.ulp(max(abs(expect_v1v2_2v3), 1.0))
+
+
+class TestNumpyScalars:
+    def test_float64_mass_fails_like_a_float(self):
+        # the README state at mass 1e160, where the scan leaves the doubles: a
+        # numpy mass used to warn in the oracle first, which -W error raises,
+        # and to print as np.float64(...)
+        def failure(mass):
+            eq = build_equation(params(mass=mass, tensor_h=1.0), StateIndex(1, -1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as info:
+                    solve_spectrum(eq)
+            return str(info.value)
+
+        assert failure(np.float64(1e160)) == failure(1e160)
+
+    def test_only_numpy_floats_are_converted(self):
+        p = params(mass=5, alpha=np.float64(0.6), c_sym=np.float32(0.5))
+        assert type(p.mass) is int
+        assert type(p.alpha) is float and type(p.c_sym) is float
+        assert p == params(mass=5, alpha=0.6, c_sym=0.5)
 
 
 class TestStrictDomain:

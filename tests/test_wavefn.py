@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import eval_jacobi
+from scipy.special import eval_jacobi, roots_jacobi
 
 from dirac_nu import wavefn
 from dirac_nu.errors import DomainError, GridTooCoarse, NonNormalizable
@@ -348,6 +348,132 @@ class TestNormalization:
         assert np.trapezoid(table.g**2 + table.f**2, table.r) == pytest.approx(1.0, abs=1e-4)
 
 
+# The seeded spin state of seeded_bound_states with n = 5, kappa = -2
+# (nu = 2.59, mu = 1.468, origin panel (0, 0.346)): an origin rule at the
+# table's own N nodes misses its origin panel by 2.8e-8.
+ORIGIN_SPIN = dict(
+    params=ModelParams(
+        mass=18.09149199301425,
+        symmetry=SPIN,
+        c_sym=-0.3386104376814931,
+        tensor_h=-1.2054085125620198,
+        alpha=0.5579844165808748,
+        a_shape=5.909674558507334,
+    ),
+    state=StateIndex(5, -2),
+    assembly=ASSEMBLY_STRICT,
+)
+# mu = 99.4, where (r/e0)^(mu - 1) spans more than the doubles over the
+# origin panel's nodes
+LARGE_MU = dict(
+    params=ModelParams(mass=50.0, symmetry=PSEUDOSPIN, tensor_h=1.0),
+    state=StateIndex(0, -50),
+    assembly=ASSEMBLY_STRICT,
+)
+
+
+def origin_integrals(eq, energy, branch):
+    """The origin panel's share of the normalization integral at each of
+    NORM_ORDERS: the product rule of ``_norm_rule``, and a Gauss-Jacobi rule
+    for (r/e0)^(mu - 1) from scipy with the power divided out of its weights."""
+    p = eq.params
+    bf = branch_functions(eq, energy, branch)
+    e0 = wavefn._norm_edges(p.alpha, bf.nu, float(default_grid(eq, energy)[-1]))[0]
+    denom = wavefn._coupling_denominator(eq, energy)
+
+    def density(r, log_scale=None):
+        solved, s_d_ds = bf.evaluate(-2.0 * p.alpha * r, 1, log_scale)
+        partner = (-2.0 * p.alpha * s_d_ds
+                   - eq.mirror * (eq.state.kappa + p.tensor_h) / r * solved) / denom
+        return solved * solved + partner * partner
+
+    product, gauss_jacobi = [], []
+    for order in wavefn.NORM_ORDERS:
+        r, w, log_scale = wavefn._norm_rule(np.array([e0]), bf.mu, order)
+        product.append(float(w @ density(r, log_scale)))
+        x, wx = roots_jacobi(order, 0.0, bf.mu - 1.0)
+        gauss_jacobi.append(0.5 * e0 * float(
+            (wx * (1.0 + x) ** (1.0 - bf.mu)) @ density(0.5 * e0 * (1.0 + x))))
+    return product, gauss_jacobi
+
+
+class TestOriginRule:
+    """The product rule of the origin panel (``wavefn._origin_rule``)."""
+
+    @pytest.mark.parametrize("order", wavefn.NORM_ORDERS)
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 1.0, 1.4680658288465787, 5.0, 20.0])
+    def test_exact_for_every_degree(self, mu, order):
+        # int_0^1 y^(mu - 1) y^d dy = 1/(mu + d) for d < 2 order, against
+        # the rule summed exactly in fractions.  At mu = 0.05 the Legendre
+        # coefficients (2k + 1) m_k of y^(mu - 1) grow like k^0.9, so the
+        # matvec that forms W loses about three digits near y = 1 and the
+        # bound there is 2e-12.
+        y, w = wavefn._origin_rule(mu, order)
+        y, w = [Fraction(v) for v in y], [Fraction(v) for v in w]
+        powers = [Fraction(1)] * len(y)
+        worst = 0.0
+        for d in range(2 * order):
+            exact = 1 / (Fraction(mu) + d)
+            got = sum(wj * pj for wj, pj in zip(w, powers))
+            worst = max(worst, abs(float((got - exact) / exact)))
+            powers = [pj * yj for pj, yj in zip(powers, y)]
+        assert worst <= (2e-12 if mu < 0.5 else 1e-13)
+
+    def test_matches_gauss_jacobi_on_seeded_tables(self):
+        # every origin panel of the TestBitIdentity states, both branches and
+        # both orders, against the Gauss-Jacobi rule this one replaced, to
+        # 1e-13 of the table's normalization integral.  The origin panels
+        # hold up to 29% of it; against a panel's own integral the worst gap
+        # is 2.9e-13 (n = 6, mu = 10.4), where y^(mu - 1) is small at most
+        # Legendre nodes and the Gauss-Jacobi nodes sit where it is not.
+        checked = 0
+        for eq, energy in seeded_bound_states():
+            build = pseudospin_components if eq.params.symmetry == PSEUDOSPIN else spin_limit_components
+            for branch in (DECAYING, TERMINATING):
+                integral = build(eq, energy, branch=branch).norm_constant ** -2
+                product, gauss_jacobi = origin_integrals(eq, energy, branch)
+                for ours, theirs in zip(product, gauss_jacobi):
+                    assert abs(ours - theirs) <= 1e-13 * integral
+                    checked += 1
+        assert checked == 144
+
+    def test_orders_agree_where_n_point_rules_miss(self):
+        eq, energy = weak_state(ORIGIN_SPIN)
+        table = spin_limit_components(eq, energy)
+        assert table.mu == pytest.approx(1.4680658288465787, rel=1e-12)
+        assert table.node_count == 5
+        low, high = origin_integrals(eq, energy, DECAYING)[0]
+        assert low == pytest.approx(high, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("branch", [DECAYING, TERMINATING])
+    def test_large_mu_normalizes(self, branch):
+        # the origin nodes reach r/e0 = 6e-4, where (r/e0)^(1 - mu) is 1e316:
+        # the components are evaluated with that power already divided out
+        eq, energy = weak_state(LARGE_MU)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = pseudospin_components(eq, energy, branch=branch)
+        assert table.mu > 99.0
+        expect = quad_norm_constant(eq, energy, branch, table.r[-1])
+        assert table.norm_constant == pytest.approx(expect, rel=1e-10)
+
+    def test_tables_call_no_lapack(self, monkeypatch):
+        # the spectrum's oracle takes eigenvalues; the tables, with the fixed
+        # rules they build on first use, take none
+        spin, large_mu = weak_state(ORIGIN_SPIN), weak_state(LARGE_MU)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and name[0].islower():
+                monkeypatch.setattr(np.linalg, name, refuse)
+        wavefn._gauss_legendre.cache_clear()
+        wavefn._origin_basis.cache_clear()
+        spin_limit_components(*spin)
+        pseudospin_components(*large_mu)
+
+
 def high_degree_case(n):
     params = ModelParams(mass=20.0, symmetry=PSEUDOSPIN, c_sym=0.0, tensor_h=0.0,
                          alpha=0.6, a_shape=5.0)
@@ -494,9 +620,9 @@ class TestWorkPerTable:
             counts["derive"] += 1
             return derive(problem)
 
-        def counted_evaluate(bf, log_s, order):
+        def counted_evaluate(bf, *args):
             counts["evaluate"] += 1
-            return evaluate(bf, log_s, order)
+            return evaluate(bf, *args)
 
         monkeypatch.setattr(wavefn, "derive_constants", counted_derive)
         monkeypatch.setattr(wavefn.BranchFunctions, "evaluate", counted_evaluate)
@@ -540,18 +666,21 @@ def update_with_table(digest, table):
 
 
 class TestBitIdentity:
-    """Tables and Jacobi derivatives hash to SHA-256 digests recorded before
-    ``evaluate`` computed only the derivative orders its caller reads.
+    """Tables and Jacobi derivatives hash to SHA-256 digests.  The Jacobi
+    digest was recorded before ``evaluate`` computed only the derivative
+    orders its caller reads; the table digests when the origin panel's
+    Gauss-Jacobi rule, from LAPACK's eigh, gave way to the product rule of
+    ``_origin_rule`` at fixed Gauss-Legendre nodes built without LAPACK.
 
-    The tables' bits follow the kernels of exp, log, expm1 and power:
-    numpy's own AVX-512 ones, or the C library's where numpy's are switched
-    off (NPY_DISABLE_CPU_FEATURES).  A digest was recorded under each, on
-    numpy 2.4.6 and glibc 2.36.  The Jacobi sums use only + and *.
+    The tables' bits follow the kernels of exp, log and expm1: numpy's own
+    AVX-512 ones, or the C library's where numpy's are switched off
+    (NPY_DISABLE_CPU_FEATURES).  A digest was recorded under each, on numpy
+    2.4.6 and glibc 2.36.  The Jacobi sums use only + and *.
     """
 
     TABLES = {
-        "58820770a5e90b4f7540b136a510735ed3a1c9818952998ed4955756bcc67aeb",  # AVX-512
-        "2110d4e23153becd24492902bd98487adf6798e516082ee1665a20f2933edeb6",  # C library
+        "815eb35c787bbc7b5acad46eb9bb035c44e3525f3be5f43185e4246bd9af88c6",  # AVX-512
+        "82464ce5c9194ffec4cc36fac17b41ffa0791a247f852b1cb1bb175eebaa724e",  # C library
     }
     JACOBI = "479408f8af9703bb5568493b16820afdf11b050bcbc1d1af847ad5a8d65dd4f2"
 
