@@ -465,7 +465,9 @@ class SolveOptions:
     file); ``oracle_check`` keeps its default there.  The benchmark in
     ``perfbench/`` solves with the defaults and, to screen candidate states,
     with ``grid_points=2001, oracle_check=False``.  Bisection stops after
-    at most ``BISECT_MAX_ITER`` steps per root.
+    at most ``BISECT_MAX_ITER`` steps per root.  The scan's samples are a
+    rule by index, so ``grid_points`` costs memory and time only in the
+    blocks of the window that the scan evaluates.
 
     Construction raises DomainError unless ``grid_points`` is from 3 to
     ``model.MAX_POINTS``, ``bisect_tol`` is finite and positive, and
@@ -645,14 +647,21 @@ def _require_resolvable(energy: float, opts: SolveOptions, params: ModelParams) 
         )
 
 
+# samples are packed this far, in units of the window's width, on either
+# side of each radicand zero crossing
+_PACKING = tuple(10.0 ** -k for k in range(7, 13))
+
+
 def _scan_grid(t: _FTerms, lo: float, hi: float, points: int) -> NDArray[np.float64]:
-    """The energies a solve scans: ``points`` uniform samples over [lo, hi],
-    plus samples packed against each radicand zero crossing inside it."""
+    """The energies a solve scans, as one array: ``points`` uniform samples
+    over [lo, hi], plus samples packed against each radicand zero crossing
+    inside it.  A solve builds it only where :func:`_scan_samples` cannot
+    place samples by index."""
     grid = np.linspace(lo, hi, points)
     boundaries = _radicand_boundaries(t, lo, hi)
     if boundaries:
         span = hi - lo
-        offsets = span * np.array([10.0 ** -k for k in range(7, 13)])
+        offsets = span * np.array(_PACKING)
         extra = np.concatenate([[b - offsets, b + offsets] for b in boundaries], axis=None)
         extra = np.unique(extra[(extra > lo) & (extra < hi)])
         at = np.searchsorted(grid, extra)
@@ -665,55 +674,147 @@ def _scan_grid(t: _FTerms, lo: float, hi: float, points: int) -> NDArray[np.floa
     return grid
 
 
+class _Samples(NamedTuple):
+    """The samples of :func:`_scan_grid` by index, not as an array: uniform
+    sample i is i * step + lo and the last is hi, the operations of
+    np.linspace, and packed sample extras[k] comes just before uniform
+    sample slots[k].  ``table``, where set, holds every sample instead, and
+    there are no packed samples."""
+
+    step: float
+    points: int  # uniform samples
+    lo: float
+    hi: float
+    slots: list[int]  # ascending
+    extras: NDArray[np.float64]
+    table: Optional[NDArray[np.float64]] = None
+
+    @property
+    def size(self) -> int:
+        return self.points + self.extras.size
+
+    def uniform(self, index: NDArray[np.int64]) -> NDArray[np.float64]:
+        """The uniform samples at the ascending ``index``."""
+        if self.table is not None:
+            return self.table[index]
+        energies = index * self.step
+        energies += self.lo
+        if index[-1] == self.points - 1:
+            energies[-1] = self.hi
+        return energies
+
+    def position(self, index: NDArray[np.int64]) -> NDArray[np.int64]:
+        """Where the uniform samples at ``index`` sit among all samples."""
+        return index + np.searchsorted(self.slots, index, side="right") if self.slots else index
+
+    def between(self, i: int, j: int) -> NDArray[np.float64]:
+        """Every sample from uniform sample i to uniform sample j, ascending."""
+        energies = self.uniform(np.arange(i, j + 1))
+        pieces, at = [], i
+        k, stop = bisect.bisect_right(self.slots, i), bisect.bisect_right(self.slots, j)
+        while k < stop:  # the packed samples before uniform sample s, slice by slice
+            s = self.slots[k]
+            end = bisect.bisect_right(self.slots, s, k, stop)
+            pieces += [energies[at - i:s - i], self.extras[k:end]]
+            at, k = s, end
+        return np.concatenate(pieces + [energies[at - i:]]) if pieces else energies
+
+
+def _scan_samples(t: _FTerms, lo: float, hi: float, points: int) -> _Samples:
+    """:func:`_scan_grid`'s samples as a rule: the packed ones placed by
+    index, the uniform ones never built.
+
+    With M = max(|lo|, |hi|), a step above 8 ulp(M) makes linspace's
+    samples strictly ascending: each product i * step, at most about 2 M,
+    rounds by under 2 ulp(M) and each sum by at most ulp(M), so consecutive
+    samples, the last two included, differ by more than step - 6 ulp(M).
+    Each packed sample then goes just before the first uniform sample not
+    below it, where _scan_grid's searchsorted puts it: a ceil estimate of
+    that index, then a walk of the samples beside it, finds it exactly.  A
+    smallest packing offset above 0 keeps -0.0, which a set and np.unique
+    may keep in place of 0.0 differently, out of the packed samples.  Only
+    a window a few doubles wide fails either test, and it takes
+    _scan_grid's array.
+    """
+    span = hi - lo
+    step = span / (points - 1)
+    if not (step > 8.0 * math.ulp(max(abs(lo), abs(hi))) and span * _PACKING[-1] > 0.0):
+        grid = _scan_grid(t, lo, hi, points)
+        return _Samples(step, grid.size, lo, hi, [], np.empty(0), grid)
+    last = points - 1
+
+    def sample(i: int) -> float:
+        return hi if i == last else i * step + lo
+
+    slots: list[int] = []
+    extras: list[float] = []
+    at, above = 0, lo  # uniform sample `at`, the first not below the last packed one
+    for e in sorted({z for b in _radicand_boundaries(t, lo, hi) for o in _PACKING
+                     for z in (b - span * o, b + span * o) if lo < z < hi}):
+        if e > above:
+            at = min(math.ceil((e - lo) / step), last)
+            while sample(at) < e:
+                at += 1
+            while sample(at - 1) >= e:
+                at -= 1
+            above = sample(at)
+        if e != above:  # a packed sample equal to a uniform one is dropped
+            slots.append(at)
+            extras.append(e)
+    return _Samples(step, points, lo, hi, slots, np.array(extras))
+
+
 class _Scan(NamedTuple):
-    """What the sign-change scan of f on a grid finds."""
+    """What the sign-change scan of f on its samples finds."""
 
     brackets: list[tuple[float, float, float, float]]  # (E_i, E_i+1, f_i, f_i+1), ascending
-    zeros: list[float]  # grid energies where f is exactly 0, ascending
-    masked: int  # grid points with a negative radicand
+    zeros: list[float]  # sample energies where f is exactly 0, ascending
+    masked: int  # samples with a negative radicand
 
 
-def _scan(t: _FTerms, grid: NDArray[np.float64], what: Callable[[], str]) -> _Scan:
-    """Brackets, exact zeros and masked count of f on the ascending ``grid``,
-    the same as evaluating f at every point, without evaluating most of them.
+def _scan(t: _FTerms, samples: _Samples, what: Callable[[], str]) -> _Scan:
+    """Brackets, exact zeros and masked count of f on ``samples``, the same
+    as evaluating f at every sample, without computing most of them.
 
-    The grid is cut into about SCAN_BLOCKS index blocks that share their end
-    points, and :func:`_f_bounds` bounds f on each from its two end
-    energies.  A block whose f bounds are finite and of one strict sign
-    holds no masked point, no zero and no sign change.  A block whose upper
-    bound on 4 c8 or 4 c9 is below the clamp is masked at every point, and
-    finite bounds on 4 c8, 4 c9 and 4 A prove that none of its points leaves
-    the doubles.  Only the other blocks are evaluated, runs of adjacent ones
-    together, by :func:`_f_arrays` under ``within_doubles(what)``, so a point
-    whose evaluation leaves the doubles raises the same DomainError as in a
-    scan of every point.  Brackets pair consecutive grid points, so none
-    straddles two runs.
+    The uniform index is cut into about SCAN_BLOCKS blocks that share their
+    end samples; a block's packed samples lie between its ends, and
+    :func:`_f_bounds` bounds f on it from the two end energies.  A block
+    whose f bounds are finite and of one strict sign holds no masked
+    sample, no zero and no sign change.  A block whose upper bound on 4 c8
+    or 4 c9 is below the clamp is masked at every sample, and finite bounds
+    on 4 c8, 4 c9 and 4 A prove that none of its samples leaves the
+    doubles.  Only the other blocks' samples are computed and evaluated,
+    runs of adjacent blocks together, by :func:`_f_arrays` under
+    ``within_doubles(what)``, so a sample whose evaluation leaves the
+    doubles raises the same DomainError as in a scan of every sample.
+    Brackets pair consecutive samples, so none straddles two runs.
     """
-    last = grid.size - 1
+    last = samples.points - 1
     blocks = min(SCAN_BLOCKS, last)
     edges = np.arange(blocks + 1) * last // blocks
-    f, q8, q9, a4 = _f_bounds(t, grid[edges[:-1]], grid[edges[1:]])
+    ends = samples.uniform(edges)
+    f, q8, q9, a4 = _f_bounds(t, ends[:-1], ends[1:])
     signed = np.isfinite(f).all(axis=0) & ((f[0] > 0.0) | (f[1] < 0.0))
     masked = ((q8[1] < t.clamp) | (q9[1] < t.clamp)) & np.isfinite((q8, q9, a4)).all(axis=(0, 1))
-    # block k owns its points but the last, which the next block owns
-    owned = edges[1:] - edges[:-1]
+    # block k owns its samples but the last, which the next block owns
+    cuts = samples.position(edges)
+    owned = cuts[1:] - cuts[:-1]
     owned[-1] += 1
     masked_points = int(owned[masked].sum())
 
-    # runs of adjacent open blocks as [first, last] grid indices, and the
-    # position of each run's last point among the evaluated energies
-    cuts = edges.tolist()
+    # runs of adjacent open blocks as [first, last] edge numbers, and the
+    # position of each run's last sample among the evaluated energies
     runs: list[list[int]] = []
     for k in np.flatnonzero(~(signed | masked)).tolist():
-        if runs and runs[-1][1] == cuts[k]:
-            runs[-1][1] = cuts[k + 1]
+        if runs and runs[-1][1] == k:
+            runs[-1][1] = k + 1
         else:
-            runs.append([cuts[k], cuts[k + 1]])
+            runs.append([k, k + 1])
     if not runs:
         return _Scan([], [], masked_points)
-    run_ends = [end - 1 for end in itertools.accumulate(j - i + 1 for i, j in runs)]
-    energies = (grid[runs[0][0]:runs[0][1] + 1] if len(runs) == 1 else
-                np.concatenate([grid[i:j + 1] for i, j in runs]))
+    run_ends = [end - 1 for end in itertools.accumulate(int(cuts[j] - cuts[i]) + 1
+                                                        for i, j in runs)]
+    energies = np.concatenate([samples.between(int(edges[i]), int(edges[j])) for i, j in runs])
     # one (4, n) block, not four rows: glibc raises its mmap threshold to the
     # largest block it has freed, so after a solve or two a block this size
     # comes from memory already mapped, while separate rows of that size are
@@ -734,9 +835,9 @@ def _scan(t: _FTerms, grid: NDArray[np.float64], what: Callable[[], str]) -> _Sc
                 for i in np.flatnonzero(sign_change)]
     zeros = energies[valid & (f == 0.0)].tolist()
 
-    # a run's last point belongs to the block after it, unless it ends the grid
+    # a run's last sample belongs to the block after it, unless it ends the scan
     invalid = ~valid
-    invalid[run_ends[:-1] if runs[-1][1] == last else run_ends] = False
+    invalid[run_ends[:-1] if runs[-1][1] == blocks else run_ends] = False
     return _Scan(brackets, zeros, masked_points + int(np.count_nonzero(invalid)))
 
 
@@ -745,57 +846,63 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
 
     When ``opts.oracle_check`` is on, the polynomial oracle
     (:func:`quartic_oracle`) runs first, so a polynomial it refuses ends the
-    solve before the scan.  A uniform scan with ``opts.grid_points`` samples
-    then brackets the sign changes (points with negative radicands are
-    masked out); each bracket is refined by bisection to ``opts.bisect_tol``.  Extra samples are
-    packed against the radicand zero crossings, where f can cross zero
-    inside a sliver narrower than the uniform spacing.  The scan evaluates
-    f only on the blocks of the grid where interval bounds cannot prove one
-    strict sign of f or a negative radicand at every point (see
-    :func:`_scan`); no bracket or zero lies in the others, so the brackets,
-    zeros and masked count are those of f at every point, bit for bit.
+    solve before the scan.  A scan of ``opts.grid_points`` uniform samples,
+    plus samples packed against the radicand zero crossings, where f can
+    cross zero inside a sliver narrower than the uniform spacing, then
+    brackets the sign changes (samples with negative radicands are masked
+    out); each bracket is refined by bisection to ``opts.bisect_tol``.  The
+    samples are a rule by index (:func:`_scan_samples`), not an array: the
+    scan computes only the samples of the blocks where interval bounds
+    cannot prove one strict sign of f or a negative radicand at every
+    sample (see :func:`_scan`); no bracket or zero lies in the others, so
+    the brackets, zeros and masked count are those of f at every sample,
+    bit for bit.
 
     The bisection roots and the oracle's survivors must match in both
     directions: any unexplained mismatch raises OracleMismatch, and a
     mismatch within two ulps of the root, where ``ORACLE_MATCH_FACTOR *
     opts.bisect_tol`` is too small for doubles to meet, raises DomainError
-    instead.
+    instead.  Each root is checked as soon as it is found, ascending, so the
+    solve ends at the first root without an oracle partner.
     """
     lo, hi = search_window(eq, opts.margin)
     terms = _f_terms(eq)
     oracle = quartic_oracle(eq, window=(lo, hi)) if opts.oracle_check else None
-    grid = _scan_grid(terms, lo, hi, opts.grid_points)
-    scan = _scan(terms, grid, lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
-                                      f"{_given(eq.params, 'mass', 'c_sym')}")
+    samples = _scan_samples(terms, lo, hi, opts.grid_points)
+    scan = _scan(terms, samples, lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
+                                         f"{_given(eq.params, 'mass', 'c_sym')}")
+    tol = ORACLE_MATCH_FACTOR * opts.bisect_tol
+    energies: list[float] = []
 
-    # one root per bracket, ascending as the brackets are
-    bisected = [_bisect(terms, *bracket, opts) for bracket in scan.brackets]
-    # exact zeros on the grid (rare but cheap to honor), each unless a
-    # bisection root or the last zero kept lies within bisect_tol of it
-    zeros: list[float] = []
-    for e in scan.zeros:
-        at = bisect.bisect_left(bisected, e)
-        near = bisected[max(at - 1, 0):at + 1] + zeros[-1:]
-        if not any(abs(e - r) <= opts.bisect_tol for r in near):
-            zeros.append(e)
-    energies = sorted(bisected + zeros)
+    def take(e: float) -> None:
+        if oracle is not None and not any(abs(e - s) <= tol for s in oracle.survivors):
+            _require_resolvable(e, opts, eq.params)
+            raise OracleMismatch(f"bisection root {e!r} has no oracle partner within {tol!r}; "
+                                 f"oracle survivors: {oracle.survivors!r}")
+        energies.append(e)
 
-    if oracle is not None:
-        tol = ORACLE_MATCH_FACTOR * opts.bisect_tol
-        for e in energies:
-            if not any(abs(e - s) <= tol for s in oracle.survivors):
-                _require_resolvable(e, opts, eq.params)
-                raise OracleMismatch(
-                    f"bisection root {e!r} has no oracle partner within {tol!r}; "
-                    f"oracle survivors: {oracle.survivors!r}"
-                )
-        for s in oracle.survivors:
-            if not any(abs(e - s) <= tol for e in energies):
-                _require_resolvable(s, opts, eq.params)
-                raise OracleMismatch(
-                    f"oracle root {s!r} was not found by bisection; "
-                    f"bisection roots: {energies!r}"
-                )
+    # one root per bracket, ascending as the brackets are, and before each the
+    # exact zeros of the scan below it (rare but cheap to honor), each unless
+    # the bisection root on either side or the last zero kept lies within
+    # bisect_tol of it
+    z, below, last_zero = 0, [], []
+    for k in range(len(scan.brackets) + 1):
+        above = [_bisect(terms, *scan.brackets[k], opts)] if k < len(scan.brackets) else []
+        while z < len(scan.zeros) and not (above and scan.zeros[z] > above[0]):
+            e, z = scan.zeros[z], z + 1
+            if not any(abs(e - r) <= opts.bisect_tol for r in below + above + last_zero):
+                last_zero = [e]
+                take(e)
+        if above:
+            below = above
+            take(above[0])
+
+    for s in oracle.survivors if oracle is not None else ():
+        if not any(abs(e - s) <= tol for e in energies):
+            _require_resolvable(s, opts, eq.params)
+            raise OracleMismatch(
+                f"oracle root {s!r} was not found by bisection; bisection roots: {energies!r}"
+            )
 
     # each root is built once, after both routes agree on it
     method = "bisection" if oracle is None else "oracle-confirmed"
@@ -815,7 +922,7 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
         selected = None
         note = (
             f"no {wanted} root in window ({lo!r}, {hi!r}); "
-            f"{scan.masked} of {grid.size} grid points had negative radicands"
+            f"{scan.masked} of {samples.size} grid points had negative radicands"
         )
 
     return SpectrumResult(

@@ -6,6 +6,7 @@ import platform
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -329,20 +330,11 @@ def seeded_equations(count, seed="scalar-twin"):
     return out
 
 
-def solve_grid(eq, monkeypatch, opts=SolveOptions(oracle_check=False)):
-    """The energies solve_spectrum scans, boundary packing included."""
-    seen = []
-    scan_grid = spectrum._scan_grid
-
-    def recording(*args):
-        seen.append(scan_grid(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(spectrum, "_scan_grid", recording)
-    solve_spectrum(eq, opts)
-    monkeypatch.setattr(spectrum, "_scan_grid", scan_grid)
-    (grid,) = seen
-    return grid
+def solve_grid(eq, opts=SolveOptions(oracle_check=False)):
+    """The energies solve_spectrum scans, boundary packing included, as one
+    array (the rule by index yields these, see TestSampleRule)."""
+    return spectrum._scan_grid(spectrum._f_terms(eq), *search_window(eq, opts.margin),
+                               opts.grid_points)
 
 
 def same_bits(a, b):
@@ -357,13 +349,13 @@ def same_bits(a, b):
 class TestScalarTwin:
     """The scalar f used by bisection must reproduce the vectorized scan exactly."""
 
-    def test_bitwise_equal_on_solver_grids(self, ref, monkeypatch):
+    def test_bitwise_equal_on_solver_grids(self, ref):
         equations = [build_equation(ref.params(c.symmetry, c.tensor_h), c.state)
                      for c in ref.cells]
         equations += seeded_equations(24)
         nan_points = 0
         for eq in equations:
-            grid = solve_grid(eq, monkeypatch)
+            grid = solve_grid(eq)
             terms = spectrum._f_terms(eq)
             f = spectrum._f_arrays(terms, grid)
             points = [spectrum._f_point(terms, e)[0] for e in grid.tolist()]
@@ -588,6 +580,26 @@ class TestOnePass:
                                               r"mass = 1e\+75, c_sym = 0\.0$"):
             solve_spectrum(eq)
 
+    def test_noise_at_mass_1e45_ends_at_the_first_unmatched_root(self, monkeypatch):
+        # every bracket of the noise is a root the oracle cannot match; the
+        # solve raises at the first one instead of bisecting the thousands
+        calls = []
+        bisect_one = spectrum._bisect
+
+        def counting(*args):
+            calls.append(args[1])
+            return bisect_one(*args)
+
+        monkeypatch.setattr(spectrum, "_bisect", counting)
+        eq = build_equation(ps_params(1.0, mass=1e45), StateIndex(1, -1))
+        with pytest.raises(DomainError) as info:
+            solve_spectrum(eq)
+        assert str(info.value) == (
+            "bisect_tol=1e-12 is too small to match roots near -9.99824999000175e+44 to the "
+            "oracle; the smallest bisect_tol that always resolves them there is "
+            "3.1691265005705736e+26, for mass = 1e+45, c_sym = 0.0")
+        assert 1 <= len(calls) <= 3
+
 
 def log_mass_equations(count, seed):
     """``draw_case`` states with the mass redrawn log-uniform in (1, 100) and
@@ -690,19 +702,19 @@ class TestUFactorsTheSextic:
 class TestScanAndCache:
     """The in-place scan leaves its input alone, and an oracle sees only its own equation."""
 
-    def test_f_arrays_reads_its_input_only(self, monkeypatch):
+    def test_f_arrays_reads_its_input_only(self):
         equations = [build_equation(ps_params(1.0), StateIndex(1, -1)),
                      build_equation(spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT)]
         equations += seeded_equations(6, seed="in-place scan")
         for eq in equations:
-            grid = solve_grid(eq, monkeypatch)
+            grid = solve_grid(eq)
             before = grid.tobytes()
             grid.flags.writeable = False
             f = spectrum._f_arrays(spectrum._f_terms(eq), grid)
             assert grid.tobytes() == before
             assert f.shape == grid.shape and not np.shares_memory(f, grid)
 
-    def test_grid_merge_in_a_window_a_few_ulps_wide(self, monkeypatch):
+    def test_grid_merge_in_a_window_a_few_ulps_wide(self):
         # the window holds 113 doubles, so linspace repeats samples; the packed
         # grid must still be the sorted unique samples, as np.unique made it
         params = ModelParams(mass=5.0, symmetry=PSEUDOSPIN, c_sym=-10.0 + 1e-13,
@@ -710,7 +722,7 @@ class TestScanAndCache:
         eq = build_equation(params, StateIndex(1, -1))
         opts = SolveOptions(margin=1e-30, oracle_check=False)
         assert spectrum._radicand_boundaries(spectrum._f_terms(eq), *search_window(eq, opts.margin))
-        grid = solve_grid(eq, monkeypatch, opts)
+        grid = solve_grid(eq, opts)
         assert grid.size == 113 and np.array_equal(grid, np.unique(grid))
         assert "of 113 grid points" in solve_spectrum(eq, opts).selection_note
 
@@ -878,7 +890,7 @@ class TestCertifiedScan:
             return f, q8, q9, a4
 
         monkeypatch.setattr(spectrum, "_f_bounds", every_other_masked)
-        scan = spectrum._scan(terms, grid, str)
+        scan = spectrum._scan(terms, spectrum._scan_samples(terms, lo, hi, 20001), str)
         full = full_scan(terms, grid)
         at = np.searchsorted(grid, [b[0] for b in scan.brackets])
         assert [grid[i + 1] for i in at] == [b[1] for b in scan.brackets]
@@ -900,7 +912,8 @@ class TestCertifiedScan:
             grid = spectrum._scan_grid(terms, lo, hi, points)
             want = outcome(full_scan, terms, grid)
             monkeypatch.setattr(spectrum, "_f_arrays", counting)
-            got = outcome(lambda t, g: spectrum._scan(t, g, lambda: "the scan"), terms, grid)
+            samples = spectrum._scan_samples(terms, lo, hi, points)
+            got = outcome(lambda t, s: spectrum._scan(t, s, lambda: "the scan"), terms, samples)
             monkeypatch.setattr(spectrum, "_f_arrays", f_arrays)
             assert got == want, (eq, margin, points)
             if eq.params.mass < 1e3:
@@ -918,6 +931,57 @@ class TestCertifiedScan:
         # never evaluated
         assert min(brackets, zeros, masked, errors, with_boundaries) > 0
         assert light_evaluated < 0.2 * light, (light_evaluated, light)
+
+
+class TestSampleRule:
+    """The samples the scan computes by index are _scan_grid's, bit for bit.
+    The rule repeats linspace's correctly rounded * and +, so it runs with
+    numpy's SIMD kernels off too."""
+
+    @staticmethod
+    def assert_same_samples(terms, lo, hi, points):
+        grid = spectrum._scan_grid(terms, lo, hi, points)
+        samples = spectrum._scan_samples(terms, lo, hi, points)
+        assert samples.size == grid.size
+        # the block ends and the runs of blocks the scan reads, and every sample
+        last = samples.points - 1
+        blocks = min(spectrum.SCAN_BLOCKS, last)
+        edges = np.arange(blocks + 1) * last // blocks
+        at = samples.position(edges)
+        assert same_bits(samples.uniform(edges), grid[at])
+        for i, j in itertools.combinations(range(0, blocks + 1, max(blocks // 4, 1)), 2):
+            assert same_bits(samples.between(int(edges[i]), int(edges[j])),
+                             grid[at[i]:at[j] + 1])
+        assert same_bits(samples.between(0, last), grid)
+        return samples
+
+    def test_scan_cases_at_every_size(self):
+        built = packed = 0
+        masses = [build_equation(params(1.0, mass=10.0 ** k), StateIndex(1, -1))
+                  for params in (ps_params, spin_params) for k in range(0, 161, 16)]
+        cases = [(eq, margin) for eq, margin, _ in scan_cases()] + [(eq, None) for eq in masses]
+        for (eq, margin), points in itertools.product(cases, (20001, 2001, 4, 3)):
+            terms = spectrum._f_terms(eq)
+            samples = self.assert_same_samples(terms, *search_window(eq, margin), points)
+            built += samples.table is not None
+            packed += bool(samples.slots)
+        # the 113-double window builds its grid at 20001 and 2001 points, no other
+        assert built == 2 and packed > 100
+
+    def test_windows_a_few_to_many_ulps_wide(self):
+        # windows of 1 to 1e7 ulps around a radicand boundary, a few on either
+        # side of the step of 8 ulps that selects the rule
+        eq = build_equation(spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT)
+        terms = spectrum._f_terms(eq)
+        (b,) = spectrum._radicand_boundaries(terms, *search_window(eq))
+        rng = random.Random("sample rule")
+        rule = 0
+        for _ in range(600):
+            lo, hi = (b + math.ulp(b) * math.copysign(10.0 ** rng.uniform(0.0, 7.0), side)
+                      for side in (-1.0, 1.0))
+            samples = self.assert_same_samples(terms, lo, hi, rng.choice((3, 4, 17, 2001, 20001)))
+            rule += samples.table is None
+        assert 100 < rule < 500
 
 
 # warm solves at the README state in a fresh interpreter: minor page faults per
@@ -951,6 +1015,19 @@ class TestScanWorkspace:
         assert proc.returncode == 0, proc.stderr
         # four separate grid-sized rows fault about 46 pages in per solve
         assert float(proc.stdout) < 1.0
+
+    def test_a_solve_allocates_no_grid(self):
+        # the samples are a rule, so only the evaluated blocks take memory:
+        # about 50 KiB at the README state, where a 20001-point grid took 207
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        solve_spectrum(eq)
+        tracemalloc.start()
+        try:
+            solve_spectrum(eq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_concurrent_solves_reproduce_the_pinned_results(self, ref):
         eqs = pinned_equations(ref)
