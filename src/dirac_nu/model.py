@@ -143,12 +143,25 @@ def check_r_min(r_min: float) -> None:
 def log_grid(r_min: float, r_max: float, n_points: int) -> NDArray[np.float64]:
     """The one log-spaced radial grid, ``n_points`` radii from r_min to r_max:
     r_min passes :func:`check_r_min`, r_max is finite and above it, and
-    n_points is from 2 to MAX_POINTS; DomainError otherwise."""
+    n_points is from 2 to MAX_POINTS; DomainError otherwise.
+
+    The radii equal ``np.geomspace(r_min, r_max, n_points)`` bit for bit: this
+    is the arithmetic geomspace does for positive finite ends, without its
+    generic wrapper.  The base-10 logarithms lo and hi of the ends are spaced
+    as np.linspace spaces them (exponent k is k * step + lo), 10 is raised to
+    them as a one-element array, as np.logspace does, and both ends are
+    restored to r_min and r_max exactly, which also stands for linspace
+    setting its last exponent to hi.
+    """
     check_r_min(r_min)
     if not (r_min < r_max and math.isfinite(r_max)):
         raise DomainError(f"need finite 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
     check_points("n_points", n_points, 2)
-    return np.geomspace(r_min, r_max, n_points)
+    lo, hi = np.log10((r_min, r_max))
+    exponents = np.arange(float(n_points)) * ((hi - lo) / (n_points - 1)) + lo
+    radii = np.power(np.array([10.0]), exponents)
+    radii[0], radii[-1] = r_min, r_max
+    return radii
 
 
 def four_alpha2(alpha: float) -> float:

@@ -822,21 +822,20 @@ def _scan(t: _FTerms, samples: _Samples, what: Callable[[], str]) -> _Scan:
     rows = np.empty((4, energies.size))
     with within_doubles(what):
         f = _f_arrays(t, energies, rows)
-    valid = np.isfinite(f)
 
-    # the product goes into the 4 A row, free once f is done; one past the
-    # doubles is +-inf, its sign intact
+    # f is finite or NaN (masked): anything else left the doubles and raised.
+    # A NaN product is not < 0 and NaN is not == 0, so masked samples make no
+    # bracket and no zero.  The product goes into the 4 A row, free once f is
+    # done; one past the doubles is +-inf, its sign intact
     with np.errstate(over="ignore"):
         sign_change = np.multiply(f[:-1], f[1:], out=rows[0, :-1]) < 0.0
-    sign_change &= valid[:-1]
-    sign_change &= valid[1:]
     sign_change[run_ends[:-1]] = False  # the last point of a run and the first of the next
     brackets = [(float(energies[i]), float(energies[i + 1]), float(f[i]), float(f[i + 1]))
                 for i in np.flatnonzero(sign_change)]
-    zeros = energies[valid & (f == 0.0)].tolist()
+    zeros = energies[f == 0.0].tolist()
 
     # a run's last sample belongs to the block after it, unless it ends the scan
-    invalid = ~valid
+    invalid = np.isnan(f)
     invalid[run_ends[:-1] if runs[-1][1] == blocks else run_ends] = False
     return _Scan(brackets, zeros, masked_points + int(np.count_nonzero(invalid)))
 

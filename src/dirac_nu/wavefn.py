@@ -33,7 +33,9 @@ one vectorized evaluation: N-point Gauss-Legendre on every panel but the
 first, and on the origin panel, where the integrand carries r^(mu - 1), a
 product rule for that power at 2N fixed Gauss-Legendre nodes whose
 weights come from closed-form moments.  All these rules are built from
-the Legendre recurrence, without LAPACK.
+the Legendre recurrence, without LAPACK.  The parts of a rule that do not
+depend on the state are built once per order, on first use; a table takes
+the origin panel's moments once, for both orders.
 
 Each caller evaluates the solved component only up to the derivative order
 it reads: ``lower_component`` takes psi, the completion (``_complete``)
@@ -103,13 +105,17 @@ def _horner(specs: list[JacobiSpec], x: NDArray[np.float64]) -> list[NDArray[np.
     summed by Horner's rule in (x + 1)/2, all specs in one pass over the
     shared powers of (x - 1)/2.  Each sum takes the same steps as it would
     alone, so sharing the pass changes no bit of it.  The sums and the
-    power are updated in place; they are this call's own arrays.
+    power are updated in place; they are this call's own arrays.  Where
+    every degree is 0 there are no powers to share, and none is formed.
     """
+    totals = [np.full_like(x, _binomial(spec.n + spec.a, spec.n)) for spec in specs]
+    top = max((spec.n for spec in specs), default=0)
+    if top == 0:
+        return totals
     lower = 0.5 * (x - 1.0)
     upper = 0.5 * (x + 1.0)
-    totals = [np.full_like(x, _binomial(spec.n + spec.a, spec.n)) for spec in specs]
     lower_pow = np.ones_like(x)
-    for j in range(1, max((spec.n for spec in specs), default=0) + 1):
+    for j in range(1, top + 1):
         lower_pow *= lower
         for spec, total in zip(specs, totals):
             if j <= spec.n:
@@ -201,7 +207,7 @@ class BranchFunctions:
         e is formed as exp(p log s + t log(-expm1(log s)) + log_scale), so an
         underflowed s or a negative power of s on the growing branch never
         meets 0 * inf, and a scale that cancels a power of r near the origin
-        (``_norm_rule``) is applied before anything leaves the doubles.
+        (``_norm_rules``) is applied before anything leaves the doubles.
         A lower order stops early and returns a bit-identical prefix of the
         full tuple.  Order 0 forms neither q nor W'; order 1 forms q but not
         q^2, which leaves the doubles first as s nears 1 (r near 0).  W' and
@@ -299,21 +305,23 @@ def _branch_and_grid(
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise DomainError("grid must be a 1-d array with at least two points")
-    if not (np.all(np.isfinite(r)) and np.all(r > 0.0) and np.all(np.diff(r) > 0.0)):
+    # strictly increasing from a positive first radius to a finite last one
+    # is finite and positive throughout, and a NaN fails every comparison
+    if not (r[0] > 0.0 and math.isfinite(r[-1]) and (r[1:] > r[:-1]).all()):
         raise DomainError("grid must be finite, strictly positive and increasing")
     return bf, r
 
 
 def node_count_of(values: NDArray[np.float64]) -> int:
-    """Interior sign changes, ignoring samples below 1e-12 of the peak."""
+    """Interior sign changes, ignoring samples below 1e-12 of the peak; the
+    samples kept are nonzero, so a sign is whether a sample is positive."""
     values = np.asarray(values, dtype=float)
-    peak = float(np.max(np.abs(values)))
+    size = np.abs(values)
+    peak = float(size.max())
     if peak == 0.0:
         return 0
-    keep = values[np.abs(values) > 1e-12 * peak]
-    if keep.size < 2:
-        return 0
-    return int(np.count_nonzero(np.sign(keep[:-1]) != np.sign(keep[1:])))
+    positive = values[size > 1e-12 * peak] > 0.0
+    return int(np.count_nonzero(positive[:-1] != positive[1:]))
 
 
 @dataclass(frozen=True)
@@ -414,7 +422,8 @@ def _frozen(*arrays: NDArray[np.float64]) -> tuple[NDArray[np.float64], ...]:
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[NDArray[np.float64], ...]:
     """Nodes x and weights w of the n-point Gauss-Legendre rule on [-1, 1],
-    and P_k(x) for k < n in the rows of a third array.
+    P_k(x) for k < n in the rows of a third array, and 1 + x, from which a
+    panel's nodes are placed.
 
     Newton's method on P_n from Tricomi's approximate nodes, whose third
     step moves no node by more than a rounding; the weights are
@@ -430,7 +439,7 @@ def _gauss_legendre(n: int) -> tuple[NDArray[np.float64], ...]:
         x = x - rows[n] * (1.0 - x) * (1.0 + x) / (n * (rows[n - 1] - x * rows[n]))
     rows = _legendre_rows(x, n)
     w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (rows[n - 1] - x * rows[n])) ** 2
-    return _frozen(x, w, rows[:n])
+    return _frozen(x, w, rows[:n], 1.0 + x)
 
 
 # The normalization integral is taken at both orders; they must agree to NORM_RTOL.
@@ -439,11 +448,19 @@ NORM_RTOL = 1e-10
 
 
 @functools.cache
-def _origin_basis(order: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The 2 order Gauss-Legendre nodes y_j on (0, 1) and the basis
-    lambda_j (2k + 1) P_k(2 y_j - 1), k < 2 order, of ``_origin_rule``."""
-    x, w, rows = _gauss_legendre(2 * order)
-    return _frozen(0.5 * (1.0 + x), (0.5 * w)[:, None] * (2.0 * np.arange(x.size) + 1.0) * rows.T)
+def _origin_basis(order: int) -> tuple[NDArray[np.float64], ...]:
+    """The 2 order Gauss-Legendre nodes y_j on (0, 1), their logarithms, and
+    the basis lambda_j (2k + 1) P_k(2 y_j - 1), k < 2 order, of ``_origin_rule``."""
+    x, w, rows, one_plus_x = _gauss_legendre(2 * order)
+    y = 0.5 * one_plus_x
+    return _frozen(y, np.log(y), (0.5 * w)[:, None] * (2.0 * np.arange(x.size) + 1.0) * rows.T)
+
+
+def _moments(mu: float, count: int) -> NDArray[np.float64]:
+    """mu m_k for k < count (see ``_origin_rule``): one cumprod, so a
+    shorter count gives a bit-identical prefix."""
+    k = np.arange(float(count))
+    return np.cumprod((mu - k) / (mu + k))
 
 
 def _origin_rule(mu: float, order: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -461,9 +478,8 @@ def _origin_rule(mu: float, order: int) -> tuple[NDArray[np.float64], NDArray[np
 
     one cumprod of the ratios (mu - k)/(mu + k) (Gautschi 2004, ch. 2).
     """
-    y, basis = _origin_basis(order)
-    k = np.arange(float(y.size))
-    return y, basis @ np.cumprod((mu - k) / (mu + k)) / mu
+    y, _, basis = _origin_basis(order)
+    return y, basis @ _moments(mu, y.size) / mu
 
 
 def _norm_edges(alpha: float, nu: float, r_max: float) -> NDArray[np.float64]:
@@ -480,15 +496,20 @@ def _norm_edges(alpha: float, nu: float, r_max: float) -> NDArray[np.float64]:
     top = min(decay, r_max)
     levels = max(0, math.ceil(math.log(2.0 * alpha * top, 4.0)))
     graded = top * 0.25 ** np.arange(levels, -1, -1)
-    uniform = np.linspace(top, r_max, math.ceil((r_max - top) / decay) + 1)
-    return np.concatenate([graded, uniform[1:]])
+    # np.linspace(top, r_max, panels + 1)[1:] by linspace's own arithmetic:
+    # edge k is k * step + top and the last is r_max
+    panels = math.ceil((r_max - top) / decay)
+    uniform = np.arange(1.0, panels + 1.0) * ((r_max - top) / max(panels, 1)) + top
+    uniform[-1:] = r_max
+    return np.concatenate([graded, uniform])
 
 
-def _norm_rule(
-    edges: NDArray[np.float64], mu: float, order: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Nodes, weights and log scales of one order over the origin panel and
-    every panel.
+def _norm_rules(
+    r: NDArray[np.float64], edges: NDArray[np.float64], mu: float, orders: tuple[int, ...]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], list[NDArray[np.float64]]]:
+    """Every point a table evaluates, their log scales, and each order's
+    weights over its own nodes: the points are r, then each order's nodes
+    over the origin panel and every panel.
 
     Near r = 0 the integrand is (r/e0)^(mu - 1) times a function analytic
     in |r| < pi/alpha, with e0 = edges[0].  The origin panel (0, e0) uses
@@ -497,18 +518,33 @@ def _norm_rule(
     at each origin node the log scale is (1 - mu)/2 log(r/e0), so the
     squares carry (r/e0)^(1 - mu) and the weight is the rule's own.  No
     weight or value there leaves the doubles, however large mu is.  The
-    other panels use the Gauss-Legendre rule of the order, at log scale 0.
+    other panels use the Gauss-Legendre rule of the order, at log scale 0,
+    and so does r.  Every point is written once into one array, the origin
+    rules of all orders take their prefix of one cumprod of moments, and
+    the rule parts of an order are built on its first use.
     """
-    x, w, _ = _gauss_legendre(order)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (hi - lo)
-    y, wy = _origin_rule(mu, order)
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
     origin = edges[0]
-    nodes = np.concatenate([origin * y, (lo + half * (1.0 + x)).ravel()])
-    weights = np.concatenate([origin * wy, (half * w).ravel()])
+    moments = _moments(mu, 2 * max(orders))
+    nodes = np.empty(r.size + sum((2 + half.size) * order for order in orders))
     log_scale = np.zeros(nodes.size)
-    log_scale[: y.size] = (0.5 - 0.5 * mu) * np.log(y)
-    return nodes, weights, log_scale
+    nodes[: r.size] = r
+    weights = []
+    start = r.size
+    for order in orders:
+        _, w, _, one_plus_x = _gauss_legendre(order)
+        y, log_y, basis = _origin_basis(order)
+        mid, end = start + y.size, start + y.size + half.size * order
+        np.multiply(origin, y, out=nodes[start:mid])
+        log_scale[start:mid] = (0.5 - 0.5 * mu) * log_y
+        np.add(lo, half * one_plus_x, out=nodes[mid:end].reshape(half.size, order))
+        rule = np.empty(end - start)
+        np.multiply(origin, basis @ moments[: y.size] / mu, out=rule[: y.size])
+        np.multiply(half, w, out=rule[y.size :].reshape(half.size, order))
+        weights.append(rule)
+        start = end
+    return nodes, log_scale, weights
 
 
 def _complete(
@@ -518,7 +554,7 @@ def _complete(
 
     The solved component and its first-order coupled partner come from one
     evaluation of the branch over r and the quadrature nodes of both
-    NORM_ORDERS (``_norm_rule``), the origin panel's nodes with their log
+    NORM_ORDERS (``_norm_rules``), the origin panel's nodes with their log
     scale and the rest unscaled.  The radial derivative uses the chain rule
     d/dr = -2 alpha s d/ds on the analytic s-derivative; no finite
     differences anywhere.  The integral of G^2 + F^2 on (0, r[-1]) is taken
@@ -532,10 +568,7 @@ def _complete(
     denom = _coupling_denominator(eq, energy)
     low_order, high_order = NORM_ORDERS
     edges = _norm_edges(p.alpha, bf.nu, float(r[-1]))
-    low_r, low_w, low_scale = _norm_rule(edges, bf.mu, low_order)
-    high_r, high_w, high_scale = _norm_rule(edges, bf.mu, high_order)
-    at = np.concatenate([r, low_r, high_r])
-    log_scale = np.concatenate([np.zeros(r.size), low_scale, high_scale])
+    at, log_scale, (low_w, high_w) = _norm_rules(r, edges, bf.mu, NORM_ORDERS)
     centrifugal = eq.mirror * (eq.state.kappa + p.tensor_h) / at
 
     def table() -> str:
@@ -547,7 +580,7 @@ def _complete(
         d_dr = -2.0 * p.alpha * s_d_ds
         partner = (d_dr - centrifugal * solved) / denom
     density = solved * solved + partner * partner
-    split = r.size + low_r.size
+    split = r.size + low_w.size
     low = float(low_w @ density[r.size : split])
     integral = float(high_w @ density[split:])
     if not (math.isfinite(integral) and integral > 0.0
@@ -649,6 +682,8 @@ def verify_ode(
     residual = np.abs(s2_d2psi + s_dpsi + term3)
     scale = np.maximum(np.abs(s2_d2psi), np.maximum(np.abs(s_dpsi), np.abs(term3)))
     ok = scale > 0.0
-    if not np.any(ok):
-        raise GridTooCoarse("solved component vanished on every interior point")
-    return float(np.max(residual[ok] / scale[ok]))
+    if not ok.all():
+        if not ok.any():
+            raise GridTooCoarse("solved component vanished on every interior point")
+        residual, scale = residual[ok], scale[ok]
+    return float((residual / scale).max())

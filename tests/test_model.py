@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from dirac_nu.model import (
     eval_tensor,
     kappa_to_l_j,
     kappa_to_pseudo_l,
+    log_grid,
     potential_coeffs,
 )
 from dirac_nu.spectrum import build_equation, solve_spectrum
@@ -96,6 +98,38 @@ class TestStrictDomain:
             params(symmetry="neither")
         with pytest.raises(DomainError):
             params(c0=-0.1)
+
+
+class TestLogGrid:
+    """``log_grid`` does np.geomspace's arithmetic without its wrapper; its
+    radii must be geomspace's bit for bit, whatever numpy's SIMD level."""
+
+    @staticmethod
+    def assert_geomspace(r_min, r_max, n_points):
+        ours = log_grid(r_min, r_max, n_points)
+        theirs = np.geomspace(r_min, r_max, n_points)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes(), (r_min, r_max, n_points)
+
+    def test_equals_geomspace_on_seeded_draws(self):
+        # r_min from 1e-200 to 1e3, r_max / r_min up to 1e6, 2 to 5,000 points
+        rng = random.Random("model/log-grid")
+        for _ in range(1500):
+            r_min = 10.0 ** rng.uniform(-200.0, 3.0)
+            r_max = r_min * 10.0 ** rng.uniform(0.0, 6.0)
+            if not r_max > r_min:
+                r_max = math.nextafter(r_min, math.inf)
+            n_points = min(round(10.0 ** rng.uniform(math.log10(2.0), math.log10(5000.0))), 5000)
+            self.assert_geomspace(r_min, r_max, n_points)
+
+    def test_equals_geomspace_on_ends_one_ulp_apart(self):
+        # log10 of the two ends is often the same double, so the step is 0
+        rng = random.Random("model/log-grid/ulp")
+        for r_min in [1e-200, 1e-4, 1.0, 0.1, 1e3] + [10.0 ** rng.uniform(-200.0, 3.0)
+                                                     for _ in range(200)]:
+            r_max = math.nextafter(r_min, math.inf)
+            for n_points in (2, 3, rng.randint(4, 5000)):
+                self.assert_geomspace(r_min, r_max, n_points)
 
 
 class TestEvalPotential:

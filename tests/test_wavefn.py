@@ -374,7 +374,7 @@ LARGE_MU = dict(
 
 def origin_integrals(eq, energy, branch):
     """The origin panel's share of the normalization integral at each of
-    NORM_ORDERS: the product rule of ``_norm_rule``, and a Gauss-Jacobi rule
+    NORM_ORDERS: the product rule of ``_norm_rules``, and a Gauss-Jacobi rule
     for (r/e0)^(mu - 1) from scipy with the power divided out of its weights."""
     p = eq.params
     bf = branch_functions(eq, energy, branch)
@@ -389,7 +389,7 @@ def origin_integrals(eq, energy, branch):
 
     product, gauss_jacobi = [], []
     for order in wavefn.NORM_ORDERS:
-        r, w, log_scale = wavefn._norm_rule(np.array([e0]), bf.mu, order)
+        r, log_scale, (w,) = wavefn._norm_rules(np.empty(0), np.array([e0]), bf.mu, (order,))
         product.append(float(w @ density(r, log_scale)))
         x, wx = roots_jacobi(order, 0.0, bf.mu - 1.0)
         gauss_jacobi.append(0.5 * e0 * float(
@@ -472,6 +472,38 @@ class TestOriginRule:
         wavefn._origin_basis.cache_clear()
         spin_limit_components(*spin)
         pseudospin_components(*large_mu)
+
+
+def linspace_edges(alpha, nu, r_max):
+    """``_norm_edges`` with its uniform edges from np.linspace itself."""
+    decay = 1.0 / (2.0 * alpha * nu) if nu > 0.0 else math.inf
+    top = min(decay, r_max)
+    levels = max(0, math.ceil(math.log(2.0 * alpha * top, 4.0)))
+    graded = top * 0.25 ** np.arange(levels, -1, -1)
+    uniform = np.linspace(top, r_max, math.ceil((r_max - top) / decay) + 1)
+    return np.concatenate([graded, uniform[1:]])
+
+
+class TestNormEdges:
+    """``_norm_edges`` spaces its uniform edges by linspace's arithmetic
+    without calling it; they must be linspace's bit for bit."""
+
+    def test_equal_linspace(self):
+        # seeded (alpha, nu, r_max), and r_max exactly one decay length or
+        # with no decay at all, where linspace gives the one edge r_max
+        rng = random.Random("wavefn/norm-edges")
+        cases = [(0.75, 0.0, 2.0), (0.75, 0.3, 1.0 / (2.0 * 0.75 * 0.3))]
+        for _ in range(5000):
+            alpha = rng.uniform(0.5, 3.0)
+            nu = rng.choice((0.0, 10.0 ** rng.uniform(-2.0, 1.5)))
+            decay = 1.0 / (2.0 * alpha * nu) if nu > 0.0 else 1.0
+            cases.append((alpha, nu, decay * 10.0 ** rng.uniform(-1.0, 2.5)))
+        one_edge = 0
+        for alpha, nu, r_max in cases:
+            ours = wavefn._norm_edges(alpha, nu, r_max)
+            assert ours.tobytes() == linspace_edges(alpha, nu, r_max).tobytes(), (alpha, nu, r_max)
+            one_edge += nu == 0.0 or r_max <= 1.0 / (2.0 * alpha * nu)
+        assert one_edge > 1000
 
 
 def high_degree_case(n):
@@ -737,6 +769,11 @@ MALFORMED_GRIDS = {
     "decreasing pair": grid_with(50, GRID[52]),
     "nan": grid_with(50, math.nan),
     "inf": grid_with(-1, math.inf),
+    "-inf first": grid_with(0, -math.inf),
+    "+inf in the middle": grid_with(100, math.inf),
+    "nan first": grid_with(0, math.nan),
+    "-0.0 first": grid_with(0, -0.0),
+    "repeated radius": grid_with(50, GRID[49]),
 }
 
 
