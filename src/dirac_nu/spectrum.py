@@ -278,6 +278,12 @@ def _f_terms(eq: EnergyEquation) -> _FTerms:
         value = getattr(terms, name)
         if not math.isfinite(value):
             raise DomainError(f"{_given(p, *sources)} put {formula} = {value!r} past the doubles")
+    # V1 + V2 + V3 is -3 alpha^2 / 4 identically; where A dwarfs 4 and 8 the
+    # sum cancels to rounding noise, which the oracle divides by
+    three_quarters = 0.1875 * four_a2
+    if not abs(abs(c.total) - three_quarters) <= 1e-9 * three_quarters:
+        raise DomainError(f"{_given(p, 'alpha', 'a_shape')} put V1 + V2 + V3 = {c.total!r}, "
+                          f"not -3 alpha^2 / 4 = {-three_quarters!r}")
     return terms
 
 
@@ -286,59 +292,60 @@ def _given(params: ModelParams, *names: str) -> str:
     return ", ".join(f"{name} = {getattr(params, name)!r}" for name in names)
 
 
+def _f_pieces(t: _FTerms, energies: NDArray[np.float64], out: NDArray[np.float64]) -> None:
+    """Write f's five pieces that are monotone in E into the rows of ``out``,
+    each of the shape of ``energies``: w V1 + q (q - 1) C0, w V3 + q (q - 1) C0,
+    4 c9, M + x and M - x + sigma C.  Both :func:`_f_arrays` and
+    :func:`_f_bounds` start here, so the bounds see the points' operations."""
+    s1, s3, q9, up, down = out
+    x = np.multiply(energies, t.mirror, out=up)  # x = sigma E, until M + x
+    np.subtract(t.mass, x, out=down)
+    down += t.c_sym
+    w = np.subtract(x, t.mass, out=q9)
+    w -= t.c_sym
+    w *= t.w_scale
+    np.multiply(w, t.v1, out=s1)
+    s1 += t.ll_c0
+    np.multiply(w, t.v3, out=s3)
+    s3 += t.ll_c0
+    # c9 = 1/4 + A - B + C collapses to (q - 1/2)^2 + w * (V1 + V2 + V3)
+    q9 *= t.v_total
+    q9 += t.c9_base
+    q9 *= 4.0
+    up += t.mass
+
+
 def _f_arrays(
     t: _FTerms, energies: NDArray[np.float64], out: Optional[NDArray[np.float64]] = None
 ) -> NDArray[np.float64]:
     """Vectorized f with NaN where a radicand is negative.
 
-    Written with in-place ufuncs on the four rows of ``out``, shape
-    (4, energies.size), fresh memory when it is None; f is returned in row
-    1 and row 0 (4 A) is free afterwards.  Fresh grid-sized temporaries cost
+    Written with in-place ufuncs on the five rows of ``out``, shape
+    (5, energies.size), fresh memory when it is None; f is returned in row
+    2 and row 0 (4 A) is free afterwards.  Fresh grid-sized temporaries cost
     more than the arithmetic: glibc hands freed memory of that size back to
     the OS, so each one is page-faulted in again on first touch.
     Every element sees the IEEE operations of :func:`_f_point` in the same
     order (a + b and b + a round alike), and ``energies`` is only read.
     """
     if out is None:
-        out = np.empty((4, energies.size))
-    four_a, g, b2, q8 = out
-    np.multiply(energies, t.mirror, out=four_a)  # x = sigma E, until M + x
-    np.subtract(four_a, t.mass, out=g)
-    g -= t.c_sym
-    np.subtract(t.mass, four_a, out=b2)
-    b2 += t.c_sym
-    four_a += t.mass
-    b2 *= four_a
-    w = g
-    w *= t.w_scale
-    b = b2
+        out = np.empty((5, energies.size))
+    _f_pieces(t, energies, out)
+    four_a, q8, f, b, down = out
+    b *= down
     b /= t.four_a2
-
-    np.multiply(w, t.v1, out=four_a)
-    four_a += t.ll_c0
     four_a += b
-    np.multiply(w, t.v3, out=q8)
-    q8 += t.ll_c0
     q8 += b
-    q8 *= 4.0
-    # c9 = 1/4 + A - B + C collapses to (q - 1/2)^2 + w * (V1 + V2 + V3)
-    q9 = w
-    q9 *= t.v_total
-    q9 += t.c9_base
-    q9 *= 4.0
-    for q in (q8, q9):
+    out[:2] *= 4.0  # 4 A and 4 c8
+    for q in (q8, f):  # 4 c8 and 4 c9
         clamped = q < 0.0
         clamped &= q >= t.clamp
         q[clamped] = 0.0
-
     with np.errstate(invalid="ignore"):
-        np.sqrt(q9, out=q9)
-        np.sqrt(q8, out=q8)
-    f = q9
+        np.sqrt(out[1:3], out=out[1:3])
     f += t.width
     f -= q8
     np.square(f, out=f)
-    four_a *= 4.0
     f -= four_a
     return f
 
@@ -346,40 +353,24 @@ def _f_arrays(
 def _f_bounds(
     t: _FTerms, e_lo: NDArray[np.float64], e_hi: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Interval twin of :func:`_f_point`: bounds of f, 4 c8, 4 c9 and 4 A,
+    """Interval twin of :func:`_f_arrays`: bounds of f, 4 c8, 4 c9 and 4 A,
     each a (2, n) array of lows and highs, on the values :func:`_f_arrays`
     computes at every double E with e_lo[i] <= E <= e_hi[i]; the radicand
     bounds are taken before the clamp.
 
-    The ends see the IEEE operations of :func:`_f_arrays` in the same order.
-    Each is monotone in each argument and rounding to nearest is monotone,
-    so the bounds hold for the rounded values with no outward rounding.
-    w V1 + q (q - 1) C0, w V3 + q (q - 1) C0, 4 c9 and the two factors of
-    b2 are each monotone in E alone, so they lie between their values at
-    the two ends; b2 lies between its extreme corner products, and the
+    The pieces at both ends come from :func:`_f_pieces`, as the points' do.
+    Each is monotone in E, and rounding to nearest is monotone, so every
+    point's piece lies between its values at the two ends with no outward
+    rounding; b2 lies between its extreme corner products, and the
     square of an interval across 0 starts at 0.  An end that overflows is
     infinite and one made by inf * 0 or inf - inf is NaN, so finite bounds
     also prove that no value leaves the doubles.  f's bounds are NaN where a
     radicand may be negative, the clamp band included.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        # rows w V1 + ll C0, w V3 + ll C0, 4 c9, M + x and M - x + sigma C at both ends
         ends = np.empty((5, 2, e_lo.size))
-        s1, s3, q9, up, down = ends
-        x = np.multiply((e_lo, e_hi), t.mirror, out=up)
-        np.subtract(t.mass, x, out=down)
-        down += t.c_sym
-        w = np.subtract(x, t.mass, out=q9)
-        w -= t.c_sym
-        w *= t.w_scale
-        np.multiply(w, t.v1, out=s1)
-        s1 += t.ll_c0
-        np.multiply(w, t.v3, out=s3)
-        s3 += t.ll_c0
-        q9 *= t.v_total
-        q9 += t.c9_base
-        q9 *= 4.0
-        up += t.mass
+        _f_pieces(t, (e_lo, e_hi), ends)
+        up, down = ends[3:]
         corners = (up[:, None] * down).reshape(4, -1)
         b = np.array((np.minimum.reduce(corners), np.maximum.reduce(corners)))
         b /= t.four_a2
@@ -815,11 +806,11 @@ def _scan(t: _FTerms, samples: _Samples, what: Callable[[], str]) -> _Scan:
     run_ends = [end - 1 for end in itertools.accumulate(int(cuts[j] - cuts[i]) + 1
                                                         for i, j in runs)]
     energies = np.concatenate([samples.between(int(edges[i]), int(edges[j])) for i, j in runs])
-    # one (4, n) block, not four rows: glibc raises its mmap threshold to the
+    # one (5, n) block, not five rows: glibc raises its mmap threshold to the
     # largest block it has freed, so after a solve or two a block this size
     # comes from memory already mapped, while separate rows of that size are
     # trimmed and faulted in again on every solve
-    rows = np.empty((4, energies.size))
+    rows = np.empty((5, energies.size))
     with within_doubles(what):
         f = _f_arrays(t, energies, rows)
 

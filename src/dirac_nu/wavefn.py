@@ -158,15 +158,6 @@ def _derivatives(spec: JacobiSpec, x: NDArray[np.float64], top: int) -> list[NDA
             + [np.zeros_like(x) for _ in range(top - len(sums))])
 
 
-def jacobi_deriv(spec: JacobiSpec, x: NDArray[np.float64], order: int = 1) -> NDArray[np.float64]:
-    """Derivative d^m/dx^m P_n^{(a, b)}(x) (see ``_derivatives``)."""
-    if order < 0:
-        raise DomainError(f"order must be nonnegative, got {order!r}")
-    if order == 0:
-        return jacobi_eval(spec, x)
-    return _derivatives(spec, np.asarray(x, dtype=float), order)[-1]
-
-
 @dataclass(frozen=True)
 class BranchFunctions:
     """Analytic solved component of one state on one branch.
@@ -450,36 +441,12 @@ NORM_RTOL = 1e-10
 @functools.cache
 def _origin_basis(order: int) -> tuple[NDArray[np.float64], ...]:
     """The 2 order Gauss-Legendre nodes y_j on (0, 1), their logarithms, and
-    the basis lambda_j (2k + 1) P_k(2 y_j - 1), k < 2 order, of ``_origin_rule``."""
+    the basis lambda_j (2k + 1) P_k(2 y_j - 1), k < 2 order, with lambda_j
+    the nodes' weights on (0, 1): the parts of the origin panel's product
+    rule (``_norm_rules``) that do not depend on the state."""
     x, w, rows, one_plus_x = _gauss_legendre(2 * order)
     y = 0.5 * one_plus_x
     return _frozen(y, np.log(y), (0.5 * w)[:, None] * (2.0 * np.arange(x.size) + 1.0) * rows.T)
-
-
-def _moments(mu: float, count: int) -> NDArray[np.float64]:
-    """mu m_k for k < count (see ``_origin_rule``): one cumprod, so a
-    shorter count gives a bit-identical prefix."""
-    k = np.arange(float(count))
-    return np.cumprod((mu - k) / (mu + k))
-
-
-def _origin_rule(mu: float, order: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Nodes y and weights W on (0, 1) of the product rule for the weight
-    y^(mu - 1), exact for y^(mu - 1) p(y) with deg p < 2 order.
-
-    At the 2 order Gauss-Legendre nodes y_j, with weights lambda_j,
-
-        W_j = lambda_j sum_k (2k + 1) P_k(2 y_j - 1) m_k,
-
-    where the modified moments have the closed form
-
-        m_k = int_0^1 y^(mu - 1) P_k(2y - 1) dy
-            = prod_{j=1..k} (mu - j) / prod_{j=0..k} (mu + j),
-
-    one cumprod of the ratios (mu - k)/(mu + k) (Gautschi 2004, ch. 2).
-    """
-    y, _, basis = _origin_basis(order)
-    return y, basis @ _moments(mu, y.size) / mu
 
 
 def _norm_edges(alpha: float, nu: float, r_max: float) -> NDArray[np.float64]:
@@ -513,20 +480,29 @@ def _norm_rules(
 
     Near r = 0 the integrand is (r/e0)^(mu - 1) times a function analytic
     in |r| < pi/alpha, with e0 = edges[0].  The origin panel (0, e0) uses
-    the product rule for that power (``_origin_rule``) at 2 order fixed
-    nodes, and its components are evaluated with the power divided out:
-    at each origin node the log scale is (1 - mu)/2 log(r/e0), so the
-    squares carry (r/e0)^(1 - mu) and the weight is the rule's own.  No
-    weight or value there leaves the doubles, however large mu is.  The
-    other panels use the Gauss-Legendre rule of the order, at log scale 0,
-    and so does r.  Every point is written once into one array, the origin
-    rules of all orders take their prefix of one cumprod of moments, and
-    the rule parts of an order are built on its first use.
+    the product rule for that power, exact on y^(mu - 1) p(y), y = r/e0 and
+    deg p < 2 order: at the 2 order Gauss-Legendre nodes y_j, weights
+    lambda_j (``_origin_basis``), its weights are
+
+        W_j = lambda_j sum_k (2k + 1) P_k(2 y_j - 1) m_k,
+        m_k = int_0^1 y^(mu - 1) P_k(2y - 1) dy
+            = prod_{j=1..k} (mu - j) / prod_{j=0..k} (mu + j),
+
+    with mu m_k one cumprod of the ratios (mu - k)/(mu + k) (Gautschi
+    2004, ch. 2), whose prefix serves every order.  The components are
+    evaluated there with the power divided out: at each origin node the
+    log scale is (1 - mu)/2 log(r/e0), so the squares carry
+    (r/e0)^(1 - mu) and the weight is the rule's own.  No weight or value
+    there leaves the doubles, however large mu is.  The other panels use
+    the Gauss-Legendre rule of the order, at log scale 0, and so does r.
+    Every point is written once into one array, and the rule parts of an
+    order are built on its first use.
     """
     lo = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lo)
     origin = edges[0]
-    moments = _moments(mu, 2 * max(orders))
+    k = np.arange(2.0 * max(orders))
+    moments = np.cumprod((mu - k) / (mu + k))
     nodes = np.empty(r.size + sum((2 + half.size) * order for order in orders))
     log_scale = np.zeros(nodes.size)
     nodes[: r.size] = r
@@ -579,7 +555,8 @@ def _complete(
         solved, s_d_ds = bf.evaluate(-2.0 * p.alpha * at, 1, log_scale)
         d_dr = -2.0 * p.alpha * s_d_ds
         partner = (d_dr - centrifugal * solved) / denom
-    density = solved * solved + partner * partner
+    with np.errstate(over="ignore"):  # an infinite integral is NonNormalizable below
+        density = solved * solved + partner * partner
     split = r.size + low_w.size
     low = float(low_w @ density[r.size : split])
     integral = float(high_w @ density[split:])

@@ -590,8 +590,8 @@ PINNED_CONFIGS = {
 }
 
 
-# finite inputs whose derived quantities leave the doubles, each with the
-# exit code and the parameter its error names
+# finite inputs whose derived quantities leave the doubles or cancel, each
+# with the exit code and the parameter its error names
 OVERFLOWS = [
     (("solve", "--mass", "1e75", "--tensor-h", "1", "--n", "1", "--kappa", "-1"), 3, "mass"),
     (("solve", "--c-sym", "1e155", "--n", "1", "--kappa", "-1"), 3, "c_sym"),
@@ -605,6 +605,14 @@ OVERFLOWS = [
     # the lower table holds; the completion's residual s^2 psi'' leaves the doubles
     (("wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1", "--r-min", "1e-200"),
      3, "the spinor table"),
+    # V1 + V2 + V3 cancels to rounding noise where A dwarfs 8; it used to be
+    # 0.0, which the oracle divided by
+    *((("solve", "--n", "1", "--kappa", "-1", "--no-strict-domain", f"--a-shape={a}"), 3,
+       "alpha = 0.6, a_shape = ") for a in ("1e17", "1e20", "1e75", "-1e17")),
+    (("wavefunction", "--n", "1", "--kappa", "-1", "--no-strict-domain", "--a-shape", "1e17"),
+     3, "alpha = 0.6, a_shape = "),
+    (("analyze", "--which", "sweep", "--no-strict-domain", "--a-shape", "1e17"), 3,
+     "alpha = 0.6, a_shape = "),
     (("solve", "--n", "1", "--kappa", str(-10**400)), 2, "'states'"),
     (("wavefunction", "--n", str(10**400), "--kappa", "-1"), 2, "'states'"),
 ]

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import fields
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dirac_nu.cli import _CHOICES, _FIELDS, main
 from dirac_nu.model import ModelParams
@@ -101,6 +101,9 @@ def _parses(text: str, fmt: str) -> bool:
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(command=COMMANDS, flags=FLAGS, config=st.one_of(st.none(), CONFIG), state=STATE)
+# a huge A outside the strict domain, which the draws have not combined
+@example(command=["solve"], flags={"strict_domain": False, "a_shape": 1e75}, config=None,
+         state=(1, -1))
 def test_exit_code_contract(command, flags, config, state, tmp_path_factory, monkeypatch):
     monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
     argv = [*command, *_argv(flags), f"--n={state[0]}", f"--kappa={state[1]}"]

@@ -4,6 +4,7 @@ import itertools
 import math
 import platform
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -157,6 +158,20 @@ class TestQuantizationFunction:
         assert str(info.value) == (
             "mass = 1e+160, c_sym = 0.0, tensor_h = 1.0, alpha = 0.6, "
             "c0 = 0.08333333333333333 put 4 c8 = inf past the doubles at energy 0.0")
+
+    @pytest.mark.parametrize("a_shape", [3e16, 1e17, 1e20, 1e75, -1e17])
+    def test_cancelling_potential_constants_are_a_domain_error(self, a_shape):
+        # V1 + V2 + V3 = -3 alpha^2 / 4 = -0.27 cancels to rounding noise where
+        # A dwarfs 8: -0.5 at 3e16, and 0.0 from 1e17 on, which the oracle
+        # divides by
+        eq = build_equation(ModelParams(mass=5.0, a_shape=a_shape, strict_domain=False),
+                            StateIndex(1, -1))
+        message = (rf"^alpha = 0\.6, a_shape = {re.escape(repr(a_shape))} put "
+                   r"V1 \+ V2 \+ V3 = -?0\.\d+, not -3 alpha\^2 / 4 = -0\.27$")
+        for call in (lambda: quantization_function(eq, 0.0), lambda: quartic_oracle(eq),
+                     lambda: solve_spectrum(eq, SolveOptions(oracle_check=False))):
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 def edge_root_equation():
@@ -1004,7 +1019,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 
 class TestScanWorkspace:
-    """The scan runs in one (4, n) block allocated per solve: warm solves
+    """The scan runs in one (5, n) block allocated per solve: warm solves
     fault no pages in, and concurrent solves share no buffer."""
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -1018,7 +1033,7 @@ class TestScanWorkspace:
 
     def test_a_solve_allocates_no_grid(self):
         # the samples are a rule, so only the evaluated blocks take memory:
-        # about 50 KiB at the README state, where a 20001-point grid took 207
+        # about 56 KiB at the README state, where a 20001-point grid took 207
         eq = build_equation(ps_params(1.0), StateIndex(1, -1))
         solve_spectrum(eq)
         tracemalloc.start()
@@ -1165,6 +1180,22 @@ class TestCrossCheckBranches:
             solve_spectrum(eq, SolveOptions(grid_points=4))
         assert [r.energy for r in solve_spectrum(eq, OPTS).roots] == pytest.approx(
             [1.2451136144, 6.6309472512], abs=1e-9)
+
+    def test_bisection_root_the_oracle_missed(self, monkeypatch):
+        # an oracle that loses the upper survivor of the README state: the scan
+        # still brackets that root, and the solve ends there
+        oracle = spectrum.quartic_oracle
+
+        def lossy(*args, **kwargs):
+            result = oracle(*args, **kwargs)
+            return dataclasses.replace(result, survivors=result.survivors[:-1])
+
+        monkeypatch.setattr(spectrum, "quartic_oracle", lossy)
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        with pytest.raises(OracleMismatch, match=r"^bisection root 4\.84976467749\d* has no oracle "
+                                                 r"partner within 1e-09; oracle survivors: "
+                                                 r"\(-4\.67275052258\d*,\)$"):
+            solve_spectrum(eq)
 
     def test_exact_zeros_on_the_grid(self):
         # at mass 1e40 f is rounding noise: exactly 0 at many grid points, and

@@ -26,7 +26,6 @@ from dirac_nu.wavefn import (
     JacobiSpec,
     branch_functions,
     default_grid,
-    jacobi_deriv,
     jacobi_eval,
     lower_component,
     node_count_of,
@@ -172,6 +171,13 @@ class TestJacobiEval:
         assert err < 1e-13
 
 
+def jacobi_derivative(spec, x, order=1):
+    """d^m/dx^m P_n^{(a, b)}(x) as ``BranchFunctions.evaluate`` takes it:
+    ``jacobi_eval`` at order 0, the last of ``_derivatives`` above it."""
+    x = np.asarray(x, dtype=float)
+    return jacobi_eval(spec, x) if order == 0 else wavefn._derivatives(spec, x, order)[-1]
+
+
 class TestJacobiDeriv:
     @pytest.mark.parametrize("n,a,b", [(1, 0.5, 1.5), (3, 2.0, 0.3), (5, 1.1, 1.1)])
     def test_matches_central_difference(self, n, a, b):
@@ -179,11 +185,11 @@ class TestJacobiDeriv:
         h = 1e-6
         for x in (-0.6, -0.1, 0.2, 0.7):
             cd = (jacobi_eval(spec, x + h) - jacobi_eval(spec, x - h)) / (2 * h)
-            assert jacobi_deriv(spec, x) == pytest.approx(cd, abs=1e-7 * max(1.0, abs(cd)))
+            assert jacobi_derivative(spec, x) == pytest.approx(cd, abs=1e-7 * max(1.0, abs(cd)))
 
     def test_exhausted_order_is_zero(self):
-        assert jacobi_deriv(JacobiSpec(2, 1.0, 1.0), 0.3, order=3) == 0.0
-        assert jacobi_deriv(JacobiSpec(0, 1.0, 1.0), 0.3, order=1) == 0.0
+        assert jacobi_derivative(JacobiSpec(2, 1.0, 1.0), 0.3, order=3) == 0.0
+        assert jacobi_derivative(JacobiSpec(0, 1.0, 1.0), 0.3, order=1) == 0.0
 
 
 class TestBranchFunctions:
@@ -331,9 +337,8 @@ class TestNormalization:
         energy = solved(eq)
         decay = 1.0 / (2.0 * eq.params.alpha * branch_functions(eq, energy).nu)
         grid = np.geomspace(1e-4, 400.0 * decay, 2000)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonNormalizable):
-                pseudospin_components(eq, energy, grid=grid, branch=TERMINATING)
+        with pytest.raises(NonNormalizable):
+            pseudospin_components(eq, energy, grid=grid, branch=TERMINATING)
 
     def test_weakly_bound_spin_state_normalizes(self):
         # s underflows to 0 beyond r = 190 on this state's grid; the pair must
@@ -398,7 +403,7 @@ def origin_integrals(eq, energy, branch):
 
 
 class TestOriginRule:
-    """The product rule of the origin panel (``wavefn._origin_rule``)."""
+    """The product rule of the origin panel (``wavefn._norm_rules``)."""
 
     @pytest.mark.parametrize("order", wavefn.NORM_ORDERS)
     @pytest.mark.parametrize("mu", [0.05, 0.5, 1.0, 1.4680658288465787, 5.0, 20.0])
@@ -408,7 +413,8 @@ class TestOriginRule:
         # coefficients (2k + 1) m_k of y^(mu - 1) grow like k^0.9, so the
         # matvec that forms W loses about three digits near y = 1 and the
         # bound there is 2e-12.
-        y, w = wavefn._origin_rule(mu, order)
+        # the production rule on the origin panel (0, 1), with no r and no other panel
+        y, _, (w,) = wavefn._norm_rules(np.empty(0), np.array([1.0]), mu, (order,))
         y, w = [Fraction(v) for v in y], [Fraction(v) for v in w]
         powers = [Fraction(1)] * len(y)
         worst = 0.0
@@ -702,7 +708,7 @@ class TestBitIdentity:
     digest was recorded before ``evaluate`` computed only the derivative
     orders its caller reads; the table digests when the origin panel's
     Gauss-Jacobi rule, from LAPACK's eigh, gave way to the product rule of
-    ``_origin_rule`` at fixed Gauss-Legendre nodes built without LAPACK.
+    ``_norm_rules`` at fixed Gauss-Legendre nodes built without LAPACK.
 
     The tables' bits follow the kernels of exp, log and expm1: numpy's own
     AVX-512 ones, or the C library's where numpy's are switched off
@@ -736,7 +742,7 @@ class TestBitIdentity:
             spec = JacobiSpec(rng.randint(0, 12), rng.uniform(-12.0, 12.0), rng.uniform(-12.0, 12.0))
             x = np.array([rng.uniform(-1.0, 1.0) for _ in range(16)])
             for order in (0, 1, 2):
-                digest.update(jacobi_deriv(spec, x, order).astype("<f8").tobytes())
+                digest.update(jacobi_derivative(spec, x, order).astype("<f8").tobytes())
         assert digest.hexdigest() == self.JACOBI
 
     @pytest.mark.parametrize("branch", [DECAYING, TERMINATING])
