@@ -18,8 +18,8 @@ floats carry 12 significant digits and runs are byte-deterministic.
 
 Exit codes: 0 success, 2 usage or configuration error raised before any
 state is solved or an ``--out`` that cannot be written, 3 any error raised
-while solving a state, a DomainError included (partial results are still
-written when possible).
+while solving a state, a refused equation or other DomainError included
+(partial results are still written when possible).
 """
 
 from __future__ import annotations
@@ -428,9 +428,8 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     opts = _solve_options(cfg)
     params = _model_params(cfg)
     n, kappa = cfg.states[0]
-    state = StateIndex(n=n, kappa=kappa)
-    eq = EnergyEquation(params, state, cfg.assembly)
     try:
+        eq = EnergyEquation(params, StateIndex(n=n, kappa=kappa), cfg.assembly)
         result = solve_spectrum(eq, opts)
         if result.selected is None:
             raise SolverError(

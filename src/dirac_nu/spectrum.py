@@ -107,9 +107,13 @@ class EnergyEquation:
     ``assembly`` selects the spin-limit coupling convention (see module
     docstring); the pseudospin limit accepts only "strict".  ``q`` is the
     tensor-shifted quantum number (Lambda or eta) and ``mirror`` the sign
-    sigma taking E to the core's x = sigma E, both fixed at construction.
-    f, the window, the normal form and the oracle read the limit only
-    through these two.
+    sigma taking E to the core's x = sigma E, both fixed at construction,
+    as are f's constants ``terms`` and the edges in E of the physical window.
+    Those are derived once and checked: a constant past the doubles, a V1 +
+    V2 + V3 cancelled to noise or a window wider than the doubles is a
+    DomainError naming the parameters.  f, the window, the normal form and
+    the oracle read the limit only through these stored constants, which
+    take no part in the repr, == or the hash.
     """
 
     params: ModelParams
@@ -118,6 +122,8 @@ class EnergyEquation:
     q: float = field(init=False)
     coeffs: PotentialCoeffs = field(init=False)
     mirror: float = field(init=False)
+    physical_window: tuple[float, float] = field(init=False, repr=False, compare=False)
+    terms: _FTerms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.params.symmetry == PSEUDOSPIN:
@@ -127,18 +133,18 @@ class EnergyEquation:
                     f"pseudospin limit has a single assembly {ASSEMBLY_STRICT!r}, "
                     f"got {resolved!r}"
                 )
-            q = self.state.lam(self.params.tensor_h)
-            mirror = 1.0
+            q, mirror = self.state.lam(self.params.tensor_h), 1.0
         else:
             resolved = self.assembly or ASSEMBLY_REFERENCE
             if resolved not in (ASSEMBLY_REFERENCE, ASSEMBLY_STRICT):
                 raise DomainError(f"unknown assembly {resolved!r}")
-            q = self.state.eta(self.params.tensor_h)
-            mirror = -1.0
+            q, mirror = self.state.eta(self.params.tensor_h), -1.0
         object.__setattr__(self, "assembly", resolved)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "mirror", mirror)
         object.__setattr__(self, "coeffs", potential_coeffs(self.params))
+        object.__setattr__(self, "physical_window", _physical_window(self))
+        object.__setattr__(self, "terms", _f_terms(self))
 
     @property
     def scale(self) -> float:
@@ -162,17 +168,14 @@ def build_equation(
 
 def normal_form(eq: EnergyEquation, energy: float) -> NuProblem:
     """Assemble the normal-form coefficients at a trial energy."""
-    p = eq.params
-    c = eq.coeffs
-    s = eq.mirror
-    a2 = p.alpha * p.alpha
-    ll = eq.q * (eq.q - 1.0)
-    x = s * energy
-    w = (x - p.mass - s * p.c_sym) * eq.scale / (4.0 * a2)
-    b = (p.mass + x) * (p.mass - x + s * p.c_sym) / (4.0 * a2)
-    big_a = ll * p.c0 + w * (s * c.v1) + b
-    big_b = ll * (2.0 * p.c0 - 1.0) + 2.0 * b - w * (s * c.v2)
-    big_c = ll * p.c0 + w * (s * c.v3) + b
+    t = eq.terms
+    x = t.mirror * energy
+    w = (x - t.mass - t.c_sym) * eq.scale / t.four_a2
+    b = (t.mass + x) * (t.mass - x + t.c_sym) / t.four_a2
+    big_a = t.ll_c0 + w * t.v1 + b
+    big_b = (eq.q * (eq.q - 1.0) * (2.0 * eq.params.c0 - 1.0) + 2.0 * b
+             - w * (t.mirror * eq.coeffs.v2))
+    big_c = t.ll_c0 + w * t.v3 + b
     return NuProblem(big_a=big_a, big_b=big_b, big_c=big_c)
 
 
@@ -184,8 +187,8 @@ def _check_margin(margin: Optional[float]) -> None:
 
 def _physical_window(eq: EnergyEquation) -> tuple[float, float]:
     """The edges in E where the decay rate vanishes: b2 is a downward parabola
-    in x = sigma E with roots -M and M + sigma C_sym, taken back to E.  A
-    window wider than the doubles is a DomainError."""
+    in x = sigma E with roots -M and M + sigma C_sym, taken back to E, kept by
+    EnergyEquation.  A window wider than the doubles is a DomainError."""
     p = eq.params
     x_lo, x_hi = -p.mass, p.mass + eq.mirror * p.c_sym
     lo, hi = (x_lo, x_hi) if eq.mirror > 0.0 else (-x_hi, -x_lo)
@@ -206,7 +209,7 @@ def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[f
     p = eq.params
     _check_margin(margin)
     eps = (1e-9 * p.mass) if margin is None else margin
-    core_lo, core_hi = _physical_window(eq)
+    core_lo, core_hi = eq.physical_window
     lo, hi = core_lo + eps, core_hi - eps
     if not core_lo < core_hi:
         raise NoPhysicalWindow(
@@ -250,8 +253,8 @@ _TERM_SOURCES = {
 
 
 def _f_terms(eq: EnergyEquation) -> _FTerms:
-    """The constants of f; DomainError naming the parameters of any that
-    leaves the doubles."""
+    """The constants of f, kept by EnergyEquation; DomainError naming the
+    parameters of any that leaves the doubles."""
     p = eq.params
     c = eq.coeffs
     s = eq.mirror
@@ -427,12 +430,10 @@ def quantization_function(eq: EnergyEquation, energy: float) -> float:
     DomainError naming the parameters when 4 c8, 4 c9, 4 A or f leaves the
     doubles.
     """
-    lo, hi = _physical_window(eq)
+    lo, hi = eq.physical_window
     if not lo <= energy <= hi:
-        raise WindowViolation(
-            f"energy {energy!r} outside physical window ({lo!r}, {hi!r})"
-        )
-    f, q8, q9, four_a = _f_point(_f_terms(eq), float(energy))
+        raise WindowViolation(f"energy {energy!r} outside physical window ({lo!r}, {hi!r})")
+    f, q8, q9, four_a = _f_point(eq.terms, float(energy))
     if not math.isfinite(f):
         past = [(name, value) for name, value in (("4 c8", q8), ("4 c9", q9), ("4 A", four_a))
                 if not math.isfinite(value)]
@@ -856,11 +857,10 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     solve ends at the first root without an oracle partner.
     """
     lo, hi = search_window(eq, opts.margin)
-    terms = _f_terms(eq)
     oracle = quartic_oracle(eq, window=(lo, hi)) if opts.oracle_check else None
-    samples = _scan_samples(terms, lo, hi, opts.grid_points)
-    scan = _scan(terms, samples, lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
-                                         f"{_given(eq.params, 'mass', 'c_sym')}")
+    samples = _scan_samples(eq.terms, lo, hi, opts.grid_points)
+    scan = _scan(eq.terms, samples, lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
+                                            f"{_given(eq.params, 'mass', 'c_sym')}")
     tol = ORACLE_MATCH_FACTOR * opts.bisect_tol
     energies: list[float] = []
 
@@ -877,7 +877,7 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     # bisect_tol of it
     z, below, last_zero = 0, [], []
     for k in range(len(scan.brackets) + 1):
-        above = [_bisect(terms, *scan.brackets[k], opts)] if k < len(scan.brackets) else []
+        above = [_bisect(eq.terms, *scan.brackets[k], opts)] if k < len(scan.brackets) else []
         while z < len(scan.zeros) and not (above and scan.zeros[z] > above[0]):
             e, z = scan.zeros[z], z + 1
             if not any(abs(e - r) <= opts.bisect_tol for r in below + above + last_zero):
@@ -898,7 +898,7 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     method = "bisection" if oracle is None else "oracle-confirmed"
     roots: list[EnergyRoot] = []
     for e in energies:
-        fe, q8e, q9e, rhse = _f_point(terms, e)
+        fe, q8e, q9e, rhse = _f_point(eq.terms, e)
         roots.append(EnergyRoot(energy=e, sign_class=NEGATIVE if e < 0.0 else POSITIVE,
                                 residual=abs(fe), rhs_scale=abs(rhse), radicand_c8=q8e,
                                 radicand_c9=q9e, method=method))
@@ -1057,7 +1057,7 @@ def quartic_oracle(
     takes it (:func:`_polish_x`).  A coefficient past the doubles is a
     DomainError naming the parameters.
     """
-    t = _f_terms(eq)
+    t = eq.terms
     coeffs = _u_polynomial(t)[::-1]  # highest degree first
     if not (coeffs[0] > 0.0 and all(math.isfinite(c) for c in coeffs)):
         raise DomainError(

@@ -381,9 +381,9 @@ def lower_component(
 
 
 def _coupling_denominator(eq: EnergyEquation, energy: float) -> float:
-    p = eq.params
-    denom = p.mass - eq.mirror * energy + eq.mirror * p.c_sym
-    if abs(denom) < 1e-8 * p.mass:
+    t = eq.terms
+    denom = t.mass - t.mirror * energy + t.c_sym
+    if abs(denom) < 1e-8 * t.mass:
         raise DenominatorNearZero(
             f"coupling denominator {denom!r} below 1e-8 * mass at E = {energy!r}"
         )

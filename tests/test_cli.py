@@ -260,6 +260,22 @@ class TestWavefunction:
         assert code == 3
         assert err.strip()
 
+    @pytest.mark.parametrize("args, error", [
+        (("--n", "1", "--kappa", "-1", "--assembly", "reference"),
+         "DomainError: pseudospin limit has a single assembly 'strict', got 'reference'"),
+        (("--n", "1", "--kappa", "0"),
+         "DomainError: kappa = 0 is not a valid relativistic quantum number"),
+    ])
+    def test_refused_equation_exits_3_as_in_solve(self, args, error, capsys, monkeypatch):
+        # building the state's equation is the first step of its solve, in
+        # wavefunction as in solve
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        assert main(["wavefunction", *args]) == 3
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        code, out = run_main(capsys, "solve", *args)
+        assert code == 3
+        assert json.loads(out)["records"][0]["error"] == error
+
     @pytest.mark.parametrize("points", ["51", "1"])
     def test_too_few_points_is_config_error_before_solving(self, points, capsys, monkeypatch):
         # verify_ode needs 50 interior points, so the table needs 52; with

@@ -25,7 +25,7 @@ from dirac_nu.errors import (
     OracleMismatch,
     WindowViolation,
 )
-from dirac_nu import spectrum
+from dirac_nu import spectrum, wavefn
 from dirac_nu.model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, PotentialCoeffs, StateIndex
 from dirac_nu.spectrum import (
     ASSEMBLY_REFERENCE,
@@ -61,6 +61,12 @@ def spin_params(tensor_h=0.0, c_sym=0.0, mass=5.0):
     return ModelParams(mass=mass, symmetry=SPIN, c_sym=c_sym, tensor_h=tensor_h)
 
 
+def cancelled_sum(a_shape):
+    """The DomainError message of a V1 + V2 + V3 cancelled at ``a_shape``, alpha 0.6."""
+    return (rf"^alpha = 0\.6, a_shape = {re.escape(repr(a_shape))} put "
+            r"V1 \+ V2 \+ V3 = -?0\.\d+, not -3 alpha\^2 / 4 = -0\.27$")
+
+
 class TestEnergyEquation:
     def test_assembly_resolution(self):
         eq = build_equation(ps_params(), StateIndex(1, -1))
@@ -87,6 +93,69 @@ class TestEnergyEquation:
     def test_physical_sign(self):
         assert build_equation(ps_params(), StateIndex(1, -1)).physical_sign == NEGATIVE
         assert build_equation(spin_params(), StateIndex(0, -2)).physical_sign == POSITIVE
+
+    @pytest.mark.parametrize("symmetry", [PSEUDOSPIN, SPIN])
+    @pytest.mark.parametrize("a_shape", [1e14, 1e16, 1e17])
+    def test_noise_constants_are_refused_before_any_table(self, symmetry, a_shape):
+        # the spinor path took (A, B, C) from normal_form, which no check
+        # guarded: at H = 1, (1, -1) and E = -4.6 it gave c9 = 2.0625 at
+        # a_shape 1e14 and 3.0 at 1e16 (2.05 at a_shape 5, and c9 does not
+        # depend on A), and NegativeRadicand for c9 at 1e17
+        params = ModelParams(mass=5.0, symmetry=symmetry, tensor_h=1.0, a_shape=a_shape,
+                             strict_domain=False)
+        with pytest.raises(DomainError, match=cancelled_sum(a_shape)):
+            build_equation(params, StateIndex(1, -1))
+
+    def test_refused_constant_wins_over_an_empty_window(self):
+        # c_sym = -10 closes the window, which only search_window reports
+        params = ModelParams(mass=5.0, c_sym=-10.0, a_shape=1e17, strict_domain=False)
+        with pytest.raises(DomainError, match=cancelled_sum(1e17)):
+            build_equation(params, StateIndex(1, -1))
+
+    @pytest.mark.parametrize("symmetry", [PSEUDOSPIN, SPIN])
+    def test_constant_past_the_doubles_is_refused(self, symmetry):
+        with pytest.raises(DomainError, match=r"^tensor_h = 1e\+200, c0 = 0\.0833\d* put "
+                                              r"q \(q - 1\) C0 = inf past the doubles$"):
+            build_equation(ModelParams(mass=5.0, symmetry=symmetry, tensor_h=1e200),
+                           StateIndex(1, -1))
+
+    def test_derived_constants_stay_out_of_repr_and_equality(self):
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        twin = build_equation(ps_params(1.0), StateIndex(1, -1))
+        assert "terms" not in repr(eq) and "physical_window" not in repr(eq)
+        assert eq == twin and hash(eq) == hash(twin)
+        assert eq.physical_window == (-5.0, 5.0)
+
+    def test_constants_are_derived_only_at_construction(self, monkeypatch):
+        calls, checked = [], []
+        for name in ("_f_terms", "_physical_window"):
+            def counted(eq, _name=name, _fn=getattr(spectrum, name)):
+                calls.append(_name)
+                return _fn(eq)
+            monkeypatch.setattr(spectrum, name, counted)
+
+        def checking(eq, energy, _fn=spectrum.quantization_function):
+            checked.append(energy)
+            return _fn(eq, energy)
+        monkeypatch.setattr(spectrum, "quantization_function", checking)
+
+        def built(params, state):
+            eq = build_equation(params, state)
+            assert sorted(calls) == ["_f_terms", "_physical_window"]
+            calls.clear()
+            return eq
+
+        # at mass 300 the oracle keeps roots, checking each with f
+        eq = built(ps_params(1.0, mass=300.0), StateIndex(1, -1))
+        res = solve_spectrum(eq)
+        assert res.oracle.survivors and len(checked) >= len(res.oracle.survivors)
+        energy = res.selected.energy
+        normal_form(eq, energy)
+        wavefn.pseudospin_components(eq, energy, wavefn.default_grid(eq, energy))
+        spin = built(spin_params(1.0), StateIndex(0, 1))
+        energy = solve_spectrum(spin).selected.energy
+        wavefn.spin_limit_components(spin, energy, wavefn.default_grid(spin, energy))
+        assert calls == []
 
 
 class TestSearchWindow:
@@ -163,15 +232,10 @@ class TestQuantizationFunction:
     def test_cancelling_potential_constants_are_a_domain_error(self, a_shape):
         # V1 + V2 + V3 = -3 alpha^2 / 4 = -0.27 cancels to rounding noise where
         # A dwarfs 8: -0.5 at 3e16, and 0.0 from 1e17 on, which the oracle
-        # divides by
-        eq = build_equation(ModelParams(mass=5.0, a_shape=a_shape, strict_domain=False),
-                            StateIndex(1, -1))
-        message = (rf"^alpha = 0\.6, a_shape = {re.escape(repr(a_shape))} put "
-                   r"V1 \+ V2 \+ V3 = -?0\.\d+, not -3 alpha\^2 / 4 = -0\.27$")
-        for call in (lambda: quantization_function(eq, 0.0), lambda: quartic_oracle(eq),
-                     lambda: solve_spectrum(eq, SolveOptions(oracle_check=False))):
-            with pytest.raises(DomainError, match=message):
-                call()
+        # divides by; the equation refuses it, so no f is ever evaluated
+        with pytest.raises(DomainError, match=cancelled_sum(a_shape)):
+            build_equation(ModelParams(mass=5.0, a_shape=a_shape, strict_domain=False),
+                           StateIndex(1, -1))
 
 
 def edge_root_equation():
@@ -348,8 +412,7 @@ def seeded_equations(count, seed="scalar-twin"):
 def solve_grid(eq, opts=SolveOptions(oracle_check=False)):
     """The energies solve_spectrum scans, boundary packing included, as one
     array (the rule by index yields these, see TestSampleRule)."""
-    return spectrum._scan_grid(spectrum._f_terms(eq), *search_window(eq, opts.margin),
-                               opts.grid_points)
+    return spectrum._scan_grid(eq.terms, *search_window(eq, opts.margin), opts.grid_points)
 
 
 def same_bits(a, b):
@@ -371,7 +434,7 @@ class TestScalarTwin:
         nan_points = 0
         for eq in equations:
             grid = solve_grid(eq)
-            terms = spectrum._f_terms(eq)
+            terms = eq.terms
             f = spectrum._f_arrays(terms, grid)
             points = [spectrum._f_point(terms, e)[0] for e in grid.tolist()]
             assert same_bits(points, f), eq
@@ -386,7 +449,7 @@ class TestScalarTwin:
             case = draw_case(rng)
             eq = build_equation(ModelParams(**case.params()), StateIndex(case.n, case.kappa),
                                 case.assembly)
-            terms = spectrum._f_terms(eq)
+            terms = eq.terms
             energies = []
             for z in spectrum._radicand_boundaries(terms, *search_window(eq)):
                 energies.append(z)
@@ -646,7 +709,7 @@ def signed_zero_equations():
 
 def exact_terms(eq):
     """The constants of f as the exact rationals of their doubles."""
-    t = spectrum._f_terms(eq)
+    t = eq.terms
     return t._replace(**{name: Fraction(value) for name, value in t._asdict().items()})
 
 
@@ -710,7 +773,7 @@ class TestUFactorsTheSextic:
             assert not any(poly_add(p_of_u, poly_scale(-1, poly_mul(u_poly, mirror)))), eq
             # the oracle's coefficients are these, built in doubles
             coeffs = quartic_oracle(eq).coefficients
-            assert coeffs == tuple(spectrum._u_polynomial(spectrum._f_terms(eq))[::-1])
+            assert coeffs == tuple(spectrum._u_polynomial(eq.terms)[::-1])
             assert u_poly[6] > 0 and coeffs[0] > 0.0
 
 
@@ -725,7 +788,7 @@ class TestScanAndCache:
             grid = solve_grid(eq)
             before = grid.tobytes()
             grid.flags.writeable = False
-            f = spectrum._f_arrays(spectrum._f_terms(eq), grid)
+            f = spectrum._f_arrays(eq.terms, grid)
             assert grid.tobytes() == before
             assert f.shape == grid.shape and not np.shares_memory(f, grid)
 
@@ -736,7 +799,7 @@ class TestScanAndCache:
                              tensor_h=1.0, strict_domain=False)
         eq = build_equation(params, StateIndex(1, -1))
         opts = SolveOptions(margin=1e-30, oracle_check=False)
-        assert spectrum._radicand_boundaries(spectrum._f_terms(eq), *search_window(eq, opts.margin))
+        assert spectrum._radicand_boundaries(eq.terms, *search_window(eq, opts.margin))
         grid = solve_grid(eq, opts)
         assert grid.size == 113 and np.array_equal(grid, np.unique(grid))
         assert "of 113 grid points" in solve_spectrum(eq, opts).selection_note
@@ -841,7 +904,7 @@ class TestCertifiedScan:
         params = ModelParams(mass=mass, symmetry=symmetry, c_sym=c_frac * mass,
                              tensor_h=tensor_h, alpha=alpha, a_shape=a_shape)
         eq = build_equation(params, StateIndex(n, kappa), assembly)
-        terms = spectrum._f_terms(eq)
+        terms = eq.terms
         lo, hi = search_window(eq)
         # 16 blocks of widths from the whole window down to 1e-12 of it, around
         # random points, the radicand boundaries and the zeros of
@@ -894,7 +957,7 @@ class TestCertifiedScan:
         # each; each bracket still pairs two consecutive grid points
         eq = build_equation(ps_params(1.0), StateIndex(1, -1))
         lo, hi = search_window(eq)
-        terms = spectrum._f_terms(eq)
+        terms = eq.terms
         grid = spectrum._scan_grid(terms, lo, hi, 20001)
         f_bounds = spectrum._f_bounds
 
@@ -923,7 +986,7 @@ class TestCertifiedScan:
         for eq, margin, points in scan_cases():
             evaluated.clear()
             lo, hi = search_window(eq, margin)
-            terms = spectrum._f_terms(eq)
+            terms = eq.terms
             grid = spectrum._scan_grid(terms, lo, hi, points)
             want = outcome(full_scan, terms, grid)
             monkeypatch.setattr(spectrum, "_f_arrays", counting)
@@ -976,7 +1039,7 @@ class TestSampleRule:
                   for params in (ps_params, spin_params) for k in range(0, 161, 16)]
         cases = [(eq, margin) for eq, margin, _ in scan_cases()] + [(eq, None) for eq in masses]
         for (eq, margin), points in itertools.product(cases, (20001, 2001, 4, 3)):
-            terms = spectrum._f_terms(eq)
+            terms = eq.terms
             samples = self.assert_same_samples(terms, *search_window(eq, margin), points)
             built += samples.table is not None
             packed += bool(samples.slots)
@@ -987,7 +1050,7 @@ class TestSampleRule:
         # windows of 1 to 1e7 ulps around a radicand boundary, a few on either
         # side of the step of 8 ulps that selects the rule
         eq = build_equation(spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT)
-        terms = spectrum._f_terms(eq)
+        terms = eq.terms
         (b,) = spectrum._radicand_boundaries(terms, *search_window(eq))
         rng = random.Random("sample rule")
         rule = 0
@@ -1054,7 +1117,7 @@ class TestScanWorkspace:
         # TestMirror compares two such calls: a shared buffer would make it vacuous
         eq = build_equation(spin_params(1.0), StateIndex(0, -2))
         grid = np.linspace(*search_window(eq), 2001)
-        terms = spectrum._f_terms(eq)
+        terms = eq.terms
         first, second = spectrum._f_arrays(terms, grid), spectrum._f_arrays(terms, grid)
         assert not np.shares_memory(first, second)
         assert same_bits(first, second)
@@ -1077,7 +1140,7 @@ class TestClosedFormBoundaries:
         eqs = pinned_equations(ref) + seeded_equations(200, seed="closed-form boundaries")
         degrees = set()
         for eq in eqs:
-            for poly in spectrum._radicand_polys(spectrum._f_terms(eq)):
+            for poly in spectrum._radicand_polys(eq.terms):
                 want, got = np_roots_reference(poly), sorted(spectrum._real_roots(poly))
                 assert len(got) == len(want), (eq, want, got)
                 for w, g in zip(want, got):
@@ -1095,8 +1158,7 @@ class TestClosedFormBoundaries:
                                  a_shape=4.0, strict_domain=False)
             eq = build_equation(params, StateIndex(3, -1))
             opts = SolveOptions(grid_points=2001, oracle_check=False)
-            results.append((spectrum._radicand_boundaries(spectrum._f_terms(eq),
-                                                          *search_window(eq)),
+            results.append((spectrum._radicand_boundaries(eq.terms, *search_window(eq)),
                             repr(solve_spectrum(eq, opts))))
         assert results[0] == results[1]
 
@@ -1202,7 +1264,7 @@ class TestCrossCheckBranches:
         # no double near the roots meets the oracle within 1e3 * bisect_tol
         eq = build_equation(ps_params(tensor_h=1.0, mass=1e40), StateIndex(1, -1))
         opts = SolveOptions(grid_points=2001)
-        f = spectrum._f_arrays(spectrum._f_terms(eq), np.linspace(*search_window(eq), 2001))
+        f = spectrum._f_arrays(eq.terms, np.linspace(*search_window(eq), 2001))
         assert np.count_nonzero(f == 0.0) > 0
         with pytest.raises(DomainError, match="bisect_tol=1e-12 is too small to match roots"):
             solve_spectrum(eq, opts)
@@ -1254,7 +1316,7 @@ class TestDegeneracy:
                             continue
                         a = build_equation(params, neg, assembly)
                         b = build_equation(params, pos, assembly)
-                        assert repr(spectrum._f_terms(a)) == repr(spectrum._f_terms(b))
+                        assert repr(a.terms) == repr(b.terms)
                         assert (quartic_oracle(a).coefficients
                                 == quartic_oracle(b).coefficients)
                         pairs += 1
@@ -1324,7 +1386,7 @@ class TestOracle:
         res = solve_spectrum(eq, OPTS)
         (decaying,) = [z.real for z in res.oracle.spurious
                        if z.imag == 0.0 and abs(z.real - 1.858838416) < 1e-9]
-        f, q8, q9, four_a = spectrum._f_point(spectrum._f_terms(eq), decaying)
+        f, q8, q9, four_a = spectrum._f_point(eq.terms, decaying)
         assert f == pytest.approx(-40.732, abs=1e-3)
         assert (3.0 + math.sqrt(q9) + math.sqrt(q8)) ** 2 == pytest.approx(four_a, rel=1e-12)
         assert all(abs(r.energy - decaying) > 1.0 for r in res.roots)
@@ -1380,13 +1442,17 @@ class TestOracle:
 
 def pseudospin_core(eq):
     """A spin equation's pseudospin-form twin at (-C_sym, -V): the same q, n
-    and coupling scale, evaluated with sigma = +1 by the module's own code."""
+    and coupling scale, evaluated with sigma = +1 by the module's own code,
+    its constants and window derived as an equation derives its own."""
     c = eq.coeffs
-    return types.SimpleNamespace(
+    core = types.SimpleNamespace(
         params=dataclasses.replace(eq.params, symmetry=PSEUDOSPIN, c_sym=-eq.params.c_sym),
         state=eq.state, q=eq.q, scale=eq.scale, mirror=1.0,
         coeffs=PotentialCoeffs(-c.v1, -c.v2, -c.v3),
     )
+    core.physical_window = spectrum._physical_window(core)
+    core.terms = spectrum._f_terms(core)
+    return core
 
 
 class TestMirror:
@@ -1416,7 +1482,7 @@ class TestMirror:
         assert (lo, hi) == (-core_hi, -core_lo)
 
         grid = np.linspace(lo, hi, 2001)
-        terms, core_terms = spectrum._f_terms(eq), spectrum._f_terms(core)
+        terms, core_terms = eq.terms, core.terms
         assert same_bits(spectrum._f_arrays(terms, grid),
                          spectrum._f_arrays(core_terms, -grid))
         for e in grid[::97].tolist():
