@@ -1,4 +1,10 @@
-"""Diagnostics: approximation quality, potential shape, tensor sweeps."""
+"""Diagnostics: approximation quality, potential shape, tensor sweeps.
+
+A tensor sweep solves the equations of all its rows together
+(``spectrum._solve_all``), since a solve's time is mostly the fixed cost of
+its numpy calls, not arithmetic; each row gets what solving its members one
+at a time gives.
+"""
 
 from __future__ import annotations
 
@@ -156,13 +162,19 @@ def h_sweep(
     doublets: Sequence[tuple[StateIndex, StateIndex]],
     h_values: Sequence[float] = DEFAULT_H_VALUES,
     opts: SolveOptions = SolveOptions(),
+    assembly: Optional[str] = None,
 ) -> SweepResult:
     """Track each doublet's negative-root energies across tensor strengths.
 
     Every doublet, label and tensor strength is checked before the first
-    solve.  Solver failures (for example an empty window) are recorded in
-    the row instead of aborting the sweep.  Each doublet's direction line
-    states how its members moved between its first and last solved rows.
+    solve.  The equations of every row are solved together in ``assembly``
+    (the limit's default when None), with the results of one-at-a-time
+    solves (see :func:`.spectrum._doublet_energies`); a solve's time is
+    mostly the fixed cost of its numpy calls, which the batch shares.
+    Solver failures (for example an empty window or an assembly the limit
+    does not have) are recorded in the row instead of aborting the sweep.
+    Each doublet's direction line states how its members moved between its
+    first and last solved rows.
     """
     if not doublets:
         raise DomainError("at least one doublet is required")
@@ -183,16 +195,19 @@ def h_sweep(
             return "down"
         return "flat"
 
+    outcomes = iter(_doublet_energies([(p, state_neg, state_pos) for state_neg, state_pos, _, _
+                                       in pairs for p in points], opts, assembly))
     rows: list[SweepRow] = []
     directions: list[str] = []
     for state_neg, state_pos, label_neg, label_pos in pairs:
         for p in points:
             e_neg = e_pos = None
             error = ""
-            try:
-                e_neg, e_pos = _doublet_energies(p, state_neg, state_pos, opts)
-            except SolverError as exc:
-                error = f"{type(exc).__name__}: {exc}"
+            outcome = next(outcomes)
+            if isinstance(outcome, SolverError):
+                error = f"{type(outcome).__name__}: {outcome}"
+            else:
+                e_neg, e_pos = outcome
             rows.append(SweepRow(tensor_h=p.tensor_h, label_neg=label_neg, label_pos=label_pos,
                                  energy_neg=e_neg, energy_pos=e_pos,
                                  delta_e=None if error else e_pos - e_neg, error=error))

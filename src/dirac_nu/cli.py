@@ -16,6 +16,12 @@ of the wrong type or outside its choices, or a point count above
 Output is CSV or JSON (``--format``), written to stdout or ``--out``;
 floats carry 12 significant digits and runs are byte-deterministic.
 
+``table``, ``analyze --which sweep`` and ``solve`` with several states
+solve their equations together (``spectrum._solve_all``): a solve's time is
+mostly the fixed cost of its numpy calls, not arithmetic, and a batch
+shares those calls.  Every result and every error text is that of solving
+the states one at a time.
+
 Exit codes: 0 success, 2 usage or configuration error raised before any
 state is solved or an ``--out`` that cannot be written, 3 any error raised
 while solving a state, a refused equation or other DomainError included
@@ -51,6 +57,8 @@ from .spectrum import (
     POSITIVE,
     EnergyEquation,
     SolveOptions,
+    _one,
+    _solve_all,
     solve_spectrum,
 )
 from .wavefn import (
@@ -317,15 +325,22 @@ def cmd_solve(cfg: RunConfig) -> int:
     params = _model_params(cfg)
     opts = _solve_options(cfg)
 
+    # every state's equation, or the error that building it raised, then one batch
+    equations: list[Any] = []
+    for n, kappa in cfg.states:
+        try:
+            equations.append(EnergyEquation(params, StateIndex(n=n, kappa=kappa), cfg.assembly))
+        except SolverError as exc:
+            equations.append(exc)
+
     records: list[dict[str, Any]] = []
     failed = False
-    for n, kappa in cfg.states:
+    for (n, kappa), eq, outcome in zip(cfg.states, equations, _solve_all(equations, opts)):
         base = {"n": n, "kappa": kappa, "H": cfg.tensor_h}
         record: dict[str, Any] = dict(base)
         try:
-            state = StateIndex(n=n, kappa=kappa)
-            eq = EnergyEquation(params, state, cfg.assembly)
-            result = solve_spectrum(eq, opts)
+            result = _one(outcome)
+            state = eq.state
             selected = result.selected
             record["Lambda_or_Eta"] = eq.q
             record["spectroscopic_label"] = state.spectroscopic_label(params.symmetry)
@@ -362,15 +377,22 @@ def cmd_table(cfg: RunConfig, which: str) -> int:
     reference = replace(data.params(symmetry, 0.0), strict_domain=cfg.strict_domain)
     opts = _solve_options(cfg)
 
+    cells = data.select(symmetry)
+    equations: list[Any] = []
+    for cell in cells:
+        try:
+            equations.append(EnergyEquation(replace(reference, tensor_h=cell.tensor_h),
+                                            cell.state, cfg.assembly))
+        except SolverError as exc:
+            equations.append(exc)
+
     records: list[dict[str, Any]] = []
     notes: list[str] = []
     failed = False
-    for cell in data.select(symmetry):
+    for cell, outcome in zip(cells, _solve_all(equations, opts)):
         error, roots = "", ()
         try:
-            eq = EnergyEquation(replace(reference, tensor_h=cell.tensor_h), cell.state,
-                                cfg.assembly)
-            roots = solve_spectrum(eq, opts).roots
+            roots = _one(outcome).roots
         except SolverError as exc:
             failed = True
             error = f"{type(exc).__name__}: {exc}"
@@ -488,7 +510,7 @@ def cmd_analyze(cfg: RunConfig, which: str) -> int:
     if which == "sweep":
         pairs = cfg.doublets or _DEFAULT_DOUBLETS[params.symmetry]
         doublets = [(StateIndex(*neg), StateIndex(*pos)) for neg, pos in pairs]
-        sweep = h_sweep(params, doublets, cfg.h_values, _solve_options(cfg))
+        sweep = h_sweep(params, doublets, cfg.h_values, _solve_options(cfg), cfg.assembly)
         columns = ["H", "state", "E_selected", "delta_E"]
         records = [
             {**dict(zip(columns, (row.tensor_h, label, energy, row.delta_e))),

@@ -58,7 +58,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -69,6 +69,7 @@ from .errors import (
     NoPhysicalWindow,
     NoRootFound,
     OracleMismatch,
+    SolverError,
     WindowViolation,
 )
 from .model import (
@@ -84,7 +85,17 @@ from .model import (
     potential_coeffs,
     within_doubles,
 )
+from .fcore import _f_arrays, _f_bounds, _f_point, _FTerms
 from .nu_core import RADICAND_CLAMP, NuProblem
+from .sampling import (  # noqa: F401 (the tests reach these through spectrum)
+    _radicand_boundaries,
+    _radicand_polys,
+    _real_roots,
+    _Samples,
+    _scan_grid,
+    _scan_samples,
+)
+from .sextic import _companion_roots, _polish_u, _polish_x, _u_polynomial
 
 ASSEMBLY_REFERENCE = "reference"
 ASSEMBLY_STRICT = "strict"
@@ -98,6 +109,12 @@ ORACLE_MATCH_FACTOR = 1e3
 BISECT_MAX_ITER = 200
 # the scan bounds f on about this many blocks of its grid before evaluating any
 SCAN_BLOCKS = 64
+# a batch of scans evaluates f on at most this many samples at a time
+SCAN_SLICE = 4096
+# a batch of solves takes this many equations through its stages at a time:
+# their bound pass holds about four times the memory per block that an
+# evaluation holds per sample
+BATCH_EQUATIONS = SCAN_SLICE // (4 * SCAN_BLOCKS)
 
 
 @dataclass(frozen=True)
@@ -224,24 +241,6 @@ def search_window(eq: EnergyEquation, margin: Optional[float] = None) -> tuple[f
     return lo, hi
 
 
-class _FTerms(NamedTuple):
-    """Per-equation constants of the core f, read by both evaluators below;
-    c_sym and the V terms are the core's, already multiplied by sigma."""
-
-    mirror: float  # sigma: the core is evaluated at x = sigma E
-    mass: float
-    c_sym: float  # sigma C_sym
-    ll_c0: float  # q (q - 1) C0
-    c9_base: float  # (q - 1/2)^2
-    w_scale: float  # scale / (4 alpha^2)
-    four_a2: float  # 4 alpha^2
-    v1: float  # sigma V1
-    v3: float  # sigma V3
-    v_total: float  # sigma (V1 + V2 + V3)
-    width: float  # 2 n + 1
-    clamp: float  # -4 RADICAND_CLAMP
-
-
 # the terms of _FTerms that can leave the doubles when every parameter is a
 # finite double (4 alpha^2 and the V terms are checked where they are made),
 # each with its formula and the parameters it is made from
@@ -293,132 +292,6 @@ def _f_terms(eq: EnergyEquation) -> _FTerms:
 def _given(params: ModelParams, *names: str) -> str:
     """``name = value`` for each named parameter, for an error message."""
     return ", ".join(f"{name} = {getattr(params, name)!r}" for name in names)
-
-
-def _f_pieces(t: _FTerms, energies: NDArray[np.float64], out: NDArray[np.float64]) -> None:
-    """Write f's five pieces that are monotone in E into the rows of ``out``,
-    each of the shape of ``energies``: w V1 + q (q - 1) C0, w V3 + q (q - 1) C0,
-    4 c9, M + x and M - x + sigma C.  Both :func:`_f_arrays` and
-    :func:`_f_bounds` start here, so the bounds see the points' operations."""
-    s1, s3, q9, up, down = out
-    x = np.multiply(energies, t.mirror, out=up)  # x = sigma E, until M + x
-    np.subtract(t.mass, x, out=down)
-    down += t.c_sym
-    w = np.subtract(x, t.mass, out=q9)
-    w -= t.c_sym
-    w *= t.w_scale
-    np.multiply(w, t.v1, out=s1)
-    s1 += t.ll_c0
-    np.multiply(w, t.v3, out=s3)
-    s3 += t.ll_c0
-    # c9 = 1/4 + A - B + C collapses to (q - 1/2)^2 + w * (V1 + V2 + V3)
-    q9 *= t.v_total
-    q9 += t.c9_base
-    q9 *= 4.0
-    up += t.mass
-
-
-def _f_arrays(
-    t: _FTerms, energies: NDArray[np.float64], out: Optional[NDArray[np.float64]] = None
-) -> NDArray[np.float64]:
-    """Vectorized f with NaN where a radicand is negative.
-
-    Written with in-place ufuncs on the five rows of ``out``, shape
-    (5, energies.size), fresh memory when it is None; f is returned in row
-    2 and row 0 (4 A) is free afterwards.  Fresh grid-sized temporaries cost
-    more than the arithmetic: glibc hands freed memory of that size back to
-    the OS, so each one is page-faulted in again on first touch.
-    Every element sees the IEEE operations of :func:`_f_point` in the same
-    order (a + b and b + a round alike), and ``energies`` is only read.
-    """
-    if out is None:
-        out = np.empty((5, energies.size))
-    _f_pieces(t, energies, out)
-    four_a, q8, f, b, down = out
-    b *= down
-    b /= t.four_a2
-    four_a += b
-    q8 += b
-    out[:2] *= 4.0  # 4 A and 4 c8
-    for q in (q8, f):  # 4 c8 and 4 c9
-        clamped = q < 0.0
-        clamped &= q >= t.clamp
-        q[clamped] = 0.0
-    with np.errstate(invalid="ignore"):
-        np.sqrt(out[1:3], out=out[1:3])
-    f += t.width
-    f -= q8
-    np.square(f, out=f)
-    f -= four_a
-    return f
-
-
-def _f_bounds(
-    t: _FTerms, e_lo: NDArray[np.float64], e_hi: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Interval twin of :func:`_f_arrays`: bounds of f, 4 c8, 4 c9 and 4 A,
-    each a (2, n) array of lows and highs, on the values :func:`_f_arrays`
-    computes at every double E with e_lo[i] <= E <= e_hi[i]; the radicand
-    bounds are taken before the clamp.
-
-    The pieces at both ends come from :func:`_f_pieces`, as the points' do.
-    Each is monotone in E, and rounding to nearest is monotone, so every
-    point's piece lies between its values at the two ends with no outward
-    rounding; b2 lies between its extreme corner products, and the
-    square of an interval across 0 starts at 0.  An end that overflows is
-    infinite and one made by inf * 0 or inf - inf is NaN, so finite bounds
-    also prove that no value leaves the doubles.  f's bounds are NaN where a
-    radicand may be negative, the clamp band included.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.empty((5, 2, e_lo.size))
-        _f_pieces(t, (e_lo, e_hi), ends)
-        up, down = ends[3:]
-        corners = (up[:, None] * down).reshape(4, -1)
-        b = np.array((np.minimum.reduce(corners), np.maximum.reduce(corners)))
-        b /= t.four_a2
-
-        low, high = np.minimum(ends[:3, 0], ends[:3, 1]), np.maximum(ends[:3, 0], ends[:3, 1])
-        # 4 A and 4 c8 in one (2, 2, n) block: ((w V + ll C0) + b) * 4
-        a4_q8 = np.array((low[:2], high[:2]))
-        a4_q8 += b[:, None]
-        a4_q8 *= 4.0
-        a4, q8 = a4_q8[:, 0], a4_q8[:, 1]
-        q9 = np.array((low[2], high[2]))
-
-        # W + sqrt(4 c9) - sqrt(4 c8): the low end takes the high 4 c8
-        d = np.sqrt(q9)
-        d += t.width
-        d -= np.sqrt(q8[::-1])
-        sq = np.square(d)
-        f = np.array((np.minimum(sq[0], sq[1]), np.maximum(sq[0], sq[1])))
-        f[0, (d[0] < 0.0) & (d[1] > 0.0)] = 0.0
-        f -= a4[::-1]
-        return f, q8, q9, a4
-
-
-def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
-    """Scalar twin of :func:`_f_arrays`: the same IEEE operations in the same
-    order on Python floats, so its f is bit-identical to the array one; it also
-    returns 4 c8, 4 c9 and 4 A."""
-    x = t.mirror * energy
-    w = (x - t.mass - t.c_sym) * t.w_scale
-    b = (t.mass + x) * (t.mass - x + t.c_sym) / t.four_a2
-
-    big_a = t.ll_c0 + w * t.v1 + b
-    q8 = 4.0 * (t.ll_c0 + w * t.v3 + b)
-    q9 = 4.0 * (t.c9_base + w * t.v_total)
-    if t.clamp <= q8 < 0.0:
-        q8 = 0.0
-    if t.clamp <= q9 < 0.0:
-        q9 = 0.0
-
-    if q8 < 0.0 or q9 < 0.0:
-        f = math.nan
-    else:
-        root_diff = t.width + math.sqrt(q9) - math.sqrt(q8)
-        f = root_diff * root_diff - 4.0 * big_a
-    return f, q8, q9, 4.0 * big_a
 
 
 def quantization_function(eq: EnergyEquation, energy: float) -> float:
@@ -534,25 +407,22 @@ class SpectrumResult:
 def _bisect(t: _FTerms, a: float, b: float, fa: float, fb: float,
             opts: SolveOptions) -> float:
     """Plain bisection; the grid guarantees fa and fb have opposite signs."""
-
-    def f_of(x: float) -> float:
-        return _f_point(t, x)[0]
-
+    tol = opts.bisect_tol
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (a + b)
-        if (b - a) <= opts.bisect_tol:
+        if (b - a) <= tol:
             return mid
         if mid == a or mid == b:
             # a and b are adjacent floats: every further step leaves them as
             # they are, so the loop could only end by BISECT_MAX_ITER on this mid
             return mid
-        fm = f_of(mid)
+        fm = _f_point(t, mid)[0]
         if not math.isfinite(fm):
             # radicand dipped below zero inside the bracket; shrink toward
             # the endpoint that still evaluates
             step = 0.25 * (b - a)
             mid_lo, mid_hi = mid - step, mid + step
-            flo, fhi = f_of(mid_lo), f_of(mid_hi)
+            flo, fhi = _f_point(t, mid_lo)[0], _f_point(t, mid_hi)[0]
             if math.isfinite(flo):
                 mid, fm = mid_lo, flo
             elif math.isfinite(fhi):
@@ -570,60 +440,6 @@ def _bisect(t: _FTerms, a: float, b: float, fa: float, fb: float,
     return 0.5 * (a + b)
 
 
-def _real_roots(poly: NDArray) -> list[float]:
-    """Real roots of a polynomial of degree <= 2, coefficients lowest degree
-    first, in closed form.
-
-    They are the roots ``np.roots`` finds as companion-matrix eigenvalues:
-    leading zeros are dropped, a zero constant term gives a root at exactly
-    0, and a complex pair passes, as a double root at its real part, when
-    its imaginary part is below 1e-9 of that real part (a double root whose
-    discriminant rounded below zero).  Each agrees with its eigenvalue to a
-    few ulps, more where b^2 and 4 a c nearly cancel and both lose digits.
-    """
-    c = [float(x) for x in poly]
-    while c and c[-1] == 0.0:
-        c.pop()
-    if len(c) < 2:
-        return []
-    roots: list[float] = []
-    while c[0] == 0.0:
-        c.pop(0)
-        roots.append(0.0)
-    if len(c) == 2:
-        roots.append(-c[0] / c[1])
-    elif len(c) == 3:
-        cc, b, a = c
-        disc = b * b - 4.0 * a * cc
-        if disc >= 0.0:
-            # the root of larger modulus without cancellation, the other from
-            # the product of the roots
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots += [q / a, cc / q]
-        else:
-            re, im = -b / (2.0 * a), math.sqrt(-disc) / abs(2.0 * a)
-            if im < 1e-9 * max(1.0, abs(re)):
-                roots += [re, re]
-    return roots
-
-
-def _radicand_polys(t: _FTerms) -> tuple[list[float], list[float]]:
-    """4 c9 and 4 c8 as polynomials in the core's x = sigma E, lowest degree
-    first, from the constants of f: 4 c9 is linear and 4 c8 quadratic."""
-    g0 = -(t.mass + t.c_sym)  # g = x + g0
-    q9 = [4.0 * (t.c9_base + g0 * t.w_scale * t.v_total), 4.0 * t.w_scale * t.v_total]
-    q8 = [4.0 * (t.ll_c0 + g0 * t.w_scale * t.v3 + t.mass * (t.mass + t.c_sym) / t.four_a2),
-          4.0 * (t.w_scale * t.v3 + t.c_sym / t.four_a2), -4.0 / t.four_a2]
-    return q9, q8
-
-
-def _radicand_boundaries(t: _FTerms, lo: float, hi: float) -> list[float]:
-    """Energies inside (lo, hi) where a radicand crosses zero: the exact
-    linear and quadratic roots of :func:`_radicand_polys`, taken to E."""
-    crossings = (t.mirror * z for poly in _radicand_polys(t) for z in _real_roots(poly))
-    return sorted(e for e in crossings if lo < e < hi)
-
-
 def _require_resolvable(energy: float, opts: SolveOptions, params: ModelParams) -> None:
     """Blame an unmatched root on ``bisect_tol`` when no double can meet it.
 
@@ -639,123 +455,6 @@ def _require_resolvable(energy: float, opts: SolveOptions, params: ModelParams) 
         )
 
 
-# samples are packed this far, in units of the window's width, on either
-# side of each radicand zero crossing
-_PACKING = tuple(10.0 ** -k for k in range(7, 13))
-
-
-def _scan_grid(t: _FTerms, lo: float, hi: float, points: int) -> NDArray[np.float64]:
-    """The energies a solve scans, as one array: ``points`` uniform samples
-    over [lo, hi], plus samples packed against each radicand zero crossing
-    inside it.  A solve builds it only where :func:`_scan_samples` cannot
-    place samples by index."""
-    grid = np.linspace(lo, hi, points)
-    boundaries = _radicand_boundaries(t, lo, hi)
-    if boundaries:
-        span = hi - lo
-        offsets = span * np.array(_PACKING)
-        extra = np.concatenate([[b - offsets, b + offsets] for b in boundaries], axis=None)
-        extra = np.unique(extra[(extra > lo) & (extra < hi)])
-        at = np.searchsorted(grid, extra)
-        new = grid[np.minimum(at, grid.size - 1)] != extra
-        grid = np.insert(grid, at[new], extra[new])
-        if not (grid[1:] > grid[:-1]).all():
-            # only a window a few ulps wide makes linspace repeat or misorder
-            # samples; np.unique sorts them and drops the repeats
-            grid = np.unique(grid)
-    return grid
-
-
-class _Samples(NamedTuple):
-    """The samples of :func:`_scan_grid` by index, not as an array: uniform
-    sample i is i * step + lo and the last is hi, the operations of
-    np.linspace, and packed sample extras[k] comes just before uniform
-    sample slots[k].  ``table``, where set, holds every sample instead, and
-    there are no packed samples."""
-
-    step: float
-    points: int  # uniform samples
-    lo: float
-    hi: float
-    slots: list[int]  # ascending
-    extras: NDArray[np.float64]
-    table: Optional[NDArray[np.float64]] = None
-
-    @property
-    def size(self) -> int:
-        return self.points + self.extras.size
-
-    def uniform(self, index: NDArray[np.int64]) -> NDArray[np.float64]:
-        """The uniform samples at the ascending ``index``."""
-        if self.table is not None:
-            return self.table[index]
-        energies = index * self.step
-        energies += self.lo
-        if index[-1] == self.points - 1:
-            energies[-1] = self.hi
-        return energies
-
-    def position(self, index: NDArray[np.int64]) -> NDArray[np.int64]:
-        """Where the uniform samples at ``index`` sit among all samples."""
-        return index + np.searchsorted(self.slots, index, side="right") if self.slots else index
-
-    def between(self, i: int, j: int) -> NDArray[np.float64]:
-        """Every sample from uniform sample i to uniform sample j, ascending."""
-        energies = self.uniform(np.arange(i, j + 1))
-        pieces, at = [], i
-        k, stop = bisect.bisect_right(self.slots, i), bisect.bisect_right(self.slots, j)
-        while k < stop:  # the packed samples before uniform sample s, slice by slice
-            s = self.slots[k]
-            end = bisect.bisect_right(self.slots, s, k, stop)
-            pieces += [energies[at - i:s - i], self.extras[k:end]]
-            at, k = s, end
-        return np.concatenate(pieces + [energies[at - i:]]) if pieces else energies
-
-
-def _scan_samples(t: _FTerms, lo: float, hi: float, points: int) -> _Samples:
-    """:func:`_scan_grid`'s samples as a rule: the packed ones placed by
-    index, the uniform ones never built.
-
-    With M = max(|lo|, |hi|), a step above 8 ulp(M) makes linspace's
-    samples strictly ascending: each product i * step, at most about 2 M,
-    rounds by under 2 ulp(M) and each sum by at most ulp(M), so consecutive
-    samples, the last two included, differ by more than step - 6 ulp(M).
-    Each packed sample then goes just before the first uniform sample not
-    below it, where _scan_grid's searchsorted puts it: a ceil estimate of
-    that index, then a walk of the samples beside it, finds it exactly.  A
-    smallest packing offset above 0 keeps -0.0, which a set and np.unique
-    may keep in place of 0.0 differently, out of the packed samples.  Only
-    a window a few doubles wide fails either test, and it takes
-    _scan_grid's array.
-    """
-    span = hi - lo
-    step = span / (points - 1)
-    if not (step > 8.0 * math.ulp(max(abs(lo), abs(hi))) and span * _PACKING[-1] > 0.0):
-        grid = _scan_grid(t, lo, hi, points)
-        return _Samples(step, grid.size, lo, hi, [], np.empty(0), grid)
-    last = points - 1
-
-    def sample(i: int) -> float:
-        return hi if i == last else i * step + lo
-
-    slots: list[int] = []
-    extras: list[float] = []
-    at, above = 0, lo  # uniform sample `at`, the first not below the last packed one
-    for e in sorted({z for b in _radicand_boundaries(t, lo, hi) for o in _PACKING
-                     for z in (b - span * o, b + span * o) if lo < z < hi}):
-        if e > above:
-            at = min(math.ceil((e - lo) / step), last)
-            while sample(at) < e:
-                at += 1
-            while sample(at - 1) >= e:
-                at -= 1
-            above = sample(at)
-        if e != above:  # a packed sample equal to a uniform one is dropped
-            slots.append(at)
-            extras.append(e)
-    return _Samples(step, points, lo, hi, slots, np.array(extras))
-
-
 class _Scan(NamedTuple):
     """What the sign-change scan of f on its samples finds."""
 
@@ -766,9 +465,45 @@ class _Scan(NamedTuple):
 
 def _scan(t: _FTerms, samples: _Samples, what: Callable[[], str]) -> _Scan:
     """Brackets, exact zeros and masked count of f on ``samples``, the same
-    as evaluating f at every sample, without computing most of them.
+    as evaluating f at every sample, without computing most of them: the
+    scan of :func:`_scan_all` for one equation, its DomainError raised."""
+    return _one(_scan_all([t], [samples], [what])[0])
 
-    The uniform index is cut into about SCAN_BLOCKS blocks that share their
+
+def _one(outcome):
+    """An outcome of a batch stage: its value, or its SolverError raised."""
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
+
+
+def _settled(t: _FTerms, e_lo: NDArray[np.float64],
+             e_hi: NDArray[np.float64]) -> tuple[NDArray[np.bool_], NDArray[np.bool_]]:
+    """Which blocks [e_lo, e_hi] the bounds of :func:`_f_bounds` settle: f
+    finite and of one strict sign at every sample, or every sample masked,
+    with none past the doubles."""
+    f, q8, q9, a4 = _f_bounds(t, e_lo, e_hi)
+    signed = np.isfinite(f).all(axis=0) & ((f[0] > 0.0) | (f[1] < 0.0))
+    masked = ((q8[1] < t.clamp) | (q9[1] < t.clamp)) & np.isfinite((q8, q9, a4)).all(axis=(0, 1))
+    return signed, masked
+
+
+def _gathered(shared: _FTerms, varies: list[bool], cols: NDArray[np.float64],
+             eqs: Sequence[int], counts: Sequence[int]) -> _FTerms:
+    """f's constants for consecutive stretches of ``counts`` blocks or
+    samples of the equations ``eqs``: those every equation shares as in
+    ``shared``, each that ``varies`` repeated from its row of ``cols``."""
+    rows = iter(np.repeat(cols[:, eqs], counts, axis=1))
+    return _FTerms(*(next(rows) if v else c for v, c in zip(varies, shared)))
+
+
+def _scan_all(
+    ts: Sequence[_FTerms], samples: Sequence[_Samples], whats: Sequence[Callable[[], str]]
+) -> list[Union[_Scan, DomainError]]:
+    """:func:`_scan` of many equations at once: each one's _Scan, or the
+    DomainError its own scan raises, bit for bit.
+
+    Each uniform index is cut into about SCAN_BLOCKS blocks that share their
     end samples; a block's packed samples lie between its ends, and
     :func:`_f_bounds` bounds f on it from the two end energies.  A block
     whose f bounds are finite and of one strict sign holds no masked
@@ -776,60 +511,182 @@ def _scan(t: _FTerms, samples: _Samples, what: Callable[[], str]) -> _Scan:
     or 4 c9 is below the clamp is masked at every sample, and finite bounds
     on 4 c8, 4 c9 and 4 A prove that none of its samples leaves the
     doubles.  Only the other blocks' samples are computed and evaluated,
-    runs of adjacent blocks together, by :func:`_f_arrays` under
-    ``within_doubles(what)``, so a sample whose evaluation leaves the
-    doubles raises the same DomainError as in a scan of every sample.
-    Brackets pair consecutive samples, so none straddles two runs.
+    runs of adjacent blocks together.  Brackets pair consecutive samples of
+    one run, so none straddles two runs or two equations.
+
+    A scan costs some hundred numpy calls on arrays of a few hundred
+    elements: per-call overhead, not arithmetic.  So the equations share
+    the calls.  One bound pass takes the blocks of every equation, their
+    edges end to end so that blocks of two equations are never adjacent,
+    and the open samples are evaluated in slices of at most SCAN_SLICE
+    samples; a run longer than that is cut into pieces that share their
+    end samples.  Where a pass or slice spans equations, each constant of
+    f that they do not share is repeated per block or sample (the +, -, *,
+    / and sqrt of f round alike with array and scalar operands); a slice
+    of one equation takes its constants as scalars.  A slice that leaves
+    the doubles evaluates each of its equations alone, over all of that
+    equation's open samples in one call under ``within_doubles`` of its
+    ``what``, so each raises the DomainError that a scan of every sample
+    raises.
     """
-    last = samples.points - 1
-    blocks = min(SCAN_BLOCKS, last)
-    edges = np.arange(blocks + 1) * last // blocks
-    ends = samples.uniform(edges)
-    f, q8, q9, a4 = _f_bounds(t, ends[:-1], ends[1:])
-    signed = np.isfinite(f).all(axis=0) & ((f[0] > 0.0) | (f[1] < 0.0))
-    masked = ((q8[1] < t.clamp) | (q9[1] < t.clamp)) & np.isfinite((q8, q9, a4)).all(axis=(0, 1))
-    # block k owns its samples but the last, which the next block owns
-    cuts = samples.position(edges)
-    owned = cuts[1:] - cuts[:-1]
-    owned[-1] += 1
-    masked_points = int(owned[masked].sum())
+    k = len(ts)
+    if k == 1:
+        (t,), (s,) = ts, samples
+        blocks = min(SCAN_BLOCKS, s.points - 1)
+        edges = np.arange(blocks + 1) * (s.points - 1) // blocks
+        ends, cuts = s.uniform(edges), s.position(edges)
+        first = [0, blocks + 1]  # where each equation's edges start, and the end
+        starts, stops = slice(0, blocks), slice(1, blocks + 1)
+    else:
+        counts = [min(SCAN_BLOCKS, s.points - 1) for s in samples]
+        edges = [np.arange(b + 1) * (s.points - 1) // b for s, b in zip(samples, counts)]
+        ends = np.concatenate([s.uniform(e) for s, e in zip(samples, edges)])
+        cuts = np.concatenate([s.position(e) for s, e in zip(samples, edges)])
+        edges = np.concatenate(edges)
+        first = list(itertools.accumulate((b + 1 for b in counts), initial=0))
+        starts = np.ones(edges.size, dtype=bool)
+        starts[[f - 1 for f in first[1:]]] = False
+        starts = np.flatnonzero(starts)
+        stops = starts + 1
+        # f's constants that some equations do not share, bit for bit (so
+        # that a -0.0 never stands in for a 0.0), by equation
+        cols = np.array(ts)
+        bits = cols.view(np.int64)
+        varies = (bits != bits[0]).any(axis=0).tolist()
+        cols = cols[:, varies].T
+        t = _gathered(ts[0], varies, cols, range(k), counts)
+    signed, masked = _settled(t, ends[starts], ends[stops])
+    # a block owns its samples but the last, which the next block owns; an
+    # equation's last block owns its last sample too
+    owned = cuts[stops] - cuts[starts]
+    open_edges = np.flatnonzero(~(signed | masked))
+    if k == 1:
+        owned[-1] += 1
+        masked_points = [int(owned[masked].sum())]
+    else:
+        owned[[f - 2 - e for e, f in enumerate(first[1:])]] += 1
+        owned[~masked] = 0
+        masked_points = np.add.reduceat(owned, [f - e for e, f in enumerate(first[:-1])]).tolist()
+        open_edges = starts[open_edges]
 
-    # runs of adjacent open blocks as [first, last] edge numbers, and the
-    # position of each run's last sample among the evaluated energies
+    # runs of adjacent open blocks as [first, last] edge numbers
     runs: list[list[int]] = []
-    for k in np.flatnonzero(~(signed | masked)).tolist():
-        if runs and runs[-1][1] == k:
-            runs[-1][1] = k + 1
+    for i in open_edges.tolist():
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
         else:
-            runs.append([k, k + 1])
+            runs.append([i, i + 1])
     if not runs:
-        return _Scan([], [], masked_points)
-    run_ends = [end - 1 for end in itertools.accumulate(int(cuts[j] - cuts[i]) + 1
-                                                        for i, j in runs)]
-    energies = np.concatenate([samples.between(int(edges[i]), int(edges[j])) for i, j in runs])
-    # one (5, n) block, not five rows: glibc raises its mmap threshold to the
-    # largest block it has freed, so after a solve or two a block this size
-    # comes from memory already mapped, while separate rows of that size are
-    # trimmed and faulted in again on every solve
-    rows = np.empty((5, energies.size))
-    with within_doubles(what):
-        f = _f_arrays(t, energies, rows)
+        return [_Scan([], [], m) for m in masked_points]
 
-    # f is finite or NaN (masked): anything else left the doubles and raised.
-    # A NaN product is not < 0 and NaN is not == 0, so masked samples make no
-    # bracket and no zero.  The product goes into the 4 A row, free once f is
-    # done; one past the doubles is +-inf, its sign intact
-    with np.errstate(over="ignore"):
-        sign_change = np.multiply(f[:-1], f[1:], out=rows[0, :-1]) < 0.0
-    sign_change[run_ends[:-1]] = False  # the last point of a run and the first of the next
-    brackets = [(float(energies[i]), float(energies[i + 1]), float(f[i]), float(f[i + 1]))
-                for i in np.flatnonzero(sign_change)]
-    zeros = energies[f == 0.0].tolist()
+    # slices of at most SCAN_SLICE samples, each a list of pieces (equation,
+    # first and last uniform index, last of its run, its run ends the scan,
+    # samples); a run of more samples is cut into pieces of at most that
+    # many, each starting at the last uniform sample of the one before
+    slices: list[list[tuple]] = [[]]
+    total = 0
+    for i, j in runs:
+        e = bisect.bisect_right(first, i) - 1 if k > 1 else 0
+        a, b, size = int(edges[i]), int(edges[j]), int(cuts[j] - cuts[i]) + 1
+        closing = j == first[e + 1] - 1
+        while True:
+            end, count = b, size
+            if size > SCAN_SLICE:
+                # SCAN_SLICE - 1 - len(slots) steps hold every packed sample
+                slots = samples[e].slots
+                end = a + SCAN_SLICE - 1 - len(slots)
+                count = (end - a + 1 + bisect.bisect_right(slots, end)
+                         - bisect.bisect_right(slots, a))
+            if total + count > SCAN_SLICE:
+                slices.append([])
+                total = 0
+            slices[-1].append((e, a, end, end == b, closing, count))
+            total += count
+            if end == b:
+                break
+            size -= count - 1
+            a = end
 
-    # a run's last sample belongs to the block after it, unless it ends the scan
-    invalid = np.isnan(f)
-    invalid[run_ends[:-1] if runs[-1][1] == blocks else run_ends] = False
-    return _Scan(brackets, zeros, masked_points + int(np.count_nonzero(invalid)))
+    brackets: list[list] = [[] for _ in range(k)]
+    zeros: list[list] = [[] for _ in range(k)]
+    nans = [0] * k
+
+    def evaluate(part, what):
+        """f on the samples of the pieces ``part``, and what the scan finds
+        there recorded: a FloatingPointError, or with ``what`` its
+        DomainError, where a value leaves the doubles."""
+        owners = [piece[0] for piece in part]
+        single = owners.count(owners[0]) == len(owners)
+        if len(part) == 1:
+            energies = samples[owners[0]].between(part[0][1], part[0][2])
+            tails = [energies.size - 1]
+        else:
+            energies = np.concatenate([samples[e].between(a, b) for e, a, b, *_ in part])
+            tails = [end - 1 for end in itertools.accumulate(piece[-1] for piece in part)]
+        # one (5, n) block, not five rows: glibc raises its mmap threshold to
+        # the largest block it has freed, so after a solve or two a block this
+        # size comes from memory already mapped, while separate rows of that
+        # size are trimmed and faulted in again on every solve
+        rows = np.empty((5, energies.size))
+        t = ts[owners[0]] if single else _gathered(ts[0], varies, cols, owners,
+                                                  [piece[-1] for piece in part])
+        with (within_doubles(what) if what is not None
+              else np.errstate(over="raise", divide="raise", invalid="raise")):
+            f = _f_arrays(t, energies, rows)
+
+        # f is finite or NaN (masked): anything else left the doubles and
+        # raised.  A NaN product is not < 0 and NaN is not == 0, so masked
+        # samples make no bracket and no zero.  The product goes into the
+        # 4 A row, free once f is done; one past the doubles is +-inf, its
+        # sign intact
+        with np.errstate(over="ignore"):
+            sign_change = np.multiply(f[:-1], f[1:], out=rows[0, :-1]) < 0.0
+        sign_change[tails[:-1]] = False  # the last sample of a piece and the first of the next
+        # a piece's last sample is the first of the next piece of its run or,
+        # after a run, belongs to the block after it, unless it ends the scan
+        zero = f == 0.0
+        shared = [end for end, piece in zip(tails, part) if not piece[3]]
+        if shared:
+            zero[shared] = False
+        invalid = np.isnan(f)
+        invalid[[end for end, piece in zip(tails, part) if not (piece[3] and piece[4])]] = False
+        found = [(float(energies[i]), float(energies[i + 1]), float(f[i]), float(f[i + 1]))
+                 for i in np.flatnonzero(sign_change)]
+        if single:
+            brackets[owners[0]] += found
+            zeros[owners[0]] += energies[zero].tolist()
+            nans[owners[0]] += int(np.count_nonzero(invalid))
+            return
+        for i, bracket in zip(np.flatnonzero(sign_change).tolist(), found):
+            brackets[owners[bisect.bisect_left(tails, i)]].append(bracket)
+        for i in np.flatnonzero(zero).tolist():
+            zeros[owners[bisect.bisect_left(tails, i)]].append(float(energies[i]))
+        heads = [0] + [end + 1 for end in tails[:-1]]
+        for e, count in zip(owners, np.add.reduceat(invalid, heads, dtype=np.int64).tolist()):
+            nans[e] += count
+
+    failed: dict[int, DomainError] = {}
+    alone: set[int] = set()  # equations scanned on their own after a slice raised
+    for part in slices:
+        part = [piece for piece in part if piece[0] not in alone] if alone else part
+        if not part:
+            continue
+        try:
+            evaluate(part, None)
+        except FloatingPointError:
+            for e in sorted({piece[0] for piece in part}):
+                alone.add(e)
+                brackets[e], zeros[e], nans[e] = [], [], 0
+                # all its runs, uncut, in one evaluation
+                whole = [(e, int(edges[i]), int(edges[j]), True, j == first[e + 1] - 1,
+                          int(cuts[j] - cuts[i]) + 1)
+                         for i, j in runs if first[e] <= i < first[e + 1]]
+                try:
+                    evaluate(whole, whats[e])
+                except DomainError as exc:
+                    failed[e] = exc
+    return [failed[e] if e in failed else _Scan(brackets[e], zeros[e], masked_points[e] + nans[e])
+            for e in range(k)]
 
 
 def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> SpectrumResult:
@@ -845,8 +702,8 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     samples are a rule by index (:func:`_scan_samples`), not an array: the
     scan computes only the samples of the blocks where interval bounds
     cannot prove one strict sign of f or a negative radicand at every
-    sample (see :func:`_scan`); no bracket or zero lies in the others, so
-    the brackets, zeros and masked count are those of f at every sample,
+    sample (see :func:`_scan_all`); no bracket or zero lies in the others,
+    so the brackets, zeros and masked count are those of f at every sample,
     bit for bit.
 
     The bisection roots and the oracle's survivors must match in both
@@ -855,12 +712,87 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     opts.bisect_tol`` is too small for doubles to meet, raises DomainError
     instead.  Each root is checked as soon as it is found, ascending, so the
     solve ends at the first root without an oracle partner.
+
+    A solve's time goes mostly to the fixed cost of some hundred numpy
+    calls on small arrays, not to arithmetic; sweeps, tables and multi-state
+    solves run their equations together through the same stages
+    (:func:`_solve_all`), with the results of one-at-a-time solves.
     """
-    lo, hi = search_window(eq, opts.margin)
-    oracle = quartic_oracle(eq, window=(lo, hi)) if opts.oracle_check else None
-    samples = _scan_samples(eq.terms, lo, hi, opts.grid_points)
-    scan = _scan(eq.terms, samples, lambda: f"f on the scan of the window ({lo!r}, {hi!r}) at "
-                                            f"{_given(eq.params, 'mass', 'c_sym')}")
+    window = search_window(eq, opts.margin)
+    oracle = quartic_oracle(eq, window=window) if opts.oracle_check else None
+    samples = _scan_samples(eq.terms, *window, opts.grid_points)
+    scan = _scan(eq.terms, samples, _scan_what(eq, window))
+    return _finish(eq, window, oracle, samples, scan, opts)
+
+
+def _solve_all(
+    eqs: Sequence[Union[EnergyEquation, SolverError]], opts: SolveOptions = SolveOptions()
+) -> list[Union[SpectrumResult, SolverError]]:
+    """:func:`solve_spectrum` of each equation, run together: each one's
+    SpectrumResult, or the SolverError of the same type and text that its
+    own solve raises, bit for bit.  An entry that is a SolverError already,
+    an equation that could not be built, comes back as it is.
+
+    BATCH_EQUATIONS equations at a time go through solve_spectrum's stages,
+    in its order: each equation's window, then the oracles, whose companion
+    matrices take one stacked eigvals (:func:`_oracles`), then the sample
+    rules and one batch of scans (:func:`_scan_all`), then each equation's
+    bisection, oracle matching and result.  So the memory the batch works
+    in does not grow with it.  An equation leaves the batch at its first
+    error.  A batch of one equation is solve_spectrum itself, so that a
+    traced solve shows as one.
+    """
+    out: list = [eq if isinstance(eq, SolverError) else None for eq in eqs]
+    live = [i for i, eq in enumerate(out) if eq is None]
+    if len(live) == 1:
+        try:
+            out[live[0]] = solve_spectrum(eqs[live[0]], opts)
+        except SolverError as exc:
+            out[live[0]] = exc
+        return out
+    for at in range(0, len(live), BATCH_EQUATIONS):
+        windows: dict[int, tuple[float, float]] = {}
+        for i in live[at:at + BATCH_EQUATIONS]:
+            try:
+                windows[i] = search_window(eqs[i], opts.margin)
+            except SolverError as exc:
+                out[i] = exc
+        oracles: dict[int, Optional[OracleResult]] = dict.fromkeys(windows)
+        if opts.oracle_check:
+            for i, oracle in zip(list(windows), _oracles([eqs[i] for i in windows],
+                                                         list(windows.values()))):
+                if isinstance(oracle, SolverError):
+                    out[i] = oracle
+                    del windows[i]
+                else:
+                    oracles[i] = oracle
+        if not windows:
+            continue
+        samples = [_scan_samples(eqs[i].terms, *window, opts.grid_points)
+                   for i, window in windows.items()]
+        scans = _scan_all([eqs[i].terms for i in windows], samples,
+                          [_scan_what(eqs[i], window) for i, window in windows.items()])
+        for (i, window), sample, scan in zip(windows.items(), samples, scans):
+            try:
+                out[i] = _finish(eqs[i], window, oracles[i], sample, _one(scan), opts)
+            except SolverError as exc:
+                out[i] = exc
+    return out
+
+
+def _scan_what(eq: EnergyEquation, window: tuple[float, float]) -> Callable[[], str]:
+    """What a scan names when f leaves the doubles on it."""
+    lo, hi = window
+    return lambda: (f"f on the scan of the window ({lo!r}, {hi!r}) at "
+                    f"{_given(eq.params, 'mass', 'c_sym')}")
+
+
+def _finish(eq: EnergyEquation, window: tuple[float, float], oracle: Optional[OracleResult],
+            samples: _Samples, scan: _Scan, opts: SolveOptions) -> SpectrumResult:
+    """The roots of a scanned equation: bisection of its brackets, the
+    oracle's confirmation and the physical selection (see
+    :func:`solve_spectrum`)."""
+    lo, hi = window
     tol = ORACLE_MATCH_FACTOR * opts.bisect_tol
     energies: list[float] = []
 
@@ -927,98 +859,6 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     )
 
 
-def _companion_roots(coeffs: NDArray[np.float64]) -> list[complex]:
-    """The roots ``np.roots(coeffs)`` returns, in its order: the eigenvalues of
-    the companion matrix it builds once leading and trailing zeros are
-    stripped, then a 0 for each trailing zero, without its array checks."""
-    nonzero = np.flatnonzero(coeffs)
-    if not nonzero.size:
-        return []
-    p = coeffs[nonzero[0]:nonzero[-1] + 1]
-    roots: list[complex] = []
-    if p.size > 1:
-        companion = np.diag(np.ones(p.size - 2), -1)
-        companion[0, :] = -p[1:] / p[0]
-        roots = np.linalg.eigvals(companion).tolist()
-    return roots + [0j] * (coeffs.size - 1 - int(nonzero[-1]))
-
-
-def _polymul(a: list, b: list) -> list:
-    """The product of two polynomials, coefficients lowest degree first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _u_polynomial(t: _FTerms) -> list:
-    """U's seven coefficients in u (see :func:`quartic_oracle`), lowest degree
-    first, from the constants of f.  The literals are integers, so the
-    coefficients are doubles for double constants and exact for
-    ``fractions.Fraction`` ones."""
-    # w = w0 + w2 u^2 and g = x - M - sigma C = w / w_scale are even in u,
-    # and b2 = (M + x)(M - x + sigma C) = -g (g + 2 M + sigma C)
-    w2, w0 = 1 / (4 * t.v_total), -t.c9_base / t.v_total
-    g2, g0 = w2 / t.w_scale, w0 / t.w_scale
-    m2 = 2 * t.mass + t.c_sym
-    q8 = [4 * (t.ll_c0 + w0 * t.v3 - g0 * (g0 + m2) / t.four_a2), 0,
-          4 * (w2 * t.v3 - g2 * (2 * g0 + m2) / t.four_a2), 0,
-          -4 * g2 * g2 / t.four_a2]
-    dv = 4 * (t.v3 - t.v1)
-    s = [t.width * t.width + dv * w0, 2 * t.width, 1 + dv * w2]
-    sq = _polymul(s, s) + [0, 0]
-    return [x - y for x, y in zip(sq, _polymul([4 * t.width * t.width, 8 * t.width, 4], q8))]
-
-
-def _u_value(t: _FTerms, u: float, w: float, x: float) -> tuple[float, float, float]:
-    """U(u) from its factors, U'(u) and S(u), given the w and x that go with u;
-    4 c8 is formed as :func:`_f_point` forms it."""
-    wu = t.width + u
-    dv = 4.0 * (t.v3 - t.v1)
-    s = wu * wu + dv * w
-    q8 = 4.0 * (t.ll_c0 + w * t.v3 + (t.mass + x) * (t.mass - x + t.c_sym) / t.four_a2)
-    dw = 0.5 * u / t.v_total
-    dq8 = 4.0 * dw * (t.v3 + (t.c_sym - 2.0 * x) / (t.w_scale * t.four_a2))
-    slope = 2.0 * s * (2.0 * wu + dv * dw) - 8.0 * wu * q8 - 4.0 * wu * wu * dq8
-    return s * s - 4.0 * wu * wu * q8, slope, s
-
-
-# Newton steps on U's factored value per real root: in u, then for a
-# survivor in x = sigma E
-U_STEPS = 3
-X_STEPS = 2
-
-
-def _polish_u(t: _FTerms, u: float) -> tuple[float, float, float]:
-    """U_STEPS Newton steps in u from a real root of U's coefficients; returns
-    u, its x and S(u)."""
-    for step in range(U_STEPS + 1):
-        w = (0.25 * u * u - t.c9_base) / t.v_total
-        x = w / t.w_scale + t.mass + t.c_sym
-        value, slope, s = _u_value(t, u, w, x)
-        if step == U_STEPS or slope == 0.0:
-            break
-        u -= value / slope
-    return u, x, s
-
-
-def _polish_x(t: _FTerms, x: float) -> float:
-    """X_STEPS Newton steps on U in x, each piece taken from x as f takes it:
-    u = sqrt(4 c9(x)), with dx/du = u / (2 V w_scale)."""
-    for _ in range(X_STEPS):
-        w = (x - t.mass - t.c_sym) * t.w_scale
-        q9 = 4.0 * (t.c9_base + w * t.v_total)
-        if not q9 >= 0.0:
-            break
-        u = math.sqrt(q9)
-        value, slope, _ = _u_value(t, u, w, x)
-        if slope == 0.0:
-            break
-        x -= value / slope * (0.5 * u / (t.v_total * t.w_scale))
-    return x
-
-
 def quartic_oracle(
     eq: EnergyEquation,
     window: Optional[tuple[float, float]] = None,
@@ -1057,20 +897,47 @@ def quartic_oracle(
     takes it (:func:`_polish_x`).  A coefficient past the doubles is a
     DomainError naming the parameters.
     """
+    return _one(_oracles([eq], [window])[0])
+
+
+def _oracles(
+    eqs: Sequence[EnergyEquation], windows: Sequence[Optional[tuple[float, float]]]
+) -> list[Union[OracleResult, DomainError]]:
+    """:func:`quartic_oracle` of each equation in its window, its roots taken
+    for all of them at once (:func:`_companion_roots`): each one's
+    OracleResult or DomainError."""
+    out: list = [None] * len(eqs)
+    polys = {}
+    for i, eq in enumerate(eqs):
+        coeffs = _u_polynomial(eq.terms)[::-1]  # highest degree first
+        if coeffs[0] > 0.0 and all(math.isfinite(c) for c in coeffs):
+            polys[i] = coeffs
+        else:
+            bad = next((c for c in coeffs if not math.isfinite(c)), coeffs[0])
+            out[i] = DomainError(
+                f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put a "
+                f"coefficient of the oracle's polynomial at {bad!r}, past the doubles"
+            )
+    roots = _companion_roots(list(polys.values()))
+    for (i, coeffs), zs in zip(polys.items(), roots):
+        try:
+            out[i] = _oracle_result(eqs[i], coeffs, zs, windows[i])
+        except SolverError as exc:
+            out[i] = exc
+    return out
+
+
+def _oracle_result(eq: EnergyEquation, coeffs: list, roots: list[complex],
+                   window: Optional[tuple[float, float]]) -> OracleResult:
+    """U's ``roots`` polished, taken to E and sorted into survivors and
+    spurious roots (see :func:`quartic_oracle`)."""
     t = eq.terms
-    coeffs = _u_polynomial(t)[::-1]  # highest degree first
-    if not (coeffs[0] > 0.0 and all(math.isfinite(c) for c in coeffs)):
-        raise DomainError(
-            f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put a "
-            f"coefficient of the oracle's polynomial at "
-            f"{next((c for c in coeffs if not math.isfinite(c)), coeffs[0])!r}, past the doubles"
-        )
     lo, hi = window if window is not None else (-math.inf, math.inf)
 
     all_roots: list[complex] = []
     survivors: list[float] = []
     spurious: list[complex] = []
-    for z in _companion_roots(np.array(coeffs)):
+    for z in roots:
         if z.imag != 0.0:
             w = (0.25 * z * z - t.c9_base) / t.v_total
             all_roots.append(t.mirror * (w / t.w_scale + t.mass + t.c_sym))
@@ -1168,18 +1035,40 @@ def negative_root(result: SpectrumResult) -> float:
 
 
 def _doublet_energies(
-    params: ModelParams, neg: StateIndex, pos: StateIndex, opts: SolveOptions
-) -> tuple[float, float]:
-    """Negative-root energies of a checked doublet's members at ``params.tensor_h``.
+    rows: Sequence[tuple[ModelParams, StateIndex, StateIndex]],
+    opts: SolveOptions,
+    assembly: Optional[str] = None,
+) -> list[Union[tuple[float, float], SolverError]]:
+    """Negative-root energies of checked doublets' members, each row
+    (params, neg, pos) at its ``params.tensor_h`` in the given assembly,
+    every equation solved in one batch (:func:`_solve_all`): a row's pair,
+    or the first SolverError of its negative member, then of its positive
+    one, as solving them one at a time would raise.
 
     At H = 0 the members share n and their q values are q and 1 - q, so
     q (q - 1) and (q - 1/2)^2 agree exactly and they solve one and the
     same equation bit for bit: it is solved once.
     """
-    e_neg = negative_root(solve_spectrum(EnergyEquation(params, neg), opts))
-    if params.tensor_h == 0.0:
-        return e_neg, e_neg
-    return e_neg, negative_root(solve_spectrum(EnergyEquation(params, pos), opts))
+    eqs: list[Union[EnergyEquation, SolverError]] = []
+    members: list[range] = []  # per row, its members' places in eqs
+    for params, neg, pos in rows:
+        states = (neg,) if params.tensor_h == 0.0 else (neg, pos)
+        members.append(range(len(eqs), len(eqs) + len(states)))
+        for state in states:
+            try:
+                eqs.append(EnergyEquation(params, state, assembly))
+            except SolverError as exc:
+                eqs.append(exc)
+    results = _solve_all(eqs, opts)
+    out: list[Union[tuple[float, float], SolverError]] = []
+    for row in members:
+        try:
+            energies = [negative_root(_one(results[m])) for m in row]
+        except SolverError as exc:
+            out.append(exc)
+        else:
+            out.append((energies[0], energies[-1]))
+    return out
 
 
 def splitting_report(
@@ -1187,16 +1076,20 @@ def splitting_report(
     state_neg: StateIndex,
     state_pos: StateIndex,
     opts: SolveOptions = SolveOptions(),
+    assembly: Optional[str] = None,
 ) -> SplittingReport:
     """Quantify how the tensor term lifts a doublet degeneracy.
 
     Solves both members at the configured tensor strength and the H = 0
-    baseline, which the two members share (see :func:`_doublet_energies`);
-    a nonzero H pushes them to opposite sides of it.
+    baseline, which the two members share, together and in ``assembly``
+    (see :func:`_doublet_energies`); a nonzero H pushes them to opposite
+    sides of it.
     """
     check_doublet(params, state_neg, state_pos)
-    e_neg, e_pos = _doublet_energies(params, state_neg, state_pos, opts)
-    baseline, _ = _doublet_energies(replace(params, tensor_h=0.0), state_neg, state_pos, opts)
+    now, base = _doublet_energies([(params, state_neg, state_pos),
+                                   (replace(params, tensor_h=0.0), state_neg, state_pos)],
+                                  opts, assembly)
+    (e_neg, e_pos), (baseline, _) = _one(now), _one(base)
 
     def direction(now: float, base: float) -> int:
         diff = now - base

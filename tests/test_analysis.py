@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,7 +181,7 @@ class TestHSweep:
 
     def test_every_doublet_checked_before_the_first_solve(self, monkeypatch):
         solved = []
-        monkeypatch.setattr(spectrum, "solve_spectrum", lambda eq, opts: solved.append(eq))
+        monkeypatch.setattr(spectrum, "_solve_all", lambda eqs, opts: solved.append(eqs))
         good = (StateIndex(1, -1), StateIndex(1, 2))
         bad = (StateIndex(1, -1), StateIndex(2, 2))
         with pytest.raises(DomainError, match="share n"):
@@ -189,17 +191,18 @@ class TestHSweep:
         assert solved == []
 
     def test_h_zero_pair_solved_once(self, monkeypatch):
-        solved = []
-        solve = spectrum.solve_spectrum
+        # every row's equations go to one batch, the H = 0 pair as one equation
+        batches = []
+        solve_all = spectrum._solve_all
 
-        def counting(eq, opts):
-            solved.append((eq.state, eq.params.tensor_h))
-            return solve(eq, opts)
+        def counting(eqs, opts):
+            batches.append([(eq.state, eq.params.tensor_h) for eq in eqs])
+            return solve_all(eqs, opts)
 
-        monkeypatch.setattr(spectrum, "solve_spectrum", counting)
+        monkeypatch.setattr(spectrum, "_solve_all", counting)
         neg, pos = StateIndex(1, -1), StateIndex(1, 2)
         res = h_sweep(params(), [(neg, pos)], h_values=(0.0, 1.0), opts=OPTS)
-        assert solved == [(neg, 0.0), (neg, 1.0), (pos, 1.0)]
+        assert batches == [[(neg, 0.0), (neg, 1.0), (pos, 1.0)]]
         assert res.rows[0].energy_neg == res.rows[0].energy_pos
 
     def test_duplicated_doublet_keeps_its_own_direction(self):
@@ -212,6 +215,35 @@ class TestHSweep:
         both = h_sweep(params(), [doublet, doublet], h_values=(0.0, 1.0), opts=OPTS)
         assert both.directions[0] == both.directions[1] == (
             "1s1/2 moves down, 0d3/2 moves up as H grows 0 -> 1")
+
+    def test_sweep_solves_in_the_given_assembly(self):
+        # each row's energies are those of single solves in that assembly,
+        # and the strict spin assembly is not the reference one
+        neg, pos = StateIndex(0, -2), StateIndex(0, 1)
+        p = params(symmetry=SPIN)
+        strict = h_sweep(p, [(neg, pos)], (0.0, 0.5, 1.0), OPTS, assembly="strict")
+        default = h_sweep(p, [(neg, pos)], (0.0, 0.5, 1.0))  # the positional call
+        for row, old in zip(strict.rows, default.rows):
+            at = dataclasses.replace(p, tensor_h=row.tensor_h)
+            for state, energy in ((neg, row.energy_neg), (pos, row.energy_pos)):
+                eq = spectrum.EnergyEquation(at, state, "strict")
+                assert energy == spectrum.negative_root(spectrum.solve_spectrum(eq, OPTS))
+            assert row.energy_neg != old.energy_neg
+        assert default == h_sweep(p, [(neg, pos)], (0.0, 0.5, 1.0), OPTS, assembly="reference")
+
+    def test_pseudospin_sweep_records_the_assembly_error(self):
+        res = h_sweep(params(), [(StateIndex(1, -1), StateIndex(1, 2))], (0.0, 1.0), OPTS,
+                      assembly="reference")
+        assert {row.error for row in res.rows} == {
+            "DomainError: pseudospin limit has a single assembly 'strict', got 'reference'"}
+
+    def test_splitting_report_in_the_given_assembly(self):
+        neg, pos = StateIndex(0, -2), StateIndex(0, 1)
+        p = params(symmetry=SPIN, tensor_h=1.0)
+        rep = spectrum.splitting_report(p, neg, pos, OPTS, assembly="strict")
+        row = h_sweep(p, [(neg, pos)], (0.0, 1.0), OPTS, assembly="strict").rows
+        assert (rep.baseline_neg, rep.energy_neg, rep.energy_pos) == (
+            row[0].energy_neg, row[1].energy_neg, row[1].energy_pos)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(DomainError):

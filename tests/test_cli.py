@@ -499,17 +499,49 @@ class TestAnalyze:
     @pytest.mark.parametrize("symmetry", ["pseudospin", "spin"])
     def test_default_sweep_solves_the_h_zero_pair_once(self, symmetry, capsys, monkeypatch):
         monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
-        solved = []
-        solve = spectrum.solve_spectrum
+        batches = []
+        solve_all = spectrum._solve_all
 
-        def counting(eq, opts):
-            solved.append(eq)
-            return solve(eq, opts)
+        def counting(eqs, opts):
+            batches.append(eqs)
+            return solve_all(eqs, opts)
 
-        monkeypatch.setattr(spectrum, "solve_spectrum", counting)
+        monkeypatch.setattr(spectrum, "_solve_all", counting)
         code, _ = run_main(capsys, "analyze", "--which", "sweep", "--symmetry", symmetry)
         assert code == 0
-        assert len(solved) == 9  # 2 solves at each of the four H > 0, 1 at H = 0
+        # one batch: 2 equations at each of the four H > 0, 1 at H = 0
+        assert [len(eqs) for eqs in batches] == [9]
+
+    def test_sweep_honours_the_assembly(self, capsys, monkeypatch):
+        # each printed energy is the one solve prints for that state, H and assembly
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        code, out = run_main(capsys, "analyze", "--which", "sweep", "--symmetry", "spin",
+                             "--assembly", "strict")
+        assert code == 0
+        records = json.loads(out)["records"]
+        states = {"0p3/2": ("0", "-2"), "0p1/2": ("0", "1")}
+        for rec in records:
+            n, kappa = states[rec["state"]]
+            code, solved = run_main(capsys, "solve", "--symmetry", "spin", "--assembly", "strict",
+                                    "--tensor-h", repr(rec["H"]), "--n", n, "--kappa", kappa)
+            assert code == 0
+            (expected,) = json.loads(solved)["records"]
+            assert rec["E_selected"] == min(e for e in expected["E_all_real_roots"] if e < 0)
+        _, reference = run_main(capsys, "analyze", "--which", "sweep", "--symmetry", "spin")
+        assert [r["E_selected"] for r in json.loads(reference)["records"]] != [
+            r["E_selected"] for r in records]
+
+    def test_pseudospin_sweep_with_the_reference_assembly_exits_3(self, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        code, out = run_main(capsys, "solve", "--n", "1", "--kappa", "-1",
+                             "--assembly", "reference")
+        assert code == 3
+        (solved,) = json.loads(out)["records"]
+        code, out = run_main(capsys, "analyze", "--which", "sweep", "--assembly", "reference")
+        assert code == 3
+        records = json.loads(out)["records"]
+        assert len(records) == 10 and {r["error"] for r in records} == {solved["error"]}
+        assert solved["error"].startswith("DomainError: pseudospin limit has a single assembly")
 
     def test_which_required(self):
         code, _, err = run_cli("analyze")

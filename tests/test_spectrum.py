@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirac_nu.analysis import h_sweep
 from dirac_nu.errors import (
     DomainError,
     NegativeRadicand,
     NoPhysicalWindow,
     NoRootFound,
     OracleMismatch,
+    SolverError,
     WindowViolation,
 )
 from dirac_nu import spectrum, wavefn
@@ -48,7 +50,7 @@ from dirac_nu.spectrum import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from inputs import draw_case  # noqa: E402
+from inputs import SWEEP_DOUBLETS, SWEEP_H, draw_case  # noqa: E402
 
 OPTS = SolveOptions()
 
@@ -1123,6 +1125,147 @@ class TestScanWorkspace:
         assert same_bits(first, second)
 
 
+def one_at_a_time(eqs, opts):
+    """solve_spectrum's result repr, or its error's type and text, per equation."""
+    out = []
+    for eq in eqs:
+        try:
+            out.append(repr(solve_spectrum(eq, opts)))
+        except SolverError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def batched(eqs, opts):
+    """The same from one batch."""
+    return [f"{type(o).__name__}: {o}" if isinstance(o, SolverError) else repr(o)
+            for o in spectrum._solve_all(eqs, opts)]
+
+
+def sweep_equations():
+    """The equations of the benchmark's two h_sweeps, as h_sweep builds them."""
+    eqs = []
+    for symmetry, (neg, pos) in SWEEP_DOUBLETS.items():
+        for h in SWEEP_H:
+            params = ModelParams(mass=5.0, symmetry=symmetry, c_sym=0.0, tensor_h=h)
+            states = (neg,) if h == 0.0 else (neg, pos)
+            eqs += [build_equation(params, StateIndex(*state)) for state in states]
+    return eqs
+
+
+def mixed_equations():
+    """Ordinary states among every way a solve can end: a refused polynomial,
+    f as rounding noise (mass 1e75 and 1e45), an empty window, a scan that
+    leaves the doubles (mass 1e160 with the oracle off), every radicand
+    negative (mass 2e154) and the 113-double window."""
+    narrow = ModelParams(mass=5.0, symmetry=PSEUDOSPIN, c_sym=-10.0 + 1e-13, tensor_h=1.0,
+                         strict_domain=False)
+    return [
+        build_equation(ps_params(1.0), StateIndex(1, -1)),
+        build_equation(ps_params(1e80), StateIndex(1, -1)),
+        build_equation(ps_params(1.0, mass=1e75), StateIndex(1, -1)),
+        build_equation(spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT),
+        build_equation(ps_params(1.0, mass=1e45), StateIndex(1, -1)),
+        build_equation(ps_params(1.0, c_sym=-10.0), StateIndex(1, -1)),
+        build_equation(ps_params(1.0, mass=1e160), StateIndex(1, -1)),
+        build_equation(spin_params(1.0, mass=2e154), StateIndex(0, -2)),
+        build_equation(narrow, StateIndex(1, -1)),
+        build_equation(spin_params(1.0), StateIndex(0, -2)),
+        build_equation(ps_params(1.0), StateIndex(1, 2)),
+    ]
+
+
+class TestBatch:
+    """A batch (spectrum._solve_all) gives every equation exactly what
+    solve_spectrum gives it: the result repr, or the error's type and text.
+    Its scans gather f's constants into arrays where a slice spans
+    equations, and array and scalar operands round alike, so this runs
+    with numpy's SIMD kernels off too."""
+
+    @pytest.mark.parametrize("oracle_check", [True, False])
+    @pytest.mark.parametrize("which", ["pinned", "draws", "sweeps"])
+    def test_equals_one_at_a_time(self, which, oracle_check, ref):
+        if which == "pinned":
+            eqs = pinned_equations(ref)
+        elif which == "draws":
+            rng = random.Random("batch")
+            eqs = [build_equation(ModelParams(**c.params()), StateIndex(c.n, c.kappa), c.assembly)
+                   for c in (draw_case(rng) for _ in range(300))]
+        else:
+            eqs = sweep_equations()
+        opts = SolveOptions(oracle_check=oracle_check)
+        assert batched(eqs, opts) == one_at_a_time(eqs, opts)
+
+    @pytest.mark.parametrize("oracle_check", [True, False])
+    @pytest.mark.parametrize("grid_points, margin", [(20001, None), (20001, 1e-30), (2001, None),
+                                                     (4, 1e-30), (3, None)])
+    def test_every_ending_in_one_batch(self, grid_points, margin, oracle_check):
+        eqs = mixed_equations()
+        opts = SolveOptions(grid_points=grid_points, margin=margin, oracle_check=oracle_check)
+        want = one_at_a_time(eqs, opts)
+        assert batched(eqs, opts) == want
+        # the batch holds results and errors of every kind
+        kinds = {text.split(":")[0].split("(")[0] for text in want}
+        assert {"SpectrumResult", "DomainError", "NoPhysicalWindow"} <= kinds
+
+    def test_errors_and_unbuilt_equations_pass_through(self):
+        error = DomainError("not built")
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        out = spectrum._solve_all([error, eq, error, eq], OPTS)
+        assert out[0] is error and out[2] is error
+        assert repr(out[1]) == repr(out[3]) == repr(solve_spectrum(eq, OPTS))
+
+    def test_slices_span_equations_and_runs_span_slices(self, monkeypatch):
+        # the sweeps' open samples fill many slices, some holding several
+        # equations; mass 1e45 opens every block, a run cut into pieces
+        sizes, spanning = [], []
+        f_arrays = spectrum._f_arrays
+
+        def recording(terms, energies, *rest):
+            sizes.append(energies.size)
+            spanning.append(np.ndim(terms.width) == 1)
+            return f_arrays(terms, energies, *rest)
+
+        monkeypatch.setattr(spectrum, "_f_arrays", recording)
+        eqs = sweep_equations() + [build_equation(ps_params(1.0, mass=1e45), StateIndex(1, -1))]
+        results = spectrum._solve_all(eqs, SolveOptions(oracle_check=False))
+        assert all(isinstance(r, spectrum.SpectrumResult) for r in results)
+        assert max(sizes) <= spectrum.SCAN_SLICE and any(spanning) and len(sizes) < len(eqs)
+        assert sum(sizes) > 20001  # the noise equation's run took several slices
+
+    def test_workspace_is_bounded(self, ref, monkeypatch):
+        # 16 equations at a time, their bound pass and one slice, hold about
+        # 0.35 MiB; each equation and its result hold about 2.2 KiB more.
+        # The benchmark's sweep (41 equations) peaked at 465 KiB, the
+        # pseudospin table (32) at 428 KiB
+        params = ModelParams(mass=5.0, symmetry=PSEUDOSPIN, c_sym=0.0)
+        doublet = [tuple(StateIndex(*s) for s in SWEEP_DOUBLETS[PSEUDOSPIN])]
+        reference = ref.params(PSEUDOSPIN, 0.0)
+        table = [build_equation(dataclasses.replace(reference, tensor_h=c.tensor_h), c.state)
+                 for c in ref.select(PSEUDOSPIN)]
+        for run in (lambda: h_sweep(params, doublet, SWEEP_H), lambda: spectrum._solve_all(table)):
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 640 * 1024, peak
+
+        # and no bound pass or evaluation grows with the batch
+        blocks, samples = [], []
+        f_bounds, f_arrays = spectrum._f_bounds, spectrum._f_arrays
+        monkeypatch.setattr(spectrum, "_f_bounds",
+                            lambda t, lo, hi: blocks.append(lo.size) or f_bounds(t, lo, hi))
+        monkeypatch.setattr(spectrum, "_f_arrays",
+                            lambda t, e, *r: samples.append(e.size) or f_arrays(t, e, *r))
+        h_sweep(params, doublet, [0.01 * k for k in range(161)])
+        assert max(blocks) <= spectrum.BATCH_EQUATIONS * spectrum.SCAN_BLOCKS
+        assert max(samples) <= spectrum.SCAN_SLICE
+        assert len(blocks) > 10
+
+
 def np_roots_reference(poly):
     """The radicand crossings as np.roots found them, before the closed form."""
     coeffs = np.asarray(poly, dtype=float)[::-1]
@@ -1609,22 +1752,24 @@ class TestSplitting:
         (SPIN, StateIndex(0, -2), StateIndex(0, 1)),
     ])
     def test_baseline_solved_once(self, symmetry, neg, pos, monkeypatch):
+        # both rows' equations go to one batch, the baseline pair as one equation
         solved = []
-        solve = spectrum.solve_spectrum
+        solve_all = spectrum._solve_all
 
-        def counting(eq, opts=OPTS):
-            solved.append((eq.state, eq.params.tensor_h))
-            return solve(eq, opts)
+        def counting(eqs, opts=OPTS):
+            solved.append([(eq.state, eq.params.tensor_h) for eq in eqs])
+            return solve_all(eqs, opts)
 
-        monkeypatch.setattr(spectrum, "solve_spectrum", counting)
+        monkeypatch.setattr(spectrum, "_solve_all", counting)
         params = ModelParams(mass=5.0, symmetry=symmetry, c_sym=0.0, tensor_h=1.0)
         rep = splitting_report(params, neg, pos, OPTS)
-        assert solved == [(neg, 1.0), (pos, 1.0), (neg, 0.0)]
+        assert solved == [[(neg, 1.0), (pos, 1.0), (neg, 0.0)]]
         assert rep.baseline_neg == rep.baseline_pos
 
         solved.clear()
         rep = splitting_report(dataclasses.replace(params, tensor_h=0.0), neg, pos, OPTS)
-        assert len(solved) <= 2 and {state for state, _ in solved} == {neg}
+        assert len(solved) == 1 and len(solved[0]) <= 2
+        assert {state for state, _ in solved[0]} == {neg}
         assert rep.energy_neg == rep.energy_pos == rep.baseline_neg
 
     def test_negative_root_raises_when_absent(self):
