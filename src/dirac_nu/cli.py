@@ -511,7 +511,7 @@ def cmd_analyze(cfg: RunConfig, which: str) -> int:
         pairs = cfg.doublets or _DEFAULT_DOUBLETS[params.symmetry]
         doublets = [(StateIndex(*neg), StateIndex(*pos)) for neg, pos in pairs]
         sweep = h_sweep(params, doublets, cfg.h_values, _solve_options(cfg), cfg.assembly)
-        columns = ["H", "state", "E_selected", "delta_E"]
+        columns = ["H", "state", "E_selected", "delta_E", "error"]
         records = [
             {**dict(zip(columns, (row.tensor_h, label, energy, row.delta_e))),
              **({"error": row.error} if row.error else {})}

@@ -8,13 +8,14 @@ scan settles without evaluating them; :func:`_f_point` evaluates it at one
 energy as a Python float, for bisection and each root.  All three take f's
 pieces from the same IEEE operations in the same order.  Constants that are
 arrays, one value per energy, give each energy the operations that its
-scalar constants would.
+scalar constants would; :func:`_gathered` makes them for a batch of
+equations.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,9 +53,8 @@ def _f_pieces(t: _FTerms, energies: NDArray[np.float64], out: NDArray[np.float64
     w -= t.c_sym
     w *= t.w_scale
     np.multiply(w, t.v1, out=s1)
-    s1 += t.ll_c0
     np.multiply(w, t.v3, out=s3)
-    s3 += t.ll_c0
+    out[:2] += t.ll_c0
     # c9 = 1/4 + A - B + C collapses to (q - 1/2)^2 + w * (V1 + V2 + V3)
     q9 *= t.v_total
     q9 += t.c9_base
@@ -84,12 +84,12 @@ def _f_arrays(
     four_a += b
     q8 += b
     out[:2] *= 4.0  # 4 A and 4 c8
-    for q in (q8, f):  # 4 c8 and 4 c9
-        clamped = q < 0.0
-        clamped &= q >= t.clamp
-        q[clamped] = 0.0
-    with np.errstate(invalid="ignore"):
-        np.sqrt(out[1:3], out=out[1:3])
+    # 4 c8 and 4 c9: NaN below the clamp, where _f_point's f is NaN, then 0
+    # in the clamp band; the square root of a NaN raises no invalid flag
+    radicands = out[1:3]
+    np.copyto(radicands, np.nan, where=radicands < t.clamp)
+    np.copyto(radicands, 0.0, where=radicands < 0.0)
+    np.sqrt(radicands, out=radicands)
     f += t.width
     f -= q8
     np.square(f, out=f)
@@ -115,30 +115,34 @@ def _f_bounds(
     radicand may be negative, the clamp band included.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.empty((5, 2, e_lo.size))
+        work = np.empty((9, 2, e_lo.size))
+        ends, out = work[:5], work[5:]  # out: 4 A, 4 c8, 4 c9 and f
         _f_pieces(t, (e_lo, e_hi), ends)
-        up, down = ends[3:]
-        corners = (up[:, None] * down).reshape(4, -1)
-        b = np.array((np.minimum.reduce(corners), np.maximum.reduce(corners)))
+        np.minimum(ends[:3, 0], ends[:3, 1], out=out[:3, 0])
+        np.maximum(ends[:3, 0], ends[:3, 1], out=out[:3, 1])
+        # the four corner products of (M + x)(M - x + sigma C), then b2's
+        # bounds divided by 4 alpha^2, in rows the pieces no longer need
+        corners = np.multiply(ends[3, :, None], ends[4], out=ends[:2]).reshape(4, -1)
+        b = ends[2]
+        np.minimum.reduce(corners, out=b[0])
+        np.maximum.reduce(corners, out=b[1])
         b /= t.four_a2
-
-        low, high = np.minimum(ends[:3, 0], ends[:3, 1]), np.maximum(ends[:3, 0], ends[:3, 1])
-        # 4 A and 4 c8 in one (2, 2, n) block: ((w V + ll C0) + b) * 4
-        a4_q8 = np.array((low[:2], high[:2]))
-        a4_q8 += b[:, None]
-        a4_q8 *= 4.0
-        a4, q8 = a4_q8[:, 0], a4_q8[:, 1]
-        q9 = np.array((low[2], high[2]))
+        # 4 A and 4 c8: ((w V + ll C0) + b) * 4
+        out[:2] += b
+        out[:2] *= 4.0
 
         # W + sqrt(4 c9) - sqrt(4 c8): the low end takes the high 4 c8
-        d = np.sqrt(q9)
+        d, sq = ends[3], ends[4]
+        np.sqrt(out[2], out=d)
         d += t.width
-        d -= np.sqrt(q8[::-1])
-        sq = np.square(d)
-        f = np.array((np.minimum(sq[0], sq[1]), np.maximum(sq[0], sq[1])))
+        d -= np.sqrt(out[1, ::-1], out=sq)
+        np.square(d, out=sq)
+        f = out[3]
+        np.minimum(sq[0], sq[1], out=f[0])
+        np.maximum(sq[0], sq[1], out=f[1])
         f[0, (d[0] < 0.0) & (d[1] > 0.0)] = 0.0
-        f -= a4[::-1]
-        return f, q8, q9, a4
+        f -= out[0, ::-1]
+        return f, out[1], out[2], out[0]
 
 
 def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
@@ -165,3 +169,12 @@ def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
         root_diff = width + math.sqrt(q9) - math.sqrt(q8)
         f = root_diff * root_diff - 4.0 * big_a
     return f, q8, q9, 4.0 * big_a
+
+
+def _gathered(shared: _FTerms, varies: list[bool], cols: NDArray[np.float64],
+             eqs: Sequence[int], counts: Sequence[int]) -> _FTerms:
+    """f's constants for consecutive stretches of ``counts`` blocks or
+    samples of the equations ``eqs``: those every equation shares as in
+    ``shared``, each that ``varies`` repeated from its row of ``cols``."""
+    rows = iter(np.repeat(cols[:, eqs], counts, axis=1))
+    return _FTerms(*(next(rows) if v else c for v, c in zip(varies, shared)))

@@ -7,12 +7,14 @@ zero inside a sliver narrower than the uniform spacing.  :func:`_scan_samples`
 places them all by index, so a scan computes only the samples it reads;
 :func:`_scan_grid` builds the same samples as one array, for the few
 windows too narrow for the rule and for the tests.  The crossings come in
-closed form from the constants of f (``fcore._FTerms``).
+closed form from the constants of f (``fcore._FTerms``).  :func:`_block_edges`
+cuts the uniform index into the blocks on which a scan bounds f.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -148,6 +150,21 @@ class _Samples(NamedTuple):
             pieces += [energies[at - i:s - i], self.extras[k:end]]
             at, k = s, end
         return np.concatenate(pieces + [energies[at - i:]]) if pieces else energies
+
+
+# the scan bounds f on about this many blocks of its grid before evaluating any
+SCAN_BLOCKS = 64
+
+
+@functools.lru_cache(maxsize=32)
+def _block_edges(points: int) -> NDArray[np.int64]:
+    """The uniform indices that cut a scan of ``points`` samples into about
+    SCAN_BLOCKS blocks sharing their end samples; built once per size and
+    read-only, as every scan of that size shares them."""
+    blocks = min(SCAN_BLOCKS, points - 1)
+    edges = np.arange(blocks + 1) * (points - 1) // blocks
+    edges.flags.writeable = False
+    return edges
 
 
 def _scan_samples(t: _FTerms, lo: float, hi: float, points: int) -> _Samples:

@@ -9,40 +9,56 @@ value, in u and then in x = sigma E.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _geev  # what np.linalg.eigvals calls
 
 if TYPE_CHECKING:
     from .fcore import _FTerms
 
 
-def _companion_roots(polys: Sequence[Sequence[float]]) -> list[list[complex]]:
-    """The roots ``np.roots`` returns for each of ``polys``, in its order,
-    without its array checks: coefficients highest degree first, all of one
-    length with a nonzero leading one.  They are the eigenvalues of the
-    companion matrix of a polynomial stripped of its trailing zeros, then a
-    0 for each of these.  Matrices of one size take one stacked eigvals,
-    which runs LAPACK on each as it runs on one alone."""
-    p = np.array(polys)
-    roots: list[list[complex]] = []
-    by_degree: dict[int, list[int]] = {}  # after the trailing zeros
+def _nonconvergence(err: str, flag: int) -> None:
+    """The error np.linalg.eigvals raises where LAPACK does not converge."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _companion_roots(polys: Sequence[Sequence[float]]) -> list[Optional[list[complex]]]:
+    """The roots ``np.roots`` returns for each of ``polys``, in its order, as
+    complex numbers, or None for a polynomial whose companion matrix holds
+    an entry past the doubles.  Coefficients are highest degree first, all
+    of one length with a nonzero leading one.
+
+    The roots are the eigenvalues of the companion matrix of a polynomial
+    stripped of its trailing zeros, then a 0 for each of these.  Its first
+    row, -c_k / c_0, is formed in Python, as np.roots forms it in numpy, and
+    checked there: c_k / c_0 overflows where both are finite.  Matrices of
+    one size go in one stack to the LAPACK gufunc that np.linalg.eigvals
+    wraps (geev, signature d->D), which runs on each matrix as on one alone,
+    under eigvals' error state: non-convergence is its LinAlgError.  So the
+    values are eigvals' own, without its array checks and conversions."""
+    roots: list[Optional[list[complex]]] = []
+    by_degree: dict[int, list[tuple[int, list[float]]]] = {}  # after the trailing zeros
     for i, coeffs in enumerate(polys):
         degree = len(coeffs) - 1
         while degree and coeffs[degree] == 0.0:
             degree -= 1
-        roots.append([0j] * (len(coeffs) - 1 - degree))
-        by_degree.setdefault(degree, []).append(i)
-    for degree, rows in by_degree.items():
-        if not degree:
-            continue
-        q = p[rows]
-        companion = np.zeros((len(rows), degree, degree))
-        companion.reshape(len(rows), -1)[:, degree::degree + 1] = 1.0  # the subdiagonal
-        companion[:, 0, :] = -q[:, 1:degree + 1] / q[:, :1]
-        # one matrix alone skips the stacked call's overhead, not its arithmetic
-        values = np.linalg.eigvals(companion if len(rows) > 1 else companion[0]).tolist()
-        for i, row in zip(rows, values if len(rows) > 1 else [values]):
+        lead = coeffs[0]
+        top = [-c / lead for c in coeffs[1:degree + 1]]
+        if all(map(math.isfinite, top)):
+            roots.append([0j] * (len(coeffs) - 1 - degree))
+            if degree:
+                by_degree.setdefault(degree, []).append((i, top))
+        else:
+            roots.append(None)
+    for degree, group in by_degree.items():
+        companion = np.zeros((len(group), degree, degree))
+        companion.reshape(len(group), -1)[:, degree::degree + 1] = 1.0  # the subdiagonal
+        companion[:, 0] = [top for _, top in group]
+        with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            values = _geev(companion, signature="d->D").tolist()
+        for (i, _), row in zip(group, values):
             roots[i] = row + roots[i]
     return roots
 
@@ -77,13 +93,15 @@ def _u_polynomial(t: _FTerms) -> list:
 
 def _u_value(t: _FTerms, u: float, w: float, x: float) -> tuple[float, float, float]:
     """U(u) from its factors, U'(u) and S(u), given the w and x that go with u;
-    4 c8 is formed as :func:`.fcore._f_point` forms it."""
-    wu = t.width + u
-    dv = 4.0 * (t.v3 - t.v1)
+    4 c8 is formed as :func:`.fcore._f_point` forms it.  The constants are
+    unpacked once: a local is quicker than a field."""
+    _, mass, c_sym, ll_c0, _, w_scale, four_a2, v1, v3, v_total, width, _ = t
+    wu = width + u
+    dv = 4.0 * (v3 - v1)
     s = wu * wu + dv * w
-    q8 = 4.0 * (t.ll_c0 + w * t.v3 + (t.mass + x) * (t.mass - x + t.c_sym) / t.four_a2)
-    dw = 0.5 * u / t.v_total
-    dq8 = 4.0 * dw * (t.v3 + (t.c_sym - 2.0 * x) / (t.w_scale * t.four_a2))
+    q8 = 4.0 * (ll_c0 + w * v3 + (mass + x) * (mass - x + c_sym) / four_a2)
+    dw = 0.5 * u / v_total
+    dq8 = 4.0 * dw * (v3 + (c_sym - 2.0 * x) / (w_scale * four_a2))
     slope = 2.0 * s * (2.0 * wu + dv * dw) - 8.0 * wu * q8 - 4.0 * wu * wu * dq8
     return s * s - 4.0 * wu * wu * q8, slope, s
 
@@ -97,9 +115,10 @@ X_STEPS = 2
 def _polish_u(t: _FTerms, u: float) -> tuple[float, float, float]:
     """U_STEPS Newton steps in u from a real root of U's coefficients; returns
     u, its x and S(u)."""
+    _, mass, c_sym, _, c9_base, w_scale, _, _, _, v_total, _, _ = t
     for step in range(U_STEPS + 1):
-        w = (0.25 * u * u - t.c9_base) / t.v_total
-        x = w / t.w_scale + t.mass + t.c_sym
+        w = (0.25 * u * u - c9_base) / v_total
+        x = w / w_scale + mass + c_sym
         value, slope, s = _u_value(t, u, w, x)
         if step == U_STEPS or slope == 0.0:
             break
@@ -110,14 +129,15 @@ def _polish_u(t: _FTerms, u: float) -> tuple[float, float, float]:
 def _polish_x(t: _FTerms, x: float) -> float:
     """X_STEPS Newton steps on U in x, each piece taken from x as f takes it:
     u = sqrt(4 c9(x)), with dx/du = u / (2 V w_scale)."""
+    _, mass, c_sym, _, c9_base, w_scale, _, _, _, v_total, _, _ = t
     for _ in range(X_STEPS):
-        w = (x - t.mass - t.c_sym) * t.w_scale
-        q9 = 4.0 * (t.c9_base + w * t.v_total)
+        w = (x - mass - c_sym) * w_scale
+        q9 = 4.0 * (c9_base + w * v_total)
         if not q9 >= 0.0:
             break
         u = math.sqrt(q9)
         value, slope, _ = _u_value(t, u, w, x)
         if slope == 0.0:
             break
-        x -= value / slope * (0.5 * u / (t.v_total * t.w_scale))
+        x -= value / slope * (0.5 * u / (v_total * w_scale))
     return x

@@ -85,9 +85,11 @@ from .model import (
     potential_coeffs,
     within_doubles,
 )
-from .fcore import _f_arrays, _f_bounds, _f_point, _FTerms
+from .fcore import _f_arrays, _f_bounds, _f_point, _FTerms, _gathered
 from .nu_core import RADICAND_CLAMP, NuProblem
 from .sampling import (  # noqa: F401 (the tests reach these through spectrum)
+    SCAN_BLOCKS,
+    _block_edges,
     _radicand_boundaries,
     _radicand_polys,
     _real_roots,
@@ -107,8 +109,6 @@ POSITIVE = "positive"
 ORACLE_MATCH_FACTOR = 1e3
 # at most this many bisection steps per root
 BISECT_MAX_ITER = 200
-# the scan bounds f on about this many blocks of its grid before evaluating any
-SCAN_BLOCKS = 64
 # a batch of scans evaluates f on at most this many samples at a time
 SCAN_SLICE = 4096
 # a batch of solves takes this many equations through its stages at a time:
@@ -477,24 +477,21 @@ def _one(outcome):
     return outcome
 
 
-def _settled(t: _FTerms, e_lo: NDArray[np.float64],
-             e_hi: NDArray[np.float64]) -> tuple[NDArray[np.bool_], NDArray[np.bool_]]:
+def _settled(t: _FTerms, e_lo: NDArray[np.float64], e_hi: NDArray[np.float64]
+             ) -> tuple[NDArray[np.bool_], Optional[NDArray[np.bool_]]]:
     """Which blocks [e_lo, e_hi] the bounds of :func:`_f_bounds` settle: f
     finite and of one strict sign at every sample, or every sample masked,
-    with none past the doubles."""
+    with none past the doubles; None for the masked where no block is."""
     f, q8, q9, a4 = _f_bounds(t, e_lo, e_hi)
-    signed = np.isfinite(f).all(axis=0) & ((f[0] > 0.0) | (f[1] < 0.0))
-    masked = ((q8[1] < t.clamp) | (q9[1] < t.clamp)) & np.isfinite((q8, q9, a4)).all(axis=(0, 1))
+    finite = np.isfinite(f)
+    signed = finite[0] & finite[1]
+    signed &= (f[0] > 0.0) | (f[1] < 0.0)
+    masked = q8[1] < t.clamp
+    masked |= q9[1] < t.clamp
+    if not masked.any():
+        return signed, None
+    masked &= np.isfinite((q8, q9, a4)).all(axis=(0, 1))
     return signed, masked
-
-
-def _gathered(shared: _FTerms, varies: list[bool], cols: NDArray[np.float64],
-             eqs: Sequence[int], counts: Sequence[int]) -> _FTerms:
-    """f's constants for consecutive stretches of ``counts`` blocks or
-    samples of the equations ``eqs``: those every equation shares as in
-    ``shared``, each that ``varies`` repeated from its row of ``cols``."""
-    rows = iter(np.repeat(cols[:, eqs], counts, axis=1))
-    return _FTerms(*(next(rows) if v else c for v, c in zip(varies, shared)))
 
 
 def _scan_all(
@@ -532,14 +529,13 @@ def _scan_all(
     k = len(ts)
     if k == 1:
         (t,), (s,) = ts, samples
-        blocks = min(SCAN_BLOCKS, s.points - 1)
-        edges = np.arange(blocks + 1) * (s.points - 1) // blocks
+        edges = _block_edges(s.points)
         ends, cuts = s.uniform(edges), s.position(edges)
-        first = [0, blocks + 1]  # where each equation's edges start, and the end
-        starts, stops = slice(0, blocks), slice(1, blocks + 1)
+        first = [0, edges.size]  # where each equation's edges start, and the end
+        starts, stops = slice(0, -1), slice(1, None)
     else:
-        counts = [min(SCAN_BLOCKS, s.points - 1) for s in samples]
-        edges = [np.arange(b + 1) * (s.points - 1) // b for s, b in zip(samples, counts)]
+        edges = [_block_edges(s.points) for s in samples]
+        counts = [e.size - 1 for e in edges]
         ends = np.concatenate([s.uniform(e) for s, e in zip(samples, edges)])
         cuts = np.concatenate([s.position(e) for s, e in zip(samples, edges)])
         edges = np.concatenate(edges)
@@ -556,18 +552,17 @@ def _scan_all(
         cols = cols[:, varies].T
         t = _gathered(ts[0], varies, cols, range(k), counts)
     signed, masked = _settled(t, ends[starts], ends[stops])
+    open_edges = (~signed if masked is None else ~(signed | masked)).nonzero()[0]
+    if k > 1:
+        open_edges = starts[open_edges]
     # a block owns its samples but the last, which the next block owns; an
     # equation's last block owns its last sample too
-    owned = cuts[stops] - cuts[starts]
-    open_edges = np.flatnonzero(~(signed | masked))
-    if k == 1:
-        owned[-1] += 1
-        masked_points = [int(owned[masked].sum())]
-    else:
+    masked_points = [0] * k
+    if masked is not None:
+        owned = cuts[stops] - cuts[starts]
         owned[[f - 2 - e for e, f in enumerate(first[1:])]] += 1
         owned[~masked] = 0
         masked_points = np.add.reduceat(owned, [f - e for e, f in enumerate(first[:-1])]).tolist()
-        open_edges = starts[open_edges]
 
     # runs of adjacent open blocks as [first, last] edge numbers
     runs: list[list[int]] = []
@@ -619,10 +614,9 @@ def _scan_all(
         single = owners.count(owners[0]) == len(owners)
         if len(part) == 1:
             energies = samples[owners[0]].between(part[0][1], part[0][2])
-            tails = [energies.size - 1]
         else:
             energies = np.concatenate([samples[e].between(a, b) for e, a, b, *_ in part])
-            tails = [end - 1 for end in itertools.accumulate(piece[-1] for piece in part)]
+        tails = [end - 1 for end in itertools.accumulate(piece[-1] for piece in part)]
         # one (5, n) block, not five rows: glibc raises its mmap threshold to
         # the largest block it has freed, so after a solve or two a block this
         # size comes from memory already mapped, while separate rows of that
@@ -641,26 +635,28 @@ def _scan_all(
         # sign intact
         with np.errstate(over="ignore"):
             sign_change = np.multiply(f[:-1], f[1:], out=rows[0, :-1]) < 0.0
-        sign_change[tails[:-1]] = False  # the last sample of a piece and the first of the next
+        cut = tails[:-1]  # the last sample of a piece and the first of the next
+        changes = [i for i in sign_change.nonzero()[0].tolist() if i not in cut]
         # a piece's last sample is the first of the next piece of its run or,
         # after a run, belongs to the block after it, unless it ends the scan
-        zero = f == 0.0
-        shared = [end for end, piece in zip(tails, part) if not piece[3]]
-        if shared:
-            zero[shared] = False
+        again = [end for end, piece in zip(tails, part) if not piece[3]]
+        zero_at = [i for i in (f == 0.0).nonzero()[0].tolist() if i not in again]
         invalid = np.isnan(f)
-        invalid[[end for end, piece in zip(tails, part) if not (piece[3] and piece[4])]] = False
+        elsewhere = [end for end, piece in zip(tails, part) if not (piece[3] and piece[4])]
         found = [(float(energies[i]), float(energies[i + 1]), float(f[i]), float(f[i + 1]))
-                 for i in np.flatnonzero(sign_change)]
+                 for i in changes]
         if single:
             brackets[owners[0]] += found
-            zeros[owners[0]] += energies[zero].tolist()
-            nans[owners[0]] += int(np.count_nonzero(invalid))
+            zeros[owners[0]] += [float(energies[i]) for i in zero_at]
+            nans[owners[0]] += (int(np.count_nonzero(invalid))
+                                - sum(bool(invalid[i]) for i in elsewhere))
             return
-        for i, bracket in zip(np.flatnonzero(sign_change).tolist(), found):
+        for i, bracket in zip(changes, found):
             brackets[owners[bisect.bisect_left(tails, i)]].append(bracket)
-        for i in np.flatnonzero(zero).tolist():
+        for i in zero_at:
             zeros[owners[bisect.bisect_left(tails, i)]].append(float(energies[i]))
+        if elsewhere:
+            invalid[elsewhere] = False
         heads = [0] + [end + 1 for end in tails[:-1]]
         for e, count in zip(owners, np.add.reduceat(invalid, heads, dtype=np.int64).tolist()):
             nans[e] += count
@@ -713,10 +709,13 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     instead.  Each root is checked as soon as it is found, ascending, so the
     solve ends at the first root without an oracle partner.
 
-    A solve's time goes mostly to the fixed cost of some hundred numpy
-    calls on small arrays, not to arithmetic; sweeps, tables and multi-state
-    solves run their equations together through the same stages
-    (:func:`_solve_all`), with the results of one-at-a-time solves.
+    A solve's time goes mostly to a fixed cost, not to arithmetic: some
+    hundred numpy calls on small arrays and the per-root Python of the
+    oracle's polish and of bisection.  The oracle calls LAPACK without
+    np.linalg.eigvals' wrapper, and the scan builds its block edges once
+    per grid size and its bounds in one preallocated block.  Sweeps, tables
+    and multi-state solves run their equations together through the same
+    stages (:func:`_solve_all`), with the results of one-at-a-time solves.
     """
     window = search_window(eq, opts.margin)
     oracle = quartic_oracle(eq, window=window) if opts.oracle_check else None
@@ -735,7 +734,7 @@ def _solve_all(
 
     BATCH_EQUATIONS equations at a time go through solve_spectrum's stages,
     in its order: each equation's window, then the oracles, whose companion
-    matrices take one stacked eigvals (:func:`_oracles`), then the sample
+    matrices take one stacked LAPACK call (:func:`_oracles`), then the sample
     rules and one batch of scans (:func:`_scan_all`), then each equation's
     bisection, oracle matching and result.  So the memory the batch works
     in does not grow with it.  An equation leaves the batch at its first
@@ -895,7 +894,8 @@ def quartic_oracle(
     on its coefficients: U_STEPS in u (:func:`_polish_u`), then, for a root
     with u >= 0 and S >= 0, X_STEPS in x with every piece taken from x as f
     takes it (:func:`_polish_x`).  A coefficient past the doubles is a
-    DomainError naming the parameters.
+    DomainError naming the parameters, and so is an entry -c_k / c_0 of
+    U's companion matrix past them, which finite coefficients can make.
     """
     return _one(_oracles([eq], [window])[0])
 
@@ -905,26 +905,33 @@ def _oracles(
 ) -> list[Union[OracleResult, DomainError]]:
     """:func:`quartic_oracle` of each equation in its window, its roots taken
     for all of them at once (:func:`_companion_roots`): each one's
-    OracleResult or DomainError."""
+    OracleResult or DomainError, so an equation whose companion matrix
+    leaves the doubles costs the others nothing."""
     out: list = [None] * len(eqs)
     polys = {}
     for i, eq in enumerate(eqs):
         coeffs = _u_polynomial(eq.terms)[::-1]  # highest degree first
-        if coeffs[0] > 0.0 and all(math.isfinite(c) for c in coeffs):
+        if coeffs[0] > 0.0 and all(map(math.isfinite, coeffs)):
             polys[i] = coeffs
         else:
             bad = next((c for c in coeffs if not math.isfinite(c)), coeffs[0])
-            out[i] = DomainError(
-                f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put a "
-                f"coefficient of the oracle's polynomial at {bad!r}, past the doubles"
-            )
-    roots = _companion_roots(list(polys.values()))
-    for (i, coeffs), zs in zip(polys.items(), roots):
+            out[i] = _oracle_error(eq, f"a coefficient of the oracle's polynomial at {bad!r}")
+    for (i, coeffs), zs in zip(polys.items(), _companion_roots(list(polys.values()))):
+        if zs is None:
+            bad = next(e for e in (-c / coeffs[0] for c in coeffs[1:]) if not math.isfinite(e))
+            out[i] = _oracle_error(eqs[i], f"an entry of the oracle's companion matrix at {bad!r}")
+            continue
         try:
             out[i] = _oracle_result(eqs[i], coeffs, zs, windows[i])
         except SolverError as exc:
             out[i] = exc
     return out
+
+
+def _oracle_error(eq: EnergyEquation, what: str) -> DomainError:
+    """The DomainError of an oracle whose ``what`` leaves the doubles."""
+    return DomainError(f"{_given(eq.params, 'mass', 'c_sym', 'tensor_h', 'alpha', 'c0')} put "
+                       f"{what}, past the doubles")
 
 
 def _oracle_result(eq: EnergyEquation, coeffs: list, roots: list[complex],

@@ -477,10 +477,10 @@ class TestAnalyze:
         code, out, _ = run_cli("analyze", "--which", "sweep", "--format", "csv")
         assert code == 0
         header, rows = csv_body(out)
-        assert header == "H,state,E_selected,delta_E"
+        assert header == "H,state,E_selected,delta_E,error"
         assert "moves down" in out and "moves up" in out
         first = rows[0].split(",")
-        assert float(first[3]) == 0.0
+        assert float(first[3]) == 0.0 and first[4] == ""
 
     def test_sweep_doublet_differing_in_n_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
@@ -542,6 +542,14 @@ class TestAnalyze:
         records = json.loads(out)["records"]
         assert len(records) == 10 and {r["error"] for r in records} == {solved["error"]}
         assert solved["error"].startswith("DomainError: pseudospin limit has a single assembly")
+        # the CSV keeps each failed row's reason in its error column, as solve's does
+        code, out = run_main(capsys, "analyze", "--which", "sweep", "--assembly", "reference",
+                             "--format", "csv")
+        assert code == 3
+        header, rows = csv_body(out)
+        assert header.split(",") == ["H", "state", "E_selected", "delta_E", "error"]
+        assert len(rows) == 10
+        assert all(row.split(",", 4)[2:] == ["", "", solved["error"]] for row in rows)
 
     def test_which_required(self):
         code, _, err = run_cli("analyze")
@@ -554,7 +562,9 @@ class TestAnalyze:
 # limits completed a table through one function; every other digest is the
 # output from before the subcommands shared one serializer; the two sweeps
 # with a config are the output from before both doublet members were solved
-# by one function; the terminating spin-limit wavefunction is the output
+# by one function; the four sweeps' CSV digests were re-recorded when the
+# sweep CSV gained its error column, the only change in their bytes; the
+# terminating spin-limit wavefunction is the output
 # from when the normalization's Gauss rules stopped coming from LAPACK, which
 # moved its norm constant by 5 ulps and three printed values in their 12th
 # digit; the two approximation studies print rel_err below
@@ -612,16 +622,16 @@ PINNED = [
      "6cb2dd3ca13fcc48c23840af80024989017fa98801b69b0d271468e24a904d7c"),
     (("analyze", "--which", "sweep"), 0,
      "908766e548165786b3d79f6de717f87b173df867e29ce42045f327dc5cea26fc",
-     "5ffb71db05f0b45cb0e55b2208563328fec3a4f8730b219f785203ef2a9801bc"),
+     "b48c9e4654c598c5522dbfd16aff59bd4a3fce69c2708c68334bef8c21bca77b"),
     (("analyze", "--which", "sweep", "--symmetry", "spin"), 0,
      "cdd34f48a10e5df8200063864d405844fd93aa27399332a617835b959dc094e1",
-     "ecd132460c18d242475afe8d3c46e49c86257eddcea5152647bb286018e88dc9"),
+     "bfff6c9eae6ec15238274addee7b4d36ab2da128024c37c5d73ead878899dcab"),
     (("analyze", "--which", "sweep", "--config", "{sweep_pseudospin}"), 0,
      "c44ac3e574e9a2e12426f0e49a7fd5fc3a236c31004710a04dbce15815de56fa",
-     "a97572a2ac7ea848e1f877922b918397c6f41d9d7b9ece4302184103eb2332a8"),
+     "234a10feecea16d3d159116f848f378e7ad9e6c87a29a957815e090aadd0aa3e"),
     (("analyze", "--which", "sweep", "--config", "{sweep_spin}"), 0,
      "37c77dd68ea837c60c14543277fad0cd1d3c7604664557c3d6b53e1d5091c7ac",
-     "fa35fe7e5b5797f6117f0cf01a847da98eeab6138fc6f514dcf7b0c5689de9cd"),
+     "307ff187eb80f09de04d7de840107b082ea8994d3293964d54025e79378bb9fa"),
 ]
 
 # config files the PINNED arguments name in braces
@@ -661,6 +671,11 @@ OVERFLOWS = [
      3, "alpha = 0.6, a_shape = "),
     (("analyze", "--which", "sweep", "--no-strict-domain", "--a-shape", "1e17"), 3,
      "alpha = 0.6, a_shape = "),
+    # U's coefficients stay in the doubles, but an entry -c_k / c_0 of its
+    # companion matrix does not
+    (("solve", "--symmetry", "spin", "--alpha", "1e50", "--tensor-h", "1000", "--n", "1",
+      "--kappa", "-1"), 3, "alpha = 1e+50, c0 = 0.08333333333333333 put an entry of the "
+                           "oracle's companion matrix at -inf"),
     (("solve", "--n", "1", "--kappa", str(-10**400)), 2, "'states'"),
     (("wavefunction", "--n", str(10**400), "--kappa", "-1"), 2, "'states'"),
 ]

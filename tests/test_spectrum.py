@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -1581,6 +1582,113 @@ class TestOracle:
         assert len(hit) == 1
         assert hit[0].energy == pytest.approx(4.934149818966, abs=1e-9)
         assert hit[0].method == "oracle-confirmed"
+
+
+def companion(coeffs):
+    """np.roots's companion matrix of ``coeffs``, highest degree first, nonzero
+    leading and trailing coefficients, built as np.roots builds it."""
+    p = np.array(coeffs, dtype=float)
+    matrix = np.diag(np.ones(p.size - 2), -1)
+    matrix[0, :] = -p[1:] / p[0]
+    return matrix
+
+
+def bits(values):
+    """The bits of complex values, real and imaginary parts."""
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+# at alpha = 1e50, H = 1000, U's coefficients are finite but its leading one,
+# about 1e-249, is small enough that -c_k / c_0 overflows
+COMPANION_OVERFLOW = (ModelParams(mass=5.0, symmetry=SPIN, tensor_h=1000.0, alpha=1e50),
+                      StateIndex(1, -1))
+COMPANION_ERROR = (r"^mass = 5\.0, c_sym = 0\.0, tensor_h = 1000\.0, alpha = 1e\+50, "
+                   r"c0 = 0\.08333333333333333 put an entry of the oracle's companion matrix "
+                   r"at -inf, past the doubles$")
+
+
+class TestCompanion:
+    """sextic._companion_roots calls the LAPACK gufunc behind np.linalg.eigvals
+    itself; its roots are eigvals' own, bit for bit, alone and stacked."""
+
+    def test_roots_are_eigvals_bit_for_bit(self, ref):
+        rng = random.Random("companion")
+        eqs = pinned_equations(ref) + [
+            build_equation(ModelParams(**c.params()), StateIndex(c.n, c.kappa), c.assembly)
+            for c in (draw_case(rng) for _ in range(300))]
+        polys = [spectrum._u_polynomial(eq.terms)[::-1] for eq in eqs]
+        assert all(p[-1] != 0.0 for p in polys)
+        stacked = np.linalg.eigvals(np.array([companion(p) for p in polys]))
+        got = spectrum._companion_roots(polys)
+        assert all(isinstance(z, complex) for roots in got for z in roots)
+        assert [bits(roots) for roots in got] == [bits(row) for row in stacked]
+        for p, roots in zip(polys[:40], got):
+            alone = spectrum._companion_roots([p])
+            assert bits(alone[0]) == bits(np.linalg.eigvals(companion(p))) == bits(roots)
+
+    def test_trailing_zeros_and_degrees_as_np_roots_takes_them(self):
+        # np.roots drops trailing zeros and appends a root 0 for each; the
+        # polynomials of one degree share a stack
+        polys = [[2.0, -3.0, 1.0, 0.0, 0.0], [1.0, 0.0, -2.0, 5.0, 0.0],
+                 [1.0, 2.0, 3.0, 4.0, 5.0], [3.0, 0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.5, -2.0, 0.0]]
+        got = spectrum._companion_roots(polys)
+        assert [bits(roots) for roots in got] == [bits(np.roots(p)) for p in polys]
+
+    def test_an_entry_past_the_doubles_has_no_roots(self):
+        assert spectrum._companion_roots([[1e-300, 1e300, 0.0, 1.0], [1.0, -3.0, 2.0, 0.0]]) == [
+            None, [2 + 0j, 1 + 0j, 0j]]
+
+    def test_oracle_and_solve_name_the_overflow(self):
+        eq = build_equation(*COMPANION_OVERFLOW)
+        coeffs = spectrum._u_polynomial(eq.terms)
+        assert all(math.isfinite(c) for c in coeffs)
+        with pytest.raises(DomainError, match=COMPANION_ERROR):
+            quartic_oracle(eq)
+        with pytest.raises(DomainError, match=COMPANION_ERROR):
+            solve_spectrum(eq)
+
+    def test_the_rest_of_a_batch_keeps_its_results(self):
+        good = build_equation(ps_params(1.0), StateIndex(1, -1))
+        other = build_equation(spin_params(1.0), StateIndex(0, -2))
+        bad = build_equation(*COMPANION_OVERFLOW)
+        first, error, last = spectrum._solve_all([good, bad, other])
+        assert repr(first) == repr(solve_spectrum(good))
+        assert repr(last) == repr(solve_spectrum(other))
+        assert isinstance(error, DomainError) and re.match(COMPANION_ERROR, str(error))
+
+
+class TestDomainContract:
+    """Every strict-domain state gets a result or a SolverError, and no
+    warning: a first slice of the domain contract, on a grid of extreme
+    masses, screening rates and tensor strengths, solved one at a time and
+    in one batch."""
+
+    MASSES = (1e-300, 1e-20, 5.0, 1e50, 1e150, 1e300)
+    ALPHAS = (0.51, 3.0, 1e10, 1e50, 1e150, 1e300)
+    TENSORS = (-1e300, -1e50, -1e3, 0.0, 1e3, 1e50, 1e300)
+
+    def test_each_state_returns_or_raises_a_solver_error(self):
+        eqs, unbuilt = [], 0
+        for symmetry, mass, alpha, h in itertools.product(
+                (PSEUDOSPIN, SPIN), self.MASSES, self.ALPHAS, self.TENSORS):
+            params = ModelParams(mass=mass, symmetry=symmetry, tensor_h=h, alpha=alpha)
+            for state in (StateIndex(1, -1), StateIndex(0, 2)):
+                try:
+                    eqs.append(build_equation(params, state))
+                except SolverError:
+                    unbuilt += 1
+        # recorded, not raised, so that an error other than a SolverError
+        # surfaces as itself
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            alone = one_at_a_time(eqs, OPTS)
+            together = batched(eqs, OPTS)
+        assert warned == [] and together == alone
+        # the grid reaches results, equations refused at construction, and
+        # oracles refused for their coefficients and for their companion matrix
+        assert sum(text.startswith("SpectrumResult(") for text in alone) > 100 and unbuilt
+        assert any("coefficient of the oracle's polynomial" in text for text in alone)
+        assert any("oracle's companion matrix" in text for text in alone)
 
 
 def pseudospin_core(eq):
