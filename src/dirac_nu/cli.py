@@ -255,6 +255,14 @@ def _csv_cell(value: Any, missing: str = "") -> str:
     return _fmt(value)
 
 
+def _csv_quoted(cell: str) -> str:
+    """A data cell as ``csv.QUOTE_MINIMAL`` writes it: in double quotes, its
+    own doubled, where it holds a comma, a double quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _records(columns: Sequence[str], *arrays: Any) -> list[dict[str, Any]]:
     """One record per row of the equal-length ``arrays``, keyed by ``columns``."""
     return [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in arrays))]
@@ -276,7 +284,8 @@ def _emit(
     CSV writes ``# params:``, one ``# key = value`` line per summary entry,
     one ``# note`` line per note, then the ``columns`` with a row per
     record: an absent value is an empty cell (an em-dash for
-    ``deviation``) and a list of roots is joined by ``;``.
+    ``deviation``), a list of roots is joined by ``;``, and a cell that
+    holds a comma, a quote or a line break is quoted as ``csv`` quotes it.
     """
     params = {key: _json_value(value) for key, value in header.items()}
     summary = summary or {}
@@ -292,7 +301,7 @@ def _emit(
             values = [rec.get(name) for rec in records]
             if None in values or (values and isinstance(values[0], (str, list))):
                 missing = "—" if name == "deviation" else ""
-                values = [_csv_cell(v, missing) for v in values]
+                values = [_csv_quoted(_csv_cell(v, missing)) for v in values]
                 specs.append("%s")
             else:
                 specs.append(_NUMBER)

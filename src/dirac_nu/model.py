@@ -151,15 +151,18 @@ def log_grid(r_min: float, r_max: float, n_points: int) -> NDArray[np.float64]:
     as np.linspace spaces them (exponent k is k * step + lo), 10 is raised to
     them as a one-element array, as np.logspace does, and both ends are
     restored to r_min and r_max exactly, which also stands for linspace
-    setting its last exponent to hi.
+    setting its last exponent to hi.  The exponents become the radii in
+    place.
     """
     check_r_min(r_min)
     if not (r_min < r_max and math.isfinite(r_max)):
         raise DomainError(f"need finite 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
     check_points("n_points", n_points, 2)
     lo, hi = np.log10((r_min, r_max))
-    exponents = np.arange(float(n_points)) * ((hi - lo) / (n_points - 1)) + lo
-    radii = np.power(np.array([10.0]), exponents)
+    radii = np.arange(float(n_points))
+    radii *= (hi - lo) / (n_points - 1)
+    radii += lo
+    np.power(np.array([10.0]), radii, out=radii)
     radii[0], radii[-1] = r_min, r_max
     return radii
 

@@ -40,7 +40,13 @@ the origin panel's moments once, for both orders.
 Each caller evaluates the solved component only up to the derivative order
 it reads: ``lower_component`` takes psi, the completion (``_complete``)
 takes psi and s psi' for the coupled partner, and only ``verify_ode``
-takes s^2 psi'' as well.
+takes s^2 psi'' as well.  Every evaluation goes through one core,
+``_evaluate``: ``BranchFunctions.evaluate`` wraps it, and ``verify_ode``
+calls it with the s and 1 - s that its own rational term reads.  The core,
+the Jacobi sums, the completion and the residual compute in place: each
+operation of the written-out formulas is done once, with its operands in
+their order, into an array the call owns, so the results, and the first
+operation to leave the doubles, are those of the formulas.
 """
 
 from __future__ import annotations
@@ -92,36 +98,48 @@ class JacobiSpec:
 
 
 def _binomial(top: float, k: int) -> float:
-    """Binomial coefficient C(top, k) for real top and integer k >= 0."""
-    return math.prod((top - k + i) / i for i in range(1, k + 1))
+    """Binomial coefficient C(top, k) for real top and integer k >= 0: the
+    product of (top - k + i)/i over i = 1 .. k, multiplied left to right."""
+    value = 1.0
+    for i in range(1, k + 1):
+        value *= (top - k + i) / i
+    return value
 
 
-def _horner(specs: list[JacobiSpec], x: NDArray[np.float64]) -> list[NDArray[np.float64]]:
-    """P_n^{(a, b)}(x) of each spec from its explicit sum,
+def _horner(
+    specs: list[tuple[int, float, float]], x: NDArray[np.float64]
+) -> list[NDArray[np.float64]]:
+    """P_n^{(a, b)}(x) of each (n, a, b) from its explicit sum,
 
         P_n^{(a, b)}(x) = sum_j C(n + a, n - j) C(n + b, j)
                           ((x - 1)/2)^j ((x + 1)/2)^(n - j),
 
     summed by Horner's rule in (x + 1)/2, all specs in one pass over the
     shared powers of (x - 1)/2.  Each sum takes the same steps as it would
-    alone, so sharing the pass changes no bit of it.  The sums and the
-    power are updated in place; they are this call's own arrays.  Where
+    alone, so sharing the pass changes no bit of it.  The sums, the power
+    and one term buffer are this call's own arrays, updated in place, so a
+    step allocates nothing; the first power is (x - 1)/2 itself.  Where
     every degree is 0 there are no powers to share, and none is formed.
     """
-    totals = [np.full_like(x, _binomial(spec.n + spec.a, spec.n)) for spec in specs]
-    top = max((spec.n for spec in specs), default=0)
+    totals = [np.empty_like(x) for _ in specs]
+    for (n, a, _), total in zip(specs, totals):
+        total.fill(_binomial(n + a, n))
+    top = max((n for n, _, _ in specs), default=0)
     if top == 0:
         return totals
-    lower = 0.5 * (x - 1.0)
-    upper = 0.5 * (x + 1.0)
-    lower_pow = np.ones_like(x)
+    lower = x - 1.0
+    lower *= 0.5
+    upper = x + 1.0
+    upper *= 0.5
+    power = lower.copy()
+    term = np.empty_like(x)
     for j in range(1, top + 1):
-        lower_pow *= lower
-        for spec, total in zip(specs, totals):
-            if j <= spec.n:
-                n, a, b = spec.n, spec.a, spec.b
+        if j > 1:
+            power *= lower
+        for (n, a, b), total in zip(specs, totals):
+            if j <= n:
                 total *= upper
-                total += _binomial(n + a, n - j) * _binomial(n + b, j) * lower_pow
+                total += np.multiply(_binomial(n + a, n - j) * _binomial(n + b, j), power, out=term)
     return totals
 
 
@@ -134,7 +152,7 @@ def jacobi_eval(spec: JacobiSpec, x: NDArray[np.float64]) -> NDArray[np.float64]
     which loses digits as they near zero -- on the terminating branch
     (a = -2 nu < 0) that happens often.  A scalar x gives a scalar.
     """
-    return _horner([spec], np.asarray(x, dtype=float))[0][()]
+    return _horner([(spec.n, spec.a, spec.b)], np.asarray(x, dtype=float))[0][()]
 
 
 def _derivatives(spec: JacobiSpec, x: NDArray[np.float64], top: int) -> list[NDArray[np.float64]]:
@@ -147,15 +165,66 @@ def _derivatives(spec: JacobiSpec, x: NDArray[np.float64], top: int) -> list[NDA
     """
     n, a, b = spec.n, spec.a, spec.b
     factors: list[float] = []
-    lowered: list[JacobiSpec] = []
+    lowered: list[tuple[int, float, float]] = []
     factor = 1.0
     for m in range(min(top, n)):
         factor *= 0.5 * (n - m + a + m + b + m + 1.0)
         factors.append(factor)
-        lowered.append(JacobiSpec(n - (m + 1), a + (m + 1), b + (m + 1)))
+        lowered.append((n - (m + 1), a + (m + 1), b + (m + 1)))
     sums = _horner(lowered, x)
-    return ([f * total for f, total in zip(factors, sums)]
-            + [np.zeros_like(x) for _ in range(top - len(sums))])
+    for factor, total in zip(factors, sums):
+        total *= factor
+    return sums + [np.zeros(x.shape) for _ in range(top - len(sums))]
+
+
+def _evaluate(
+    bf: BranchFunctions, log_s: NDArray[np.float64], s: NDArray[np.float64],
+    one_minus: NDArray[np.float64], order: int, log_scale: Optional[NDArray[np.float64]] = None,
+) -> tuple[NDArray[np.float64], ...]:
+    """``BranchFunctions.evaluate`` on arrays of one or more dimensions, given
+    s = exp(log_s) and 1 - s = -expm1(log_s) as well, which it only reads.
+
+    Each operation of the formulas in ``evaluate`` is done once, with its
+    operands in their order, into an array this call owns; 4 s is formed
+    once for both terms of order 2 that carry it.  Inside
+    ``within_doubles`` the first operation to leave the doubles names the
+    error, as it would in the formulas written out.
+    """
+    p, t = bf.s_exponent, bf.one_minus_exponent
+    x = np.multiply(2.0, s)
+    np.subtract(1.0, x, out=x)
+    w = jacobi_eval(bf.jacobi, x)
+    common = np.multiply(p, log_s)
+    log_one_minus = np.log(one_minus)
+    common += np.multiply(t, log_one_minus, out=log_one_minus)
+    if log_scale is not None:
+        common += log_scale
+    np.exp(common, out=common)
+    psi = np.multiply(common, w)
+    if order == 0:
+        return (psi,)
+    q = np.divide(s, one_minus, out=log_one_minus)  # the log is spent
+    t_q = np.multiply(t, q)
+    slope = np.subtract(p, t_q)
+    dw, *higher = _derivatives(bf.jacobi, x, order)
+    s_dpsi = np.multiply(slope, w)
+    s_term = np.multiply(2.0, s)
+    s_dpsi -= np.multiply(s_term, dw, out=s_term)
+    np.multiply(common, s_dpsi, out=s_dpsi)
+    if order == 1:
+        return psi, s_dpsi
+    (d2w,) = higher
+    s2_d2psi = np.multiply(slope, slope)
+    s2_d2psi -= p
+    s2_d2psi -= np.multiply(t_q, q, out=q)
+    s2_d2psi *= w
+    np.multiply(4.0, s, out=s_term)
+    s2_d2psi -= np.multiply(np.multiply(s_term, slope, out=t_q), dw, out=t_q)
+    s_term *= s
+    s_term *= d2w
+    s2_d2psi += s_term
+    np.multiply(common, s2_d2psi, out=s2_d2psi)
+    return psi, s_dpsi, s2_d2psi
 
 
 @dataclass(frozen=True)
@@ -167,8 +236,8 @@ class BranchFunctions:
     derivatives, coupling, normalization, residuals) chains these.  The
     lower table and ``value`` read psi alone (order 0), the completion and
     ``d_ds`` read psi and s psi' (order 1), and only ``verify_ode`` reads
-    s^2 psi'' (order 2).  ``value`` and ``d_ds`` are the evaluation taken
-    at s.
+    s^2 psi'' (order 2), through ``_evaluate`` with the s and 1 - s it needs
+    itself.  ``value`` and ``d_ds`` are the evaluation taken at s.
     """
 
     branch: str
@@ -202,33 +271,15 @@ class BranchFunctions:
         A lower order stops early and returns a bit-identical prefix of the
         full tuple.  Order 0 forms neither q nor W'; order 1 forms q but not
         q^2, which leaves the doubles first as s nears 1 (r near 0).  W' and
-        W'' come from one shared Horner pass.
+        W'' come from one shared Horner pass.  A 0-d log_s is evaluated as
+        one element and gives scalars.
         """
         log_s = np.asarray(log_s, dtype=float)
-        s = np.exp(log_s)
-        one_minus = -np.expm1(log_s)
-        p, t = self.s_exponent, self.one_minus_exponent
-        x = 1.0 - 2.0 * s
-        w = jacobi_eval(self.jacobi, x)
-        exponent = p * log_s + t * np.log(one_minus)
-        if log_scale is not None:
-            exponent += log_scale
-        common = np.exp(exponent)
-        psi = common * w
-        if order == 0:
-            return (psi,)
-        q = s / one_minus
-        slope = p - t * q
-        dw, *higher = _derivatives(self.jacobi, x, order)
-        s_dpsi = common * (slope * w - 2.0 * s * dw)
-        if order == 1:
-            return psi, s_dpsi
-        (d2w,) = higher
-        return psi, s_dpsi, common * (
-            (slope * slope - p - t * q * q) * w
-            - 4.0 * s * slope * dw
-            + 4.0 * s * s * d2w
-        )
+        flat = log_s.reshape(log_s.shape or 1)
+        s = np.exp(flat)
+        one_minus = np.expm1(flat)
+        terms = _evaluate(self, flat, s, np.negative(one_minus, out=one_minus), order, log_scale)
+        return terms if log_s.ndim else tuple(term[0] for term in terms)
 
     def value(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
         return self.evaluate(np.log(s), 0)[0]
@@ -308,7 +359,7 @@ def node_count_of(values: NDArray[np.float64]) -> int:
     samples kept are nonzero, so a sign is whether a sample is positive."""
     values = np.asarray(values, dtype=float)
     size = np.abs(values)
-    peak = float(size.max())
+    peak = size.max()
     if peak == 0.0:
         return 0
     positive = values[size > 1e-12 * peak] > 0.0
@@ -499,10 +550,13 @@ def _norm_rules(
     order are built on its first use.
     """
     lo = edges[:-1, None]
-    half = 0.5 * (edges[1:, None] - lo)
+    half = np.subtract(edges[1:, None], lo)
+    half *= 0.5
     origin = edges[0]
     k = np.arange(2.0 * max(orders))
-    moments = np.cumprod((mu - k) / (mu + k))
+    moments = np.subtract(mu, k)
+    moments /= np.add(mu, k, out=k)
+    np.multiply.accumulate(moments, out=moments)
     nodes = np.empty(r.size + sum((2 + half.size) * order for order in orders))
     log_scale = np.zeros(nodes.size)
     nodes[: r.size] = r
@@ -513,10 +567,13 @@ def _norm_rules(
         y, log_y, basis = _origin_basis(order)
         mid, end = start + y.size, start + y.size + half.size * order
         np.multiply(origin, y, out=nodes[start:mid])
-        log_scale[start:mid] = (0.5 - 0.5 * mu) * log_y
-        np.add(lo, half * one_plus_x, out=nodes[mid:end].reshape(half.size, order))
+        np.multiply(0.5 - 0.5 * mu, log_y, out=log_scale[start:mid])
+        panel_nodes = nodes[mid:end].reshape(half.size, order)
+        np.add(lo, np.multiply(half, one_plus_x, out=panel_nodes), out=panel_nodes)
         rule = np.empty(end - start)
-        np.multiply(origin, basis @ moments[: y.size] / mu, out=rule[: y.size])
+        origin_weights = basis @ moments[: y.size]
+        origin_weights /= mu
+        np.multiply(origin, origin_weights, out=rule[: y.size])
         np.multiply(half, w, out=rule[y.size :].reshape(half.size, order))
         weights.append(rule)
         start = end
@@ -553,13 +610,16 @@ def _complete(
 
     with within_doubles(table):
         solved, s_d_ds = bf.evaluate(-2.0 * p.alpha * at, 1, log_scale)
-        d_dr = -2.0 * p.alpha * s_d_ds
-        partner = (d_dr - centrifugal * solved) / denom
+        partner = np.multiply(-2.0 * p.alpha, s_d_ds, out=s_d_ds)  # d/dr
+        partner -= np.multiply(centrifugal, solved, out=centrifugal)
+        partner /= denom
+    # the density is read on the nodes alone, whose components the table drops
+    density, partner_nodes = solved[r.size :], partner[r.size :]
     with np.errstate(over="ignore"):  # an infinite integral is NonNormalizable below
-        density = solved * solved + partner * partner
-    split = r.size + low_w.size
-    low = float(low_w @ density[r.size : split])
-    integral = float(high_w @ density[split:])
+        density *= density
+        density += np.multiply(partner_nodes, partner_nodes, out=partner_nodes)
+    low = float(low_w @ density[: low_w.size])
+    integral = float(high_w @ density[low_w.size :])
     if not (math.isfinite(integral) and integral > 0.0
             and abs(integral - low) <= NORM_RTOL * integral):
         raise NonNormalizable(
@@ -649,18 +709,26 @@ def verify_ode(
             f"{log_s.size} interior points < required {MIN_INTERIOR}"
         )
     problem = bf.problem
-    psi, s_dpsi, s2_d2psi = bf.evaluate(log_s, 2)
     s = np.exp(log_s)
-    rational = (
-        (-problem.big_a * s * s + problem.big_b * s - problem.big_c)
-        / np.expm1(log_s) ** 2
-    )
-    term3 = rational * psi
-    residual = np.abs(s2_d2psi + s_dpsi + term3)
-    scale = np.maximum(np.abs(s2_d2psi), np.maximum(np.abs(s_dpsi), np.abs(term3)))
-    ok = scale > 0.0
-    if not ok.all():
+    one_minus = np.expm1(log_s)
+    np.negative(one_minus, out=one_minus)
+    psi, s_dpsi, s2_d2psi = _evaluate(bf, log_s, s, one_minus, 2)
+    # term3 = (-A s^2 + B s - C) / (1 - s)^2 psi, with (1 - s)^2 = expm1(log s)^2
+    term3 = np.multiply(-problem.big_a, s)
+    term3 *= s
+    term3 += np.multiply(problem.big_b, s, out=s)
+    term3 -= problem.big_c
+    term3 /= np.square(one_minus, out=one_minus)
+    term3 *= psi
+    residual = np.add(s2_d2psi, s_dpsi)
+    residual += term3
+    np.abs(residual, out=residual)
+    scale = np.abs(s2_d2psi, out=s2_d2psi)
+    np.maximum(scale, np.maximum(np.abs(s_dpsi, out=s_dpsi), np.abs(term3, out=term3), out=term3),
+               out=scale)
+    if not scale.min() > 0.0:
+        ok = scale > 0.0
         if not ok.any():
             raise GridTooCoarse("solved component vanished on every interior point")
         residual, scale = residual[ok], scale[ok]
-    return float((residual / scale).max())
+    return float(np.divide(residual, scale, out=residual).max())

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -549,7 +551,7 @@ class TestAnalyze:
         header, rows = csv_body(out)
         assert header.split(",") == ["H", "state", "E_selected", "delta_E", "error"]
         assert len(rows) == 10
-        assert all(row.split(",", 4)[2:] == ["", "", solved["error"]] for row in rows)
+        assert all(row[2:] == ["", "", solved["error"]] for row in csv.reader(rows))
 
     def test_which_required(self):
         code, _, err = run_cli("analyze")
@@ -557,6 +559,8 @@ class TestAnalyze:
 
 
 # SHA-256 of stdout (JSON, then CSV) and the exit code of fixed commands.
+# The CSV digests of the two solves that exit 3 were recorded when error
+# cells, whose texts hold commas, came to be quoted as csv quotes them.
 # The spin-table digests reflect their header naming the spin limit; the
 # spin-limit wavefunction tables that exit 0 are the output from before both
 # limits completed a table through one function; every other digest is the
@@ -578,13 +582,13 @@ PINNED = [
      "a74768beba4b9bc9cf25442afd04c3ca131c38846f264abc44b6b63bfee384a7"),
     (("solve", "--config", "{intcfg}"), 3,
      "c210bebd4ccfab8b0ef87d762a07c3e3ed7caa840815494e451e9c07fbf7e7fd",
-     "1fc10051cb09569303de9b0016b2170765897714d5d5ad729f481c2f1e583833"),
+     "1aa760536139bb9a4c0a6cf297f870d905d70cc0834b4de87d4f043d3a5de3b5"),
     (("solve", "--symmetry", "spin", "--n", "0", "--kappa", "-2", "--tensor-h", "1"), 0,
      "733870e38beced145450cc118830b3d65840c59d7e79c5b6f91d7a44039d44ba",
      "76f6ea118e67110dbf1e4f00e3f0216cae64f094ff841e5172db23c3aa4e16bc"),
     (("solve", "--n", "1", "--kappa", "-1", "--mass", "0.001", "--c-sym", "-5"), 3,
      "52bcf5d2bbbaf4568ee1316966e7a3520af22a0068a1b0e1e7a8234e8e07b204",
-     "c2f14857413e07e60fe4cfe5df1d6dc7c9c24692e1ccee5b188f5892fb453fea"),
+     "6727f61666ef977cdcbff7dfd3fb4fedcb6d7e8c48168bd2e533ec6f9984fb70"),
     (("table", "--which", "pseudospin"), 0,
      "b3e197601c28047a177e9ed31449220b2cb402e81885318f4d713358b9baf779",
      "a5b700fa82aa9c02597ea4acd39cfba71397ae2f41cbcfc4c0d1aa7ecbf8f908"),
@@ -700,6 +704,36 @@ class TestOverflow:
         assert all(name in e for e in errors)
         if code == 2:
             assert captured.out == ""
+
+
+class TestCsvFields:
+    """Every CSV row reads back with the header's field count, error rows
+    too, whose texts hold commas and are quoted as ``csv`` quotes them."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [args for args, code, _ in OVERFLOWS if code == 3 and args[0] in ("solve", "analyze")]
+        + [("analyze", "--which", "sweep", "--assembly", "reference"),
+           ("solve", "--n", "1", "--kappa", "-1", "--mass", "0.001", "--c-sym", "-5")],
+        ids=lambda args: " ".join(args)[:80],
+    )
+    def test_rows_have_the_header_field_count(self, args, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        _, out = run_main(capsys, *args, "--format", "csv")
+        header, *body = csv.reader(io.StringIO(
+            "".join(line for line in out.splitlines(True) if not line.startswith("#"))))
+        assert body and all(len(row) == len(header) for row in body)
+
+    def test_quoted_cell_reads_back_as_the_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        args = ("solve", "--symmetry", "spin", "--alpha", "1e50", "--tensor-h", "1000",
+                "--n", "1", "--kappa", "-1")
+        _, out = run_main(capsys, *args)
+        (record,) = json.loads(out)["records"]
+        _, out = run_main(capsys, *args, "--format", "csv")
+        header, row = csv.reader(line for line in out.splitlines() if not line.startswith("#"))
+        assert "," in record["error"]
+        assert dict(zip(header, row))["error"] == record["error"]
 
 
 class TestPinnedOutput:

@@ -1690,6 +1690,17 @@ class TestDomainContract:
         assert any("coefficient of the oracle's polynomial" in text for text in alone)
         assert any("oracle's companion matrix" in text for text in alone)
 
+    @pytest.mark.xfail(strict=True, raises=OracleMismatch,
+                       reason="ROADMAP items 2 and 9: the oracle keeps no survivor where "
+                              "bisection finds a root at alpha >= 1e50, A just above 4")
+    def test_strict_spin_root_at_huge_alpha_has_an_oracle_partner(self):
+        # dirac-nu solve --symmetry spin --assembly strict --alpha 1e50
+        #   --tensor-h -1 --n 0 --kappa -1 --a-shape 4.0000001
+        params = ModelParams(mass=5.0, symmetry=SPIN, tensor_h=-1.0, alpha=1e50,
+                             a_shape=4.0000001)
+        eq = build_equation(params, StateIndex(0, -1), ASSEMBLY_STRICT)
+        assert solve_spectrum(eq, OPTS).roots
+
 
 def pseudospin_core(eq):
     """A spin equation's pseudospin-form twin at (-C_sym, -V): the same q, n

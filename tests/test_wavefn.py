@@ -12,7 +12,9 @@ from scipy.special import eval_jacobi, roots_jacobi
 
 from dirac_nu import wavefn
 from dirac_nu.errors import DomainError, GridTooCoarse, NonNormalizable
-from dirac_nu.model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex
+from dirac_nu.model import (
+    MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex, within_doubles,
+)
 from dirac_nu.spectrum import (
     ASSEMBLY_STRICT,
     SolveOptions,
@@ -638,9 +640,10 @@ class TestVerifyOde:
 
 class TestWorkPerTable:
     """A table derives the constants once per branch it builds: for the lower
-    table (pseudospin only), for the completion, and in verify_ode; the
-    completion evaluates the branch once for its grid and both quadrature
-    orders."""
+    table (pseudospin only), for the completion, and in verify_ode; it
+    evaluates the branch as often, the completion once for its grid and both
+    quadrature orders.  Every evaluation, ``BranchFunctions.evaluate``'s and
+    verify_ode's own, goes through ``wavefn._evaluate``, which is counted."""
 
     @pytest.mark.parametrize(
         "eq, calls",
@@ -652,18 +655,18 @@ class TestWorkPerTable:
         components = (pseudospin_components if eq.params.symmetry == PSEUDOSPIN
                       else spin_limit_components)
         counts = {"derive": 0, "evaluate": 0}
-        derive, evaluate = wavefn.derive_constants, wavefn.BranchFunctions.evaluate
+        derive, evaluate = wavefn.derive_constants, wavefn._evaluate
 
         def counted_derive(problem):
             counts["derive"] += 1
             return derive(problem)
 
-        def counted_evaluate(bf, *args):
+        def counted_evaluate(*args):
             counts["evaluate"] += 1
-            return evaluate(bf, *args)
+            return evaluate(*args)
 
         monkeypatch.setattr(wavefn, "derive_constants", counted_derive)
-        monkeypatch.setattr(wavefn.BranchFunctions, "evaluate", counted_evaluate)
+        monkeypatch.setattr(wavefn, "_evaluate", counted_evaluate)
         components(eq, energy)
         assert counts == {"derive": calls, "evaluate": calls}
 
@@ -757,6 +760,181 @@ class TestBitIdentity:
             assert len(part) == order + 1
             for ours, theirs in zip(part, full):
                 assert ours.tobytes() == theirs.tobytes()
+
+
+def twin_jacobi(n, a, b, x, top):
+    """P_n^{(a, b)}(x) and its x-derivatives up to order ``top``, written out
+    with a temporary per step: the explicit sum by Horner's rule in (x + 1)/2
+    over the powers of (x - 1)/2, with coefficients from math.prod, and each
+    derivative as the lowered polynomial times its factor."""
+    def horner(n, a, b):
+        binomial = lambda top, k: math.prod((top - k + i) / i for i in range(1, k + 1))
+        total = np.full_like(x, binomial(n + a, n))
+        lower, upper, power = 0.5 * (x - 1.0), 0.5 * (x + 1.0), np.ones_like(x)
+        for j in range(1, n + 1):
+            power = power * lower
+            total = total * upper + binomial(n + a, n - j) * binomial(n + b, j) * power
+        return total
+
+    values, factor = [horner(n, a, b)], 1.0
+    for m in range(top):
+        if m < n:
+            factor *= 0.5 * (n - m + a + m + b + m + 1.0)
+            values.append(factor * horner(n - (m + 1), a + (m + 1), b + (m + 1)))
+        else:
+            values.append(np.zeros_like(x))
+    return values
+
+
+def twin_evaluate(bf, log_s, order, log_scale=None):
+    """psi, s psi' and s^2 psi'' as ``BranchFunctions.evaluate`` documents
+    them, written out as expressions with temporaries: the evaluator's
+    test-only twin."""
+    log_s = np.asarray(log_s, dtype=float)
+    s = np.exp(log_s)
+    one_minus = -np.expm1(log_s)
+    p, t = bf.s_exponent, bf.one_minus_exponent
+    x = np.asarray(1.0 - 2.0 * s)
+    w, *derivatives = twin_jacobi(bf.jacobi.n, bf.jacobi.a, bf.jacobi.b, x, order)
+    w = w[()]
+    exponent = p * log_s + t * np.log(one_minus)
+    if log_scale is not None:
+        exponent += log_scale
+    common = np.exp(exponent)
+    psi = common * w
+    if order == 0:
+        return (psi,)
+    q = s / one_minus
+    slope = p - t * q
+    dw = derivatives[0][()]
+    s_dpsi = common * (slope * w - 2.0 * s * dw)
+    if order == 1:
+        return psi, s_dpsi
+    d2w = derivatives[1][()]
+    return psi, s_dpsi, common * (
+        (slope * slope - p - t * q * q) * w
+        - 4.0 * s * slope * dw
+        + 4.0 * s * s * d2w
+    )
+
+
+def twin_residual(eq, energy, branch, grid):
+    """verify_ode's residual written out with temporaries, on the twin."""
+    bf = branch_functions(eq, energy, branch)
+    log_s = -2.0 * eq.params.alpha * grid[1:-1]
+    problem = bf.problem
+    psi, s_dpsi, s2_d2psi = twin_evaluate(bf, log_s, 2)
+    s = np.exp(log_s)
+    rational = (
+        (-problem.big_a * s * s + problem.big_b * s - problem.big_c)
+        / np.expm1(log_s) ** 2
+    )
+    term3 = rational * psi
+    residual = np.abs(s2_d2psi + s_dpsi + term3)
+    scale = np.maximum(np.abs(s2_d2psi), np.maximum(np.abs(s_dpsi), np.abs(term3)))
+    ok = scale > 0.0
+    return float((residual[ok] / scale[ok]).max())
+
+
+def same_bits(ours, theirs):
+    return (type(ours) is type(theirs) and np.shape(ours) == np.shape(theirs)
+            and np.asarray(ours).tobytes() == np.asarray(theirs).tobytes())
+
+
+def leaves_the_doubles(compute):
+    """The DomainError text ``compute`` raises inside within_doubles, or None."""
+    try:
+        with within_doubles(lambda: "the test"):
+            compute()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestEvaluatorTwin:
+    """The evaluator computes in place, the twin (``twin_evaluate``) with a
+    temporary per operation; they must agree bit for bit, and leave the
+    doubles with the same error.  The in-place arithmetic goes through the
+    same exp, log and expm1 kernels as the twin's, so this runs with numpy's
+    SIMD kernels and with the C library's."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return list(seeded_bound_states(per_cell=1))
+
+    @pytest.mark.parametrize("branch", [DECAYING, TERMINATING])
+    def test_arrays_at_every_order(self, states, branch):
+        for eq, energy in states:
+            bf = branch_functions(eq, energy, branch)
+            r = default_grid(eq, energy)
+            edges = wavefn._norm_edges(eq.params.alpha, bf.nu, float(r[-1]))
+            at, log_scale, _ = wavefn._norm_rules(r, edges, bf.mu, wavefn.NORM_ORDERS)
+            log_s = -2.0 * eq.params.alpha * at
+            for order in (0, 1, 2):
+                for scale in (None, log_scale):
+                    ours = bf.evaluate(log_s, order, scale)
+                    theirs = twin_evaluate(bf, log_s, order, scale)
+                    assert len(ours) == order + 1
+                    assert all(map(same_bits, ours, theirs)), (eq, branch, order)
+
+    @pytest.mark.parametrize("branch", [DECAYING, TERMINATING])
+    def test_scalars_and_0d_arrays(self, states, branch):
+        for eq, energy in states:
+            bf = branch_functions(eq, energy, branch)
+            for s in (0.3, 1e-9, 0.999, np.float64(0.6), np.asarray(0.05)):
+                for order in (0, 1, 2):
+                    ours = bf.evaluate(np.log(s), order)
+                    assert all(map(same_bits, ours, twin_evaluate(bf, np.log(s), order)))
+                    assert all(isinstance(term, np.float64) for term in ours)
+                assert same_bits(bf.value(s), twin_evaluate(bf, np.log(s), 0)[0])
+                s_array = np.asarray(s, dtype=float)
+                assert same_bits(bf.d_ds(s), twin_evaluate(bf, np.log(s_array), 1)[1] / s_array)
+
+    @pytest.mark.parametrize("branch", [DECAYING, TERMINATING])
+    def test_verify_ode_residual(self, states, branch):
+        for eq, energy in states:
+            grid = default_grid(eq, energy)
+            assert verify_ode(eq, energy, branch, grid) == twin_residual(eq, energy, branch, grid)
+
+    def test_same_error_where_the_doubles_are_left(self):
+        # at r = 1e-200, q = s / (1 - s) is about 1e200: order 1 holds,
+        # order 2 leaves the doubles, as the completion's verify_ode does
+        eq = ps_eq(1, -1, 1.0)
+        energy = solved(eq)
+        grid = default_grid(eq, energy, r_min=1e-200)
+        log_s = -2.0 * eq.params.alpha * grid
+        for branch in (DECAYING, TERMINATING):
+            bf = branch_functions(eq, energy, branch)
+            for order in (0, 1, 2):
+                ours = leaves_the_doubles(lambda: bf.evaluate(log_s, order))
+                theirs = leaves_the_doubles(lambda: twin_evaluate(bf, log_s, order))
+                assert ours == theirs and (ours is None) == (order < 2)
+            with pytest.raises(DomainError) as table:
+                (pseudospin_components if branch == DECAYING else
+                 lambda *a: pseudospin_components(*a, branch=TERMINATING))(eq, energy, grid)
+            expect = leaves_the_doubles(lambda: twin_residual(eq, energy, branch, grid))
+            assert str(table.value).endswith(expect.removeprefix("the test"))
+        # far out on the growing branch the envelope s^(-nu) overflows in exp
+        far = -2.0 * eq.params.alpha * np.linspace(0.1, 1e4, 300)
+        bf = branch_functions(eq, energy, TERMINATING)
+        for order in (0, 1, 2):
+            ours = leaves_the_doubles(lambda: bf.evaluate(far, order))
+            assert ours == leaves_the_doubles(lambda: twin_evaluate(bf, far, order))
+            assert ours.endswith("overflow encountered in exp")
+
+    def test_noise_constants_are_refused_before_any_table(self, capsys, monkeypatch):
+        # V1 + V2 + V3 cancels to noise at A = 1e17: the equation is refused
+        # with its own text, and no table is evaluated
+        from dirac_nu.cli import main
+
+        monkeypatch.delenv("PSEUDOSPIN_CONFIG", raising=False)
+        monkeypatch.setattr(wavefn, "_evaluate", None)
+        code = main(["wavefunction", "--tensor-h", "1", "--n", "1", "--kappa", "-1",
+                     "--no-strict-domain", "--a-shape", "1e17"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: DomainError: alpha = 0.6, a_shape = 1e+17 put V1 + V2 + V3 = 0.0, "
+            "not -3 alpha^2 / 4 = -0.27\n")
 
 
 GRID = np.geomspace(1e-3, 30.0, 200)
