@@ -602,7 +602,8 @@ def _complete(
     low_order, high_order = NORM_ORDERS
     edges = _norm_edges(p.alpha, bf.nu, float(r[-1]))
     at, log_scale, (low_w, high_w) = _norm_rules(r, edges, bf.mu, NORM_ORDERS)
-    centrifugal = eq.mirror * (eq.state.kappa + p.tensor_h) / at
+    with np.errstate(over="ignore"):  # inf at an r below about 1e-308, with no warning
+        centrifugal = eq.mirror * (eq.state.kappa + p.tensor_h) / at
 
     def table() -> str:
         return (f"the spinor table on r in [{float(r[0])!r}, {float(r[-1])!r}] "

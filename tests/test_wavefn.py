@@ -13,7 +13,7 @@ from scipy.special import eval_jacobi, roots_jacobi
 from dirac_nu import wavefn
 from dirac_nu.errors import DomainError, GridTooCoarse, NonNormalizable
 from dirac_nu.model import (
-    MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex, within_doubles,
+    MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, StateIndex, log_grid, within_doubles,
 )
 from dirac_nu.spectrum import (
     ASSEMBLY_STRICT,
@@ -995,6 +995,19 @@ class TestGridAndGuards:
         assert table.node_count == 1
         with pytest.raises(DomainError, match="the spinor table on r in .* leaves the doubles"):
             pseudospin_components(eq, energy, grid=grid)
+
+    @pytest.mark.parametrize("r_min", [1e-310, 1e-320])
+    def test_grid_from_a_subnormal_r_is_a_domain_error_alone(self, r_min):
+        # the centrifugal term (kappa + H) / r is inf at such an r; the table
+        # raises its DomainError with no RuntimeWarning before it
+        eq = ps_eq(0, -1, 0.5)
+        energy = solved(eq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                pseudospin_components(eq, energy, grid=log_grid(r_min, 30.0, 2000))
+        assert str(exc.value) == (f"the spinor table on r in [{r_min!r}, 30.0] at alpha = 0.6 "
+                                  "leaves the doubles: overflow encountered in divide")
 
     def test_default_grid_reaches_decay_target(self):
         eq = ps_eq(1, -1, 1.0)
