@@ -9,10 +9,9 @@ at a time gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DomainError, SolverError
 from .model import (
@@ -26,6 +25,9 @@ from .model import (
     within_doubles,
 )
 from .spectrum import SolveOptions, _doublet_energies, check_doublet
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 DEFAULT_H_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 # the radii and point count of approx_report's grid

@@ -9,16 +9,20 @@ energy as a Python float, for bisection and each root.  All three take f's
 pieces from the same IEEE operations in the same order.  Constants that are
 arrays, one value per energy, give each energy the operations that its
 scalar constants would; :func:`_gathered` makes them for a batch of
-equations.
+equations.  :func:`_slope_bound` bounds f' and the rounding of the computed
+f on one interval of energies: a certificate that f, as :func:`_f_point`
+computes it, is monotone there.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 
 class _FTerms(NamedTuple):
@@ -169,6 +173,132 @@ def _f_point(t: _FTerms, energy: float) -> tuple[float, float, float, float]:
         root_diff = width + math.sqrt(q9) - math.sqrt(q8)
         f = root_diff * root_diff - 4.0 * big_a
     return f, q8, q9, 4.0 * big_a
+
+
+# the unit roundoff of doubles, and the most that one operation whose result
+# underflows adds to its error
+_ROUND = 2.0 ** -53
+_TINY = 2.0 ** -1074
+
+
+def _slope_bound(t: _FTerms, e0: float, e1: float) -> Optional[tuple[float, float]]:
+    """A certificate that f is strictly monotone on [e0, e1], e0 < e1: the
+    pair (slope, eps), or None where it cannot be given.
+
+    |slope| is a lower bound on |f'(E)| over the real interval, its sign
+    that of f', for the exact f of the constants ``t``; eps bounds |f^ - f|
+    at every double E in it, f^ being what :func:`_f_point` computes.  So
+    f^(E2) - f^(E1) has the sign of slope wherever E2 - E1 > 2 eps / |slope|,
+    and for doubles r and E in the interval with |E - r| > (|f^(r)| + 2 eps)
+    / |slope|, f^(E) is nonzero with the sign of slope * (E - r).
+
+    The pieces at both ends are formed as :func:`_f_pieces` forms them and
+    bounded as :func:`_f_bounds` bounds them (Moore 1966, *Interval
+    Analysis*), so q8 and q9 below enclose the computed 4 c8 and 4 c9 at
+    every double of the interval.  None unless every end is finite and both
+    true radicands stay above 0, so that no value is clamped, masked or
+    past the doubles.
+
+    eps, with u = 2^-53, X = max |x| on the interval and P = (|M| + X)(|M| +
+    X + |sigma C|) / 4 alpha^2 bounding |b|: each operation rounds by at
+    most u times its exact result, plus 2^-1074 where it underflows.  So w
+    = (x - M - sigma C) w_scale is off by 3 u w_scale (|M| + X + |sigma C|),
+    b = (M + x)(M - x + sigma C) / 4 alpha^2 by 5 u P, and A, 4 c8 and 4 c9
+    by what they carry from w and b times V1, V3 and V plus their own
+    roundings: at most 6 u, 24 u and 20 u times the sums of their terms'
+    magnitudes, taken here as 8 u, 32 u and 24 u.  A square root of a
+    computed q >= q_lo > 0 is off by e_q / sqrt(q_lo) plus its rounding,
+    W + u - v by both plus two roundings, and the square and f by their
+    first-order propagation.  eps is twice that first-order sum, for the
+    dropped terms and the bound's own rounding.
+
+    slope: with k = (sigma C - 2 x) / 4 alpha^2, f' in x = sigma E is
+    2 (W + u - v)(u' - v') - R' with u' = 2 w_scale V / u, v' = 2 (w_scale
+    V3 + k) / v and R' = 4 (w_scale V1 + k).  u, v and k are enclosed on the
+    whole real interval: 4 c9 is linear, b lies between its corner
+    products, and each true radicand lies within e_q of the computed
+    bounds.  Interval arithmetic on those encloses f' (Neumaier 1990,
+    *Interval Methods for Systems of Equations*).  Its endpoints are
+    computed in round-to-nearest, each off by at most some thirty roundings
+    of the magnitudes involved; the endpoint nearer 0 is moved toward 0 by
+    64 u times those magnitudes and kept where it stays off 0.
+    """
+    mirror, mass, c_sym, ll_c0, c9_base, w_scale, four_a2, v1, v3, v_total, width, _ = t
+    # the ends in x = sigma E, ascending, and the pieces there as _f_pieces forms them
+    x0, x1 = (e0, e1) if mirror > 0.0 else (-e1, -e0)
+    w0 = (x0 - mass - c_sym) * w_scale
+    w1 = (x1 - mass - c_sym) * w_scale
+    up0, up1 = mass + x0, mass + x1  # up0 <= up1 and down0 >= down1
+    down0, down1 = mass - x0 + c_sym, mass - x1 + c_sym
+    if up0 >= 0.0 and down1 >= 0.0:  # as everywhere in the physical window
+        b_lo, b_hi = up0 * down1 / four_a2, up1 * down0 / four_a2
+    else:
+        corners = (up0 * down0, up0 * down1, up1 * down0, up1 * down1)
+        b_lo, b_hi = min(corners) / four_a2, max(corners) / four_a2
+    s0, s1 = ll_c0 + w0 * v1, ll_c0 + w1 * v1
+    c0, c1 = ll_c0 + w0 * v3, ll_c0 + w1 * v3
+    q9_lo, q9_hi = 4.0 * (c9_base + w0 * v_total), 4.0 * (c9_base + w1 * v_total)
+    if s0 > s1:
+        s0, s1 = s1, s0
+    if c0 > c1:
+        c0, c1 = c1, c0
+    if q9_lo > q9_hi:
+        q9_lo, q9_hi = q9_hi, q9_lo
+    q8_lo, q8_hi = 4.0 * (c0 + b_lo), 4.0 * (c1 + b_hi)
+    # 4 A, 4 c8 and 4 c9 stay in the doubles at every double where their ends
+    # do; a comparison passes over a NaN, a sum does not.  x0 + x1 finite
+    # keeps every bisection mid of the interval finite
+    if not math.isfinite(x0 + x1 + 4.0 * (s0 + b_lo) + 4.0 * (s1 + b_hi)
+                         + q8_lo + q8_hi + q9_lo + q9_hi):
+        return None
+
+    # magnitudes: of x, of w, of b, of k and of the terms of A, c8 and c9
+    far = x1 if x1 > -x0 else -x0
+    near = abs(mass) + far
+    wide = abs(w_scale) * (near + abs(c_sym))
+    prod = near * (near + abs(c_sym)) / four_a2
+    k_top = (abs(c_sym) + 2.0 * far) / four_a2
+    a1, a3, a9 = abs(w_scale * v1), abs(w_scale * v3), abs(w_scale * v_total)
+    m1 = abs(ll_c0) + abs(v1) * wide + prod
+    e_a = 8.0 * _ROUND * m1 + (abs(v1) + 3.0) * _TINY
+    e_8 = 32.0 * _ROUND * (abs(ll_c0) + abs(v3) * wide + prod) + 4.0 * (abs(v3) + 3.0) * _TINY
+    e_9 = 24.0 * _ROUND * (abs(c9_base) + abs(v_total) * wide) + 4.0 * (abs(v_total) + 1.0) * _TINY
+    low9, low8 = q9_lo - e_9, q8_lo - e_8
+    if not (low9 > 0.0 and low8 > 0.0):
+        return None
+    # the true u and v, whose bounds also bound the computed ones
+    u_lo, u_hi = math.sqrt(low9), math.sqrt(q9_hi + e_9)
+    v_lo, v_hi = math.sqrt(low8), math.sqrt(q8_hi + e_8)
+    span = width + u_hi + v_hi  # bounds |W + u - v|
+    e_d = e_9 / u_lo + e_8 / v_lo + 3.0 * _ROUND * span
+    eps = 2.0 * (e_d * (2.0 * span + e_d) + 4.0 * e_a
+                 + _ROUND * (2.0 * span * span + 4.0 * m1) + _TINY)
+    if not eps < math.inf:
+        return None
+
+    # f' on the real interval, from the enclosures of u, v and k
+    k_lo, k_hi = (c_sym - 2.0 * x1) / four_a2, (c_sym - 2.0 * x0) / four_a2
+    du = 2.0 * w_scale * v_total
+    du_lo, du_hi = (du / u_hi, du / u_lo) if du >= 0.0 else (du / u_lo, du / u_hi)
+    dv_lo, dv_hi = 2.0 * (w_scale * v3 + k_lo), 2.0 * (w_scale * v3 + k_hi)
+    dv_lo /= v_hi if dv_lo >= 0.0 else v_lo
+    dv_hi /= v_lo if dv_hi >= 0.0 else v_hi
+    g_lo, g_hi = du_lo - dv_hi, du_hi - dv_lo
+    d_lo, d_hi = width + u_lo - v_hi, width + u_hi - v_lo
+    if d_lo >= 0.0:
+        dg_lo = d_lo * g_lo if g_lo >= 0.0 else d_hi * g_lo
+        dg_hi = d_hi * g_hi if g_hi >= 0.0 else d_lo * g_hi
+    else:
+        dg = (d_lo * g_lo, d_lo * g_hi, d_hi * g_lo, d_hi * g_hi)
+        dg_lo, dg_hi = min(dg), max(dg)
+    fx_lo = 2.0 * dg_lo - 4.0 * (w_scale * v1 + k_hi)
+    fx_hi = 2.0 * dg_hi - 4.0 * (w_scale * v1 + k_lo)
+    slack = 64.0 * _ROUND * (4.0 * span * (a9 / u_lo + (a3 + k_top) / v_lo) + 4.0 * (a1 + k_top))
+    if fx_lo > slack:
+        return mirror * (fx_lo - slack), eps
+    if fx_hi < -slack:
+        return mirror * (fx_hi + slack), eps
+    return None
 
 
 def _gathered(shared: _FTerms, varies: list[bool], cols: NDArray[np.float64],

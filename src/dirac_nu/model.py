@@ -26,14 +26,16 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Union
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DomainError
 
-ArrayLike = Union[float, NDArray[np.float64]]
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
+
+    ArrayLike = Union[float, NDArray[np.float64]]
 
 PSEUDOSPIN = "pseudospin"
 SPIN = "spin"

@@ -19,9 +19,10 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
-from numpy.typing import NDArray
 
 if TYPE_CHECKING:
+    from numpy.typing import NDArray
+
     from .fcore import _FTerms
 
 
@@ -134,6 +135,10 @@ class _Samples(NamedTuple):
         if index[-1] == self.points - 1:
             energies[-1] = self.hi
         return energies
+
+    def at(self, i: int) -> float:
+        """Uniform sample i of a rule without ``table``, as :meth:`uniform` gives it."""
+        return self.hi if i == self.points - 1 else i * self.step + self.lo
 
     def position(self, index: NDArray[np.int64]) -> NDArray[np.int64]:
         """Where the uniform samples at ``index`` sit among all samples."""

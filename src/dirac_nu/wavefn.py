@@ -54,10 +54,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import (
     DenominatorNearZero,
@@ -68,6 +67,9 @@ from .errors import (
 from .model import PSEUDOSPIN, SPIN, StateIndex, log_grid, within_doubles
 from .nu_core import NuProblem, derive_constants
 from .spectrum import EnergyEquation, normal_form
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 DECAYING = "decaying"
 TERMINATING = "terminating"

@@ -107,6 +107,12 @@ class TestImportSurface:
                             ) == {"dirac_nu"}
         assert set(ALL) <= set(dir(dirac_nu))
 
+    def test_cli_import_leaves_numpy_typing_unloaded(self):
+        # the modules name NDArray in annotations alone, under TYPE_CHECKING
+        loaded = loaded_after("import dirac_nu.cli\nimport sys\n"
+                              "assert 'numpy.typing' not in sys.modules, 'numpy.typing'")
+        assert {"numpy", "dirac_nu.spectrum", "dirac_nu.wavefn", "dirac_nu.analysis"} <= loaded
+
     def test_version_is_a_plain_attribute(self):
         assert vars(dirac_nu)["__version__"] == "0.1.0"
 

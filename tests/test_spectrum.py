@@ -613,8 +613,10 @@ class TestOnePass:
 
     @pytest.mark.parametrize("oracle_check", [True, False])
     def test_constants_then_oracle_then_scan(self, oracle_check, monkeypatch):
+        # every scan starts with its bound pass; at this state it evaluates
+        # no block of samples (TestMonotoneRuns)
         calls = []
-        for name in ("_f_terms", "quartic_oracle", "_f_arrays"):
+        for name in ("_f_terms", "quartic_oracle", "_f_bounds"):
             def traced(*args, _name=name, _fn=getattr(spectrum, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
@@ -622,8 +624,8 @@ class TestOnePass:
         eq = build_equation(ps_params(1.0), StateIndex(1, -1))
         solve_spectrum(eq, SolveOptions(oracle_check=oracle_check))
         firsts = sorted(set(calls), key=calls.index)
-        expected = ["_f_terms", "quartic_oracle", "_f_arrays"]
-        assert firsts == (expected if oracle_check else ["_f_terms", "_f_arrays"])
+        expected = ["_f_terms", "quartic_oracle", "_f_bounds"]
+        assert firsts == (expected if oracle_check else ["_f_terms", "_f_bounds"])
 
     @pytest.mark.parametrize("oracle_check", [True, False])
     def test_each_root_built_once(self, oracle_check, monkeypatch):
@@ -1012,6 +1014,235 @@ class TestCertifiedScan:
         # never evaluated
         assert min(brackets, zeros, masked, errors, with_boundaries) > 0
         assert light_evaluated < 0.2 * light, (light_evaluated, light)
+
+
+def exact_f(terms, energy, mp):
+    """f and df/dE of the constants ``terms`` at ``energy``, both in mpmath
+    at 60 digits: the real function that the computed f approximates."""
+    mp.mp.dps = 60
+    mirror, mass, c_sym, ll_c0, c9_base, w_scale, four_a2, v1, v3, v_total, width, _ = (
+        mp.mpf(c) for c in terms)
+    x = mirror * mp.mpf(energy)
+    w = (x - mass - c_sym) * w_scale
+    b = (mass + x) * (mass - x + c_sym) / four_a2
+    u = mp.sqrt(4 * (c9_base + w * v_total))
+    v = mp.sqrt(4 * (ll_c0 + w * v3 + b))
+    d = width + u - v
+    k = (c_sym - 2 * x) / four_a2
+    slope = 2 * d * (2 * w_scale * v_total / u - 2 * (w_scale * v3 + k) / v) - 4 * (w_scale * v1 + k)
+    return d * d - 4 * (ll_c0 + w * v1 + b), mirror * slope
+
+
+def zero_terms():
+    """Constants whose f = (sqrt(4 (11 - E)) - 3)^2 - 16 falls strictly on
+    [-5, 5] and is exactly 0 at E = -1.25 (4 c9 = 49 there), b2 negligible."""
+    return spectrum._FTerms(mirror=1.0, mass=10.0, c_sym=0.0, ll_c0=4.0, c9_base=1.0,
+                            w_scale=1.0, four_a2=1e300, v1=0.0, v3=0.0, v_total=-1.0,
+                            width=1.0, clamp=-4e-12)
+
+
+class TestMonotoneRuns:
+    """A run of open blocks, or a bracket, on which an interval bound of f'
+    proves f strictly monotone is settled from a few values of f, with the
+    brackets, zeros and roots of the plain scan and bisection, bit for bit."""
+
+    @staticmethod
+    def intervals(eq, rng):
+        """Intervals of the solve's window: the brackets of a 2001-sample
+        scan and random ones of widths 1e-12 of the window to all of it."""
+        lo, hi = search_window(eq)
+        terms = eq.terms
+        scan = spectrum._scan(terms, spectrum._scan_samples(terms, lo, hi, 2001), str)
+        out = [(a, b) for a, b, _, _ in scan.brackets]
+        for _ in range(4):
+            half = (hi - lo) * 10.0 ** rng.uniform(-12.0, 0.0)
+            center = rng.uniform(lo, hi)
+            a, b = max(center - half, lo), min(center + half, hi)
+            if a < b:
+                out.append((a, b))
+        return out
+
+    def test_slope_bound_encloses_f_and_its_derivative(self):
+        # at each of a dozen doubles of every certified interval, the computed
+        # f is within eps of the exact one and the exact f' has the slope's
+        # sign and at least its size
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random("slope bound")
+        certified = refused = 0
+        for i in range(60):
+            case = draw_case(rng)
+            mass = math.exp(rng.uniform(0.0, math.log(1e5)))
+            params = ModelParams(**dict(case.params(), mass=mass,
+                                        c_sym=case.c_sym / case.mass * mass))
+            eq = build_equation(params, StateIndex(case.n, case.kappa), case.assembly)
+            terms = eq.terms
+            for a, b in self.intervals(eq, rng):
+                cert = spectrum._slope_bound(terms, a, b)
+                if cert is None:
+                    refused += 1
+                    continue
+                certified += 1
+                slope, eps = cert
+                points = [a, b, math.nextafter(a, b), math.nextafter(b, a)]
+                points += [rng.uniform(a, b) for _ in range(8)]
+                for e in points:
+                    f, f_prime = exact_f(terms, e, mp)
+                    assert abs(spectrum._f_point(terms, e)[0] - f) <= eps, (eq, a, b, e)
+                    assert f_prime * slope > 0 and abs(f_prime) >= abs(slope), (eq, a, b, e)
+        assert certified > 150 and refused > 10, (certified, refused)
+
+    def test_none_across_a_turning_point_or_a_radicand_boundary(self):
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        terms = eq.terms
+        # f falls from -5 to its minimum and rises again to 5
+        assert spectrum._slope_bound(terms, -4.9, 4.9) is None
+        sliver = build_equation(spin_params(), StateIndex(0, -2), ASSEMBLY_STRICT)
+        (edge,) = spectrum._radicand_boundaries(sliver.terms, *search_window(sliver))
+        # 4 c8 is negative past the boundary: across it or beyond it, no
+        # certificate; just before it, with the root, one
+        assert spectrum._slope_bound(sliver.terms, edge - 1e-5, edge + 1e-5) is None
+        assert spectrum._slope_bound(sliver.terms, edge + 1e-7, edge + 1e-5) is None
+        slope, eps = spectrum._slope_bound(sliver.terms, edge - 1e-5, edge - 1e-7)
+        assert slope > 0.0 and 0.0 < eps < 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-15, 1e-100, 1e-300])
+    def test_certified_bisection_is_plain_bisection(self, tol, monkeypatch):
+        rng = random.Random(f"replay {tol}")
+        opts = SolveOptions(bisect_tol=tol)
+        brackets = []
+        for eq in seeded_equations(90, seed="replay") + [build_equation(ps_params(1.0),
+                                                                         StateIndex(1, -1))]:
+            lo, hi = search_window(eq)
+            for points in (20001, 201, 3):
+                scan = spectrum._scan(eq.terms, spectrum._scan_samples(eq.terms, lo, hi, points), str)
+                brackets += [(eq.terms, bracket) for bracket in scan.brackets]
+        certified = sum(spectrum._slope_bound(t, a, b) is not None for t, (a, b, _, _) in brackets)
+        replayed = [spectrum._bisect(t, *bracket, opts) for t, bracket in brackets]
+        monkeypatch.setattr(spectrum, "_slope_bound", lambda *args: None)
+        plain = [spectrum._bisect(t, *bracket, opts) for t, bracket in brackets]
+        assert same_bits(replayed, plain)
+        # the wide brackets of 3 samples are certified about half the time
+        assert len(brackets) > 200 and len(brackets) - 50 > certified > 150, (
+            len(brackets), certified)
+
+    def test_readme_state_evaluates_no_block_and_few_points(self, monkeypatch):
+        evaluated, per_root, bisecting = [], [], []
+        f_arrays, f_point, bisect_one = spectrum._f_arrays, spectrum._f_point, spectrum._bisect
+
+        def counting_arrays(*args):
+            evaluated.append(args[1].size)
+            return f_arrays(*args)
+
+        def counting_point(*args):
+            if bisecting:
+                bisecting[-1] += 1
+            return f_point(*args)
+
+        def counting_bisect(*args):
+            bisecting.append(0)
+            try:
+                return bisect_one(*args)
+            finally:
+                per_root.append(bisecting.pop())
+
+        monkeypatch.setattr(spectrum, "_f_arrays", counting_arrays)
+        monkeypatch.setattr(spectrum, "_f_point", counting_point)
+        monkeypatch.setattr(spectrum, "_bisect", counting_bisect)
+        params, state, assembly, roots = TestScalarTwin.PINNED["readme"]
+        assert solve_spectrum(build_equation(params, state, assembly)).roots == roots
+        # about 31 calls a root by plain bisection
+        assert evaluated == [] and len(per_root) == 2 and max(per_root) <= 12, per_root
+
+    def test_runs_match_an_evaluation_of_every_sample(self, monkeypatch):
+        # every run _monotone_run settles, against f at each of its samples;
+        # and the scan's result, against the full grid's
+        settled = []
+        monotone_run = spectrum._monotone_run
+
+        def recording(t, s, a, b, closing):
+            found = monotone_run(t, s, a, b, closing)
+            if found is not None:
+                settled.append((t, s, a, b, closing, found))
+            return found
+
+        monkeypatch.setattr(spectrum, "_monotone_run", recording)
+        # above mass 1e3 few runs are certified, so the light states come twice
+        light = [(eq, None, points) for eq in seeded_equations(60, seed="monotone runs")
+                 for points in (20001, 2001)]
+        for eq, margin, points in scan_cases() + light:
+            lo, hi = search_window(eq, margin)
+            samples = spectrum._scan_samples(eq.terms, lo, hi, points)
+            got = outcome(lambda t, s: spectrum._scan(t, s, lambda: "the scan"), eq.terms, samples)
+            assert got == outcome(full_scan, eq.terms, spectrum._scan_grid(eq.terms, lo, hi, points))
+        brackets = 0
+        for t, s, a, b, closing, (found, zeros) in settled:
+            energies = s.between(a, b)
+            f = spectrum._f_arrays(t, energies)
+            assert np.isfinite(f).all()
+            change = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+            assert found == [(float(energies[i]), float(energies[i + 1]), float(f[i]),
+                              float(f[i + 1])) for i in change]
+            owned = f if closing else f[:-1]
+            assert zeros == energies[:owned.size][owned == 0.0].tolist()
+            brackets += len(found)
+        assert len(settled) > 90 and brackets > 90, (len(settled), brackets)
+
+    @pytest.mark.parametrize("lo, hi, points, closing, zeros", [
+        (-5.0, 5.0, 9, True, [-1.25]), (-5.0, -1.25, 4, True, [-1.25]),
+        (-5.0, -1.25, 4, False, []), (-1.25, 5.0, 6, False, [-1.25]), (0.0, 5.0, 6, True, [])])
+    def test_an_exact_zero_at_a_sample(self, lo, hi, points, closing, zeros):
+        # a run owns its last sample only where it ends the scan; f < 0 on [0, 5]
+        terms = zero_terms()
+        samples = spectrum._scan_samples(terms, lo, hi, points)
+        assert samples.slots == [] and spectrum._f_point(terms, -1.25)[0] == 0.0
+        assert spectrum._monotone_run(terms, samples, 0, points - 1, closing) == ([], zeros)
+        grid = spectrum._scan_grid(terms, lo, hi, points)
+        assert spectrum._scan(terms, samples, str) == full_scan(terms, grid)
+
+    # the README state's roots with grid_points=3, as plain bisection of the
+    # two half-window brackets finds them
+    GRID_3 = (-4.672750522580662, 4.849764677490898)
+
+    def test_a_non_monotone_run_is_evaluated(self, monkeypatch):
+        # grid_points=3 makes the whole window one run of two blocks, with
+        # both roots and f's minimum between them
+        runs, evaluated = [], []
+        monotone_run, f_arrays = spectrum._monotone_run, spectrum._f_arrays
+        monkeypatch.setattr(spectrum, "_monotone_run",
+                            lambda *args: runs.append(monotone_run(*args)) or runs[-1])
+        monkeypatch.setattr(spectrum, "_f_arrays",
+                            lambda *args: evaluated.append(args[1].tolist()) or f_arrays(*args))
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        res = solve_spectrum(eq, SolveOptions(grid_points=3))
+        assert runs == [None] and evaluated == [[-4.999999995, 0.0, 4.999999995]]
+        assert tuple(r.energy for r in res.roots) == self.GRID_3
+
+    def test_a_packed_root_block_is_evaluated(self, monkeypatch):
+        # the positive root of the radicand sliver lies in the last block,
+        # among the samples packed against the radicand boundary
+        runs, evaluated = [], []
+        monotone_run, f_arrays = spectrum._monotone_run, spectrum._f_arrays
+        monkeypatch.setattr(spectrum, "_monotone_run",
+                            lambda *args: runs.append(args[2:4]) or monotone_run(*args))
+        monkeypatch.setattr(spectrum, "_f_arrays",
+                            lambda *args: evaluated.append(args[1].size) or f_arrays(*args))
+        params, state, assembly, roots = TestScalarTwin.PINNED["radicand_sliver"]
+        assert solve_spectrum(build_equation(params, state, assembly)).roots == roots
+        # the block's 314 uniform samples and 12 packed ones
+        assert (19687, 20000) not in runs and evaluated == [326]
+
+    @pytest.mark.parametrize("mass", [1e45, 1e75])
+    def test_noise_is_never_certified(self, mass, monkeypatch):
+        # f is rounding noise: no run and no bracket gets a certificate, so
+        # the scan and bisection are the plain ones (TestOnePass pins the errors)
+        certificates = []
+        slope_bound = spectrum._slope_bound
+        monkeypatch.setattr(spectrum, "_slope_bound",
+                            lambda *args: certificates.append(slope_bound(*args)) or certificates[-1])
+        eq = build_equation(ps_params(1.0, mass=mass), StateIndex(1, -1))
+        with pytest.raises(DomainError, match="bisect_tol=1e-12 is too small"):
+            solve_spectrum(eq)
+        assert len(certificates) > 0 and set(certificates) == {None}
 
 
 class TestSampleRule:
