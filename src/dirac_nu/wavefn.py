@@ -38,15 +38,21 @@ depend on the state are built once per order, on first use; a table takes
 the origin panel's moments once, for both orders.
 
 Each caller evaluates the solved component only up to the derivative order
-it reads: ``lower_component`` takes psi, the completion (``_complete``)
-takes psi and s psi' for the coupled partner, and only ``verify_ode``
-takes s^2 psi'' as well.  Every evaluation goes through one core,
-``_evaluate``: ``BranchFunctions.evaluate`` wraps it, and ``verify_ode``
-calls it with the s and 1 - s that its own rational term reads.  The core,
-the Jacobi sums, the completion and the residual compute in place: each
-operation of the written-out formulas is done once, with its operands in
-their order, into an array the call owns, so the results, and the first
-operation to leave the doubles, are those of the formulas.
+it reads: ``lower_component`` takes psi; the completion (``_complete``)
+takes psi and s psi' over r and the quadrature nodes for the coupled
+partner, then, after its norm check, s^2 psi'' on the interior of r alone
+for the residual, which ``verify_ode`` computes from these arrays.  So a
+spin table evaluates its branch once and a pseudospin table twice, its
+lower table and the completion.  ``verify_ode`` called on its own
+evaluates the branch itself, and both paths feed one residual core,
+``_residual``.  Every evaluation goes through one core, ``_evaluate``:
+``BranchFunctions.evaluate`` wraps it, and the completion and
+``verify_ode`` call it with the s and 1 - s that the residual's rational
+term reads as well.  The core, the Jacobi sums, the completion and the
+residual compute in place: each operation of the written-out formulas is
+done once, with its operands in their order, into an array the call owns,
+so the results, and the first operation to leave the doubles, are those of
+the formulas.
 """
 
 from __future__ import annotations
@@ -157,13 +163,17 @@ def jacobi_eval(spec: JacobiSpec, x: NDArray[np.float64]) -> NDArray[np.float64]
     return _horner([(spec.n, spec.a, spec.b)], np.asarray(x, dtype=float))[0][()]
 
 
-def _derivatives(spec: JacobiSpec, x: NDArray[np.float64], top: int) -> list[NDArray[np.float64]]:
-    """d^m/dx^m P_n^{(a, b)}(x) for m = 1 .. top, from one Horner pass, via
+def _derivatives(
+    spec: JacobiSpec, x: NDArray[np.float64], top: int, low: int = 1
+) -> list[NDArray[np.float64]]:
+    """d^m/dx^m P_n^{(a, b)}(x) for m = low .. top, from one Horner pass, via
     the degree-lowering identity
 
         d/dx P_n^{(a, b)} = (n + a + b + 1)/2 * P_{n-1}^{(a+1, b+1)}.
 
-    Orders above n give zeros.
+    Orders above n give zeros.  An order's factor and sum do not depend on
+    the orders taken with it, so a pass from low > 1 gives the bits of the
+    pass from 1.
     """
     n, a, b = spec.n, spec.a, spec.b
     factors: list[float] = []
@@ -171,18 +181,28 @@ def _derivatives(spec: JacobiSpec, x: NDArray[np.float64], top: int) -> list[NDA
     factor = 1.0
     for m in range(min(top, n)):
         factor *= 0.5 * (n - m + a + m + b + m + 1.0)
-        factors.append(factor)
-        lowered.append((n - (m + 1), a + (m + 1), b + (m + 1)))
+        if m + 1 >= low:
+            factors.append(factor)
+            lowered.append((n - (m + 1), a + (m + 1), b + (m + 1)))
     sums = _horner(lowered, x)
     for factor, total in zip(factors, sums):
         total *= factor
-    return sums + [np.zeros(x.shape) for _ in range(top - len(sums))]
+    return sums + [np.zeros(x.shape) for _ in range(top + 1 - low - len(sums))]
+
+
+def _s_and_one_minus(log_s: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """s = exp(log_s) and 1 - s = -expm1(log_s), which keeps the digits
+    that 1 - s would lose near s = 1."""
+    s = np.exp(log_s)
+    one_minus = np.expm1(log_s)
+    return s, np.negative(one_minus, out=one_minus)
 
 
 def _evaluate(
     bf: BranchFunctions, log_s: NDArray[np.float64], s: NDArray[np.float64],
     one_minus: NDArray[np.float64], order: int, log_scale: Optional[NDArray[np.float64]] = None,
-) -> tuple[NDArray[np.float64], ...]:
+    deferred: Optional[slice] = None,
+) -> tuple:
     """``BranchFunctions.evaluate`` on arrays of one or more dimensions, given
     s = exp(log_s) and 1 - s = -expm1(log_s) as well, which it only reads.
 
@@ -191,6 +211,12 @@ def _evaluate(
     once for both terms of order 2 that carry it.  Inside
     ``within_doubles`` the first operation to leave the doubles names the
     error, as it would in the formulas written out.
+
+    With ``deferred``, a slice of the points, order 2 waits: the third term
+    returned is a function that, called once, forms s^2 psi'' on those
+    points alone from the arrays of orders 0 and 1, with the same
+    operations on each point.  The completion calls it on the interior of
+    its grid, after its norm check.
     """
     p, t = bf.s_exponent, bf.one_minus_exponent
     x = np.multiply(2.0, s)
@@ -208,25 +234,33 @@ def _evaluate(
     q = np.divide(s, one_minus, out=log_one_minus)  # the log is spent
     t_q = np.multiply(t, q)
     slope = np.subtract(p, t_q)
-    dw, *higher = _derivatives(bf.jacobi, x, order)
+    (dw,) = _derivatives(bf.jacobi, x, 1)
     s_dpsi = np.multiply(slope, w)
     s_term = np.multiply(2.0, s)
     s_dpsi -= np.multiply(s_term, dw, out=s_term)
     np.multiply(common, s_dpsi, out=s_dpsi)
     if order == 1:
         return psi, s_dpsi
-    (d2w,) = higher
-    s2_d2psi = np.multiply(slope, slope)
-    s2_d2psi -= p
-    s2_d2psi -= np.multiply(t_q, q, out=q)
-    s2_d2psi *= w
-    np.multiply(4.0, s, out=s_term)
-    s2_d2psi -= np.multiply(np.multiply(s_term, slope, out=t_q), dw, out=t_q)
-    s_term *= s
-    s_term *= d2w
-    s2_d2psi += s_term
-    np.multiply(common, s2_d2psi, out=s2_d2psi)
-    return psi, s_dpsi, s2_d2psi
+    part = slice(None) if deferred is None else deferred
+
+    def second() -> NDArray[np.float64]:
+        # in place on the part's views of q, t_q and s_term, spent by order 1
+        s_part, q_part, t_q_part, slope_part = s[part], q[part], t_q[part], slope[part]
+        (d2w,) = _derivatives(bf.jacobi, x[part], 2, 2)
+        s2_d2psi = np.multiply(slope_part, slope_part)
+        s2_d2psi -= p
+        s2_d2psi -= np.multiply(t_q_part, q_part, out=q_part)
+        s2_d2psi *= w[part]
+        four_s = np.multiply(4.0, s_part, out=s_term[part])
+        s2_d2psi -= np.multiply(np.multiply(four_s, slope_part, out=t_q_part), dw[part],
+                                out=t_q_part)
+        four_s *= s_part
+        four_s *= d2w
+        s2_d2psi += four_s
+        np.multiply(common[part], s2_d2psi, out=s2_d2psi)
+        return s2_d2psi
+
+    return psi, s_dpsi, (second() if deferred is None else second)
 
 
 @dataclass(frozen=True)
@@ -236,10 +270,11 @@ class BranchFunctions:
     ``evaluate`` gives the function of s and its s-derivatives up to the
     order its caller reads, from log s; everything downstream (radial
     derivatives, coupling, normalization, residuals) chains these.  The
-    lower table and ``value`` read psi alone (order 0), the completion and
-    ``d_ds`` read psi and s psi' (order 1), and only ``verify_ode`` reads
-    s^2 psi'' (order 2), through ``_evaluate`` with the s and 1 - s it needs
-    itself.  ``value`` and ``d_ds`` are the evaluation taken at s.
+    lower table and ``value`` read psi alone (order 0), ``d_ds`` reads psi
+    and s psi' (order 1), and only the residual reads s^2 psi'' (order 2),
+    which the completion and ``verify_ode`` form through ``_evaluate`` with
+    the s and 1 - s they need themselves.  ``value`` and ``d_ds`` are the
+    evaluation taken at s.
     """
 
     branch: str
@@ -278,9 +313,7 @@ class BranchFunctions:
         """
         log_s = np.asarray(log_s, dtype=float)
         flat = log_s.reshape(log_s.shape or 1)
-        s = np.exp(flat)
-        one_minus = np.expm1(flat)
-        terms = _evaluate(self, flat, s, np.negative(one_minus, out=one_minus), order, log_scale)
+        terms = _evaluate(self, flat, *_s_and_one_minus(flat), order, log_scale)
         return terms if log_s.ndim else tuple(term[0] for term in terms)
 
     def value(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -346,6 +379,11 @@ def _branch_and_grid(
     bf = branch_functions(eq, energy, branch)
     if grid is None:
         return bf, _decay_grid(eq.params.alpha, bf.nu, energy)
+    return bf, _checked_grid(grid)
+
+
+def _checked_grid(grid: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``grid`` as an array of doubles, once it is a valid radial grid."""
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise DomainError("grid must be a 1-d array with at least two points")
@@ -353,7 +391,13 @@ def _branch_and_grid(
     # is finite and positive throughout, and a NaN fails every comparison
     if not (r[0] > 0.0 and math.isfinite(r[-1]) and (r[1:] > r[:-1]).all()):
         raise DomainError("grid must be finite, strictly positive and increasing")
-    return bf, r
+    return r
+
+
+def _check_interior(count: int) -> None:
+    """GridTooCoarse unless a residual has its MIN_INTERIOR interior points."""
+    if count < MIN_INTERIOR:
+        raise GridTooCoarse(f"{count} interior points < required {MIN_INTERIOR}")
 
 
 def node_count_of(values: NDArray[np.float64]) -> int:
@@ -583,7 +627,8 @@ def _norm_rules(
 
 
 def _complete(
-    eq: EnergyEquation, energy: float, bf: BranchFunctions, r: NDArray[np.float64]
+    eq: EnergyEquation, energy: float, bf: BranchFunctions, r: NDArray[np.float64],
+    checked: bool,
 ) -> WavefunctionTable:
     """Normalized (G, F) table of one state on grid r, in either limit.
 
@@ -596,8 +641,16 @@ def _complete(
     at both orders; a result that is not finite and positive, or two orders
     that disagree by more than NORM_RTOL, is NonNormalizable.  The solved
     component is G in the pseudospin limit and F in the spin one; the table
-    counts its nodes.  The components or the residual leaving the doubles,
-    as they do near a tiny r, is a DomainError.
+    counts its nodes.
+
+    Once the norm is checked, the evaluation goes on to order 2 on the
+    interior of r alone, and ``verify_ode`` takes the residual from these
+    arrays: a spin table evaluates its branch once, a pseudospin table once
+    more than its lower table does.  So that the errors stay those of
+    ``verify_ode`` on its own, a grid that is not ``checked`` (a lower
+    table's, which the caller can replace) is checked first, then its
+    interior count.  The components or the residual leaving the doubles, as
+    they do near a tiny r, is a DomainError.
     """
     p = eq.params
     denom = _coupling_denominator(eq, energy)
@@ -611,9 +664,12 @@ def _complete(
         return (f"the spinor table on r in [{float(r[0])!r}, {float(r[-1])!r}] "
                 f"at alpha = {p.alpha!r}")
 
+    inner = slice(1, r.size - 1)
     with within_doubles(table):
-        solved, s_d_ds = bf.evaluate(-2.0 * p.alpha * at, 1, log_scale)
-        partner = np.multiply(-2.0 * p.alpha, s_d_ds, out=s_d_ds)  # d/dr
+        log_s = -2.0 * p.alpha * at
+        s, one_minus = _s_and_one_minus(log_s)
+        solved, s_dpsi, second_order = _evaluate(bf, log_s, s, one_minus, 2, log_scale, inner)
+        partner = np.multiply(-2.0 * p.alpha, s_dpsi)  # d/dr; s psi' stays for the residual
         partner -= np.multiply(centrifugal, solved, out=centrifugal)
         partner /= denom
     # the density is read on the nodes alone, whose components the table drops
@@ -630,8 +686,12 @@ def _complete(
             f"{low!r} at order {low_order}"
         )
     norm = 1.0 / math.sqrt(integral)
+    if not checked:
+        _checked_grid(r)
+    _check_interior(r.size - 2)
     with within_doubles(table):
-        residual = verify_ode(eq, energy, branch=bf.branch, grid=r)
+        evaluated = (bf, s[inner], one_minus[inner], solved[inner], s_dpsi[inner], second_order())
+        residual = verify_ode(eq, energy, branch=bf.branch, grid=r, _evaluated=evaluated)
     solved, partner = solved[: r.size], partner[: r.size]
     g, f = (solved, partner) if p.symmetry == PSEUDOSPIN else (partner, solved)
     return WavefunctionTable(
@@ -655,12 +715,24 @@ def _complete(
 def upper_component_from_lower(
     eq: EnergyEquation, lower: WavefunctionTable
 ) -> WavefunctionTable:
-    """Complete a pseudospin table: derive F, then normalize the pair."""
+    """Complete a pseudospin table: derive F, then normalize the pair.
+
+    The table must be one of ``eq``: of its state, and with the nu and mu
+    of ``eq``'s branch at the table's energy; DomainError otherwise.
+    """
     if eq.params.symmetry != PSEUDOSPIN:
         raise DomainError("upper_component_from_lower expects a pseudospin-limit equation")
     if lower.symmetry != PSEUDOSPIN:
         raise DomainError("lower table was not built in the pseudospin limit")
-    return _complete(eq, lower.energy, branch_functions(eq, lower.energy, lower.branch), lower.r)
+    if lower.state != eq.state:
+        raise DomainError(f"lower table is of state {lower.state!r}, the equation of {eq.state!r}")
+    bf = branch_functions(eq, lower.energy, lower.branch)
+    if (bf.nu, bf.mu) != (lower.nu, lower.mu):
+        raise DomainError(
+            f"lower table has nu = {lower.nu!r}, mu = {lower.mu!r}; the equation gives "
+            f"nu = {bf.nu!r}, mu = {bf.mu!r} at E = {lower.energy!r}"
+        )
+    return _complete(eq, lower.energy, bf, lower.r, checked=False)
 
 
 def spin_limit_components(
@@ -672,7 +744,7 @@ def spin_limit_components(
     """Full spinor pair of a spin-limit state: solved F, derived G."""
     if eq.params.symmetry != SPIN:
         raise DomainError("spin_limit_components expects a spin-limit equation")
-    return _complete(eq, energy, *_branch_and_grid(eq, energy, branch, grid))
+    return _complete(eq, energy, *_branch_and_grid(eq, energy, branch, grid), checked=True)
 
 
 def pseudospin_components(
@@ -690,6 +762,8 @@ def verify_ode(
     energy: float,
     branch: str = TERMINATING,
     grid: Optional[NDArray[np.float64]] = None,
+    *,
+    _evaluated: Optional[tuple] = None,
 ) -> float:
     """Max relative residual of the transformed equation on interior points.
 
@@ -704,18 +778,28 @@ def verify_ode(
     branch drives this below 1e-8; the decaying branch does not satisfy
     this equation and stays at order one, which is exactly what makes the
     (residual, decay) pair discriminate the branches.
+
+    ``_evaluated`` is the completion's alone (``_complete``): its branch
+    and the s, 1 - s, psi, s psi' and s^2 psi'' it evaluated on the
+    interior of ``grid``, which stand in for this function's own branch,
+    grid check and evaluation.  Both feed ``_residual``.
     """
-    bf, r = _branch_and_grid(eq, energy, branch, grid)
-    log_s = -2.0 * eq.params.alpha * r[1:-1]
-    if log_s.size < MIN_INTERIOR:
-        raise GridTooCoarse(
-            f"{log_s.size} interior points < required {MIN_INTERIOR}"
-        )
+    if _evaluated is None:
+        bf, r = _branch_and_grid(eq, energy, branch, grid)
+        log_s = -2.0 * eq.params.alpha * r[1:-1]
+        _check_interior(log_s.size)
+        s, one_minus = _s_and_one_minus(log_s)
+        _evaluated = (bf, s, one_minus, *_evaluate(bf, log_s, s, one_minus, 2))
+    return _residual(*_evaluated)
+
+
+def _residual(
+    bf: BranchFunctions, s: NDArray[np.float64], one_minus: NDArray[np.float64],
+    psi: NDArray[np.float64], s_dpsi: NDArray[np.float64], s2_d2psi: NDArray[np.float64],
+) -> float:
+    """``verify_ode``'s residual from the terms at its interior points; s,
+    1 - s, s psi' and s^2 psi'' are spent."""
     problem = bf.problem
-    s = np.exp(log_s)
-    one_minus = np.expm1(log_s)
-    np.negative(one_minus, out=one_minus)
-    psi, s_dpsi, s2_d2psi = _evaluate(bf, log_s, s, one_minus, 2)
     # term3 = (-A s^2 + B s - C) / (1 - s)^2 psi, with (1 - s)^2 = expm1(log s)^2
     term3 = np.multiply(-problem.big_a, s)
     term3 *= s

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -640,14 +641,15 @@ class TestVerifyOde:
 
 class TestWorkPerTable:
     """A table derives the constants once per branch it builds: for the lower
-    table (pseudospin only), for the completion, and in verify_ode; it
-    evaluates the branch as often, the completion once for its grid and both
-    quadrature orders.  Every evaluation, ``BranchFunctions.evaluate``'s and
-    verify_ode's own, goes through ``wavefn._evaluate``, which is counted."""
+    table (pseudospin only) and for the completion; it evaluates the branch
+    as often, the completion once for its grid and both quadrature orders,
+    and its verify_ode reads the completion's arrays.  Every evaluation,
+    ``BranchFunctions.evaluate``'s and the completion's, goes through
+    ``wavefn._evaluate``, which is counted."""
 
     @pytest.mark.parametrize(
         "eq, calls",
-        [(ps_eq(1, -1, 1.0), 3), (spin_eq(0, 1, 1.0), 2)],
+        [(ps_eq(1, -1, 1.0), 2), (spin_eq(0, 1, 1.0), 1)],
         ids=["pseudospin", "spin"],
     )
     def test_calls_per_table(self, eq, calls, monkeypatch):
@@ -935,6 +937,116 @@ class TestEvaluatorTwin:
         assert capsys.readouterr().err == (
             "error: DomainError: alpha = 0.6, a_shape = 1e+17 put V1 + V2 + V3 = 0.0, "
             "not -3 alpha^2 / 4 = -0.27\n")
+
+
+class TestResidualFromTheCompletion:
+    """A table's residual is computed from the arrays its completion
+    evaluated (``_complete``), with s^2 psi'' formed on the interior of r
+    alone, after the norm check.  It equals a standalone ``verify_ode`` on
+    the table's grid bit for bit, and a table raises the norm's error first,
+    then the grid's interior count, then the residual leaving the doubles,
+    with the texts of a standalone ``verify_ode``."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return list(seeded_bound_states(per_cell=1))
+
+    @pytest.mark.parametrize("branch", [DECAYING, TERMINATING])
+    def test_standalone_verify_ode_equals_the_table(self, states, branch):
+        for eq, energy in states:
+            build = (pseudospin_components if eq.params.symmetry == PSEUDOSPIN
+                     else spin_limit_components)
+            r_max = float(default_grid(eq, energy)[-1])
+            for grid in (None, log_grid(1e-3, 1.3 * r_max, 777)):
+                table = build(eq, energy, grid, branch)
+                ours = verify_ode(eq, energy, branch, grid=table.r)
+                assert same_bits(ours, table.residual_norm), (eq, branch, grid is None)
+
+    @pytest.mark.parametrize("symmetry", [PSEUDOSPIN, SPIN])
+    def test_a_tiny_r_leaves_the_doubles_in_the_residual_alone(self, symmetry):
+        # at r = 1e-200, q = s / (1 - s) is about 1e200: the components and
+        # the norm hold, and the residual's s^2 psi'' leaves the doubles
+        eq, build, r_max = ((ps_eq(1, -1, 1.0), pseudospin_components, "13.753842307168314")
+                            if symmetry == PSEUDOSPIN else
+                            (spin_eq(0, -2, 1.0), spin_limit_components, "46.80532511948435"))
+        energy = solved(eq)
+        grid = default_grid(eq, energy, r_min=1e-200)
+        for branch in (DECAYING, TERMINATING):
+            with pytest.raises(DomainError) as exc:
+                build(eq, energy, grid, branch)
+            assert str(exc.value) == (f"the spinor table on r in [1e-200, {r_max}] at alpha = 0.6 "
+                                      "leaves the doubles: overflow encountered in multiply")
+
+    @pytest.mark.parametrize("symmetry", [PSEUDOSPIN, SPIN])
+    def test_a_short_grid_is_too_coarse_after_the_norm(self, symmetry):
+        eq, build = ((ps_eq(1, -1, 1.0), pseudospin_components) if symmetry == PSEUDOSPIN
+                     else (spin_eq(0, -2, 1.0), spin_limit_components))
+        energy = solved(eq)
+        r_max = float(default_grid(eq, energy)[-1])
+        with pytest.raises(GridTooCoarse) as exc:
+            build(eq, energy, log_grid(1e-4, r_max, 51))
+        assert str(exc.value) == "49 interior points < required 50"
+        assert build(eq, energy, log_grid(1e-4, r_max, 52)).residual_norm > 1e-2
+        # 20 times further out the terminating tail's square overflows the
+        # norm, which is checked before the 28 interior points are
+        with pytest.raises(NonNormalizable) as exc:
+            build(eq, energy, log_grid(1e-4, 20.0 * r_max, 30), TERMINATING)
+        assert str(exc.value) == "normalization integral = inf at order 24, inf at order 16"
+
+    @pytest.mark.parametrize("symmetry", [PSEUDOSPIN, SPIN])
+    def test_order_two_is_formed_on_the_interior_after_the_norm(self, symmetry, monkeypatch):
+        # W'' is the one Jacobi derivative of order 2 that s^2 psi'' reads
+        calls = []
+        derivatives = wavefn._derivatives
+
+        def recorded(spec, x, top, *rest):
+            calls.append((x.size, top))
+            return derivatives(spec, x, top, *rest)
+
+        monkeypatch.setattr(wavefn, "_derivatives", recorded)
+        eq, build = ((ps_eq(1, -1, 1.0), pseudospin_components) if symmetry == PSEUDOSPIN
+                     else (spin_eq(0, -2, 1.0), spin_limit_components))
+        energy = solved(eq)
+        table = build(eq, energy)
+        assert [size for size, top in calls if top == 2] == [table.r.size - 2]
+        calls.clear()
+        r_max = float(default_grid(eq, energy)[-1])
+        with pytest.raises(NonNormalizable):
+            build(eq, energy, log_grid(1e-4, 20.0 * r_max, 2000), TERMINATING)
+        assert calls and all(top < 2 for _, top in calls)
+
+
+class TestCompletionOfALowerTable:
+    """``upper_component_from_lower`` completes a lower table only with the
+    equation it was built from: the same state, and a branch with the
+    table's nu and mu at its energy."""
+
+    def test_a_lower_table_of_another_state_is_refused(self):
+        # (1, -1) and (0, -1) share kappa and so nu and mu at any energy
+        eq, other = ps_eq(1, -1, 1.0), ps_eq(0, -1, 1.0)
+        lower = lower_component(eq, solved(eq))
+        with pytest.raises(DomainError) as exc:
+            upper_component_from_lower(other, lower)
+        assert str(exc.value) == ("lower table is of state StateIndex(n=1, kappa=-1), "
+                                  "the equation of StateIndex(n=0, kappa=-1)")
+
+    def test_a_lower_table_of_other_exponents_is_refused(self):
+        eq, other = ps_eq(1, -1, 1.0), ps_eq(1, -1, 1.5)
+        energy = solved(eq)
+        lower = lower_component(eq, energy)
+        bf = branch_functions(other, energy)
+        with pytest.raises(DomainError) as exc:
+            upper_component_from_lower(other, lower)
+        assert str(exc.value) == (
+            f"lower table has nu = {lower.nu!r}, mu = {lower.mu!r}; the equation "
+            f"gives nu = {bf.nu!r}, mu = {bf.mu!r} at E = {energy!r}")
+
+    def test_a_grid_put_into_the_table_is_checked_after_the_norm(self):
+        eq = ps_eq(1, -1, 1.0)
+        energy = solved(eq)
+        lower = lower_component(eq, energy)
+        with pytest.raises(DomainError, match="grid must be finite, strictly positive and increasing"):
+            upper_component_from_lower(eq, dataclasses.replace(lower, r=lower.r[::-1].copy()))
 
 
 GRID = np.geomspace(1e-3, 30.0, 200)
