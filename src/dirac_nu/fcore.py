@@ -9,9 +9,12 @@ energy as a Python float, for bisection and each root.  All three take f's
 pieces from the same IEEE operations in the same order.  Constants that are
 arrays, one value per energy, give each energy the operations that its
 scalar constants would; :func:`_gathered` makes them for a batch of
-equations.  :func:`_slope_bound` bounds f' and the rounding of the computed
-f on one interval of energies: a certificate that f, as :func:`_f_point`
-computes it, is monotone there.
+equations.  :func:`_f_rounding` bounds the rounding of the computed f on
+one interval of energies and encloses u = sqrt(4 c9) and v = sqrt(4 c8)
+there; from it :func:`_slope_bound` bounds f', a certificate that f, as
+:func:`_f_point` computes it, is monotone there, and :func:`_f_floor` gives
+the |U| beyond which f, as computed, keeps the exact f's sign and is
+nonzero there, U being the oracle's radical-free sextic (``sextic``).
 """
 
 from __future__ import annotations
@@ -181,16 +184,14 @@ _ROUND = 2.0 ** -53
 _TINY = 2.0 ** -1074
 
 
-def _slope_bound(t: _FTerms, e0: float, e1: float) -> Optional[tuple[float, float]]:
-    """A certificate that f is strictly monotone on [e0, e1], e0 < e1: the
-    pair (slope, eps), or None where it cannot be given.
-
-    |slope| is a lower bound on |f'(E)| over the real interval, its sign
-    that of f', for the exact f of the constants ``t``; eps bounds |f^ - f|
-    at every double E in it, f^ being what :func:`_f_point` computes.  So
-    f^(E2) - f^(E1) has the sign of slope wherever E2 - E1 > 2 eps / |slope|,
-    and for doubles r and E in the interval with |E - r| > (|f^(r)| + 2 eps)
-    / |slope|, f^(E) is nonzero with the sign of slope * (E - r).
+def _f_rounding(t: _FTerms, e0: float, e1: float
+                ) -> Optional[tuple[float, float, float, float, float]]:
+    """(eps, u_lo, u_hi, v_lo, v_hi) on [e0, e1], e0 < e1, or None where
+    they cannot be given: eps bounds |f^ - f| at every double E of the
+    interval, f being the exact f of the constants ``t`` and f^ what
+    :func:`_f_point` computes, and u and v, the true sqrt(4 c9) and
+    sqrt(4 c8), lie in [u_lo, u_hi] and [v_lo, v_hi] on the whole real
+    interval, each bound off by a rounding or two.
 
     The pieces at both ends are formed as :func:`_f_pieces` forms them and
     bounded as :func:`_f_bounds` bounds them (Moore 1966, *Interval
@@ -210,18 +211,9 @@ def _slope_bound(t: _FTerms, e0: float, e1: float) -> Optional[tuple[float, floa
     computed q >= q_lo > 0 is off by e_q / sqrt(q_lo) plus its rounding,
     W + u - v by both plus two roundings, and the square and f by their
     first-order propagation.  eps is twice that first-order sum, for the
-    dropped terms and the bound's own rounding.
-
-    slope: with k = (sigma C - 2 x) / 4 alpha^2, f' in x = sigma E is
-    2 (W + u - v)(u' - v') - R' with u' = 2 w_scale V / u, v' = 2 (w_scale
-    V3 + k) / v and R' = 4 (w_scale V1 + k).  u, v and k are enclosed on the
-    whole real interval: 4 c9 is linear, b lies between its corner
-    products, and each true radicand lies within e_q of the computed
-    bounds.  Interval arithmetic on those encloses f' (Neumaier 1990,
-    *Interval Methods for Systems of Equations*).  Its endpoints are
-    computed in round-to-nearest, each off by at most some thirty roundings
-    of the magnitudes involved; the endpoint nearer 0 is moved toward 0 by
-    64 u times those magnitudes and kept where it stays off 0.
+    dropped terms and the bound's own rounding.  4 c9 is linear and b lies
+    between its corner products, and each true radicand lies within e_q of
+    the computed bounds, which gives u's and v's.
     """
     mirror, mass, c_sym, ll_c0, c9_base, w_scale, four_a2, v1, v3, v_total, width, _ = t
     # the ends in x = sigma E, ascending, and the pieces there as _f_pieces forms them
@@ -252,13 +244,10 @@ def _slope_bound(t: _FTerms, e0: float, e1: float) -> Optional[tuple[float, floa
                          + q8_lo + q8_hi + q9_lo + q9_hi):
         return None
 
-    # magnitudes: of x, of w, of b, of k and of the terms of A, c8 and c9
-    far = x1 if x1 > -x0 else -x0
-    near = abs(mass) + far
+    # magnitudes: of x, of w, of b and of the terms of A, c8 and c9
+    near = abs(mass) + (x1 if x1 > -x0 else -x0)
     wide = abs(w_scale) * (near + abs(c_sym))
     prod = near * (near + abs(c_sym)) / four_a2
-    k_top = (abs(c_sym) + 2.0 * far) / four_a2
-    a1, a3, a9 = abs(w_scale * v1), abs(w_scale * v3), abs(w_scale * v_total)
     m1 = abs(ll_c0) + abs(v1) * wide + prod
     e_a = 8.0 * _ROUND * m1 + (abs(v1) + 3.0) * _TINY
     e_8 = 32.0 * _ROUND * (abs(ll_c0) + abs(v3) * wide + prod) + 4.0 * (abs(v3) + 3.0) * _TINY
@@ -273,8 +262,41 @@ def _slope_bound(t: _FTerms, e0: float, e1: float) -> Optional[tuple[float, floa
     e_d = e_9 / u_lo + e_8 / v_lo + 3.0 * _ROUND * span
     eps = 2.0 * (e_d * (2.0 * span + e_d) + 4.0 * e_a
                  + _ROUND * (2.0 * span * span + 4.0 * m1) + _TINY)
-    if not eps < math.inf:
+    return (eps, u_lo, u_hi, v_lo, v_hi) if eps < math.inf else None
+
+
+def _slope_bound(t: _FTerms, e0: float, e1: float) -> Optional[tuple[float, float]]:
+    """A certificate that f is strictly monotone on [e0, e1], e0 < e1: the
+    pair (slope, eps), or None where it cannot be given.
+
+    |slope| is a lower bound on |f'(E)| over the real interval, its sign
+    that of f', for the exact f of the constants ``t``; eps, from
+    :func:`_f_rounding`, bounds |f^ - f| at every double E in it, f^ being
+    what :func:`_f_point` computes.  So f^(E2) - f^(E1) has the sign of
+    slope wherever E2 - E1 > 2 eps / |slope|, and for doubles r and E in the
+    interval with |E - r| > (|f^(r)| + 2 eps) / |slope|, f^(E) is nonzero
+    with the sign of slope * (E - r).  The pair holds on every subinterval
+    too.
+
+    slope: with k = (sigma C - 2 x) / 4 alpha^2, f' in x = sigma E is
+    2 (W + u - v)(u' - v') - R' with u' = 2 w_scale V / u, v' = 2 (w_scale
+    V3 + k) / v and R' = 4 (w_scale V1 + k).  u and v are enclosed on the
+    whole real interval by :func:`_f_rounding`, and k is linear.  Interval
+    arithmetic on those encloses f' (Neumaier 1990, *Interval Methods for
+    Systems of Equations*).  Its endpoints are computed in round-to-nearest,
+    each off by at most some thirty roundings of the magnitudes involved;
+    the endpoint nearer 0 is moved toward 0 by 64 u times those magnitudes
+    and kept where it stays off 0.
+    """
+    bounds = _f_rounding(t, e0, e1)
+    if bounds is None:
         return None
+    eps, u_lo, u_hi, v_lo, v_hi = bounds
+    mirror, _, c_sym, _, _, w_scale, four_a2, v1, v3, v_total, width, _ = t
+    x0, x1 = (e0, e1) if mirror > 0.0 else (-e1, -e0)
+    k_top = (abs(c_sym) + 2.0 * (x1 if x1 > -x0 else -x0)) / four_a2
+    a1, a3, a9 = abs(w_scale * v1), abs(w_scale * v3), abs(w_scale * v_total)
+    span = width + u_hi + v_hi
 
     # f' on the real interval, from the enclosures of u, v and k
     k_lo, k_hi = (c_sym - 2.0 * x1) / four_a2, (c_sym - 2.0 * x0) / four_a2
@@ -299,6 +321,32 @@ def _slope_bound(t: _FTerms, e0: float, e1: float) -> Optional[tuple[float, floa
     if fx_hi < -slack:
         return mirror * (fx_hi + slack), eps
     return None
+
+
+# bounds computed in round-to-nearest are moved outward by this factor, which
+# covers some thousands of roundings
+_UP, _DOWN = 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40
+
+
+def _f_floor(t: _FTerms, e0: float, e1: float) -> Optional[tuple[float, float, float]]:
+    """(u_lo, u_hi, need) on [e0, e1], e0 < e1, or None where
+    :func:`_f_rounding` gives no bounds: the true u = sqrt(4 c9) lies in
+    [u_lo, u_hi] at every real E of the interval, and where the exact U of
+    the constants ``t`` (:func:`.sextic._u_polynomial`) has |U(u)| > need
+    there, f^ as :func:`_f_point` computes it is nonzero at every double of
+    the interval, with the sign of the exact f, and f has no zero in it.
+
+    With a = W + u and v = sqrt(4 c8), U = S^2 - 4 a^2 v^2 and S = f + 2 a
+    v, so U = f (f + 4 a v).  Where |f| <= eps, |U| <= eps (eps + 4 a v):
+    so |U| > need = eps (eps + 4 (W + u_hi) v_hi) gives |f| > eps >= |f^ -
+    f|.  _f_rounding's u_lo and u_hi are each off by a rounding or two, so
+    they are moved outward here.
+    """
+    bounds = _f_rounding(t, e0, e1)
+    if bounds is None:
+        return None
+    eps, u_lo, u_hi, _, v_hi = bounds
+    return u_lo * _DOWN, u_hi * _UP, eps * (eps + 4.0 * (t.width + u_hi) * v_hi) * _UP
 
 
 def _gathered(shared: _FTerms, varies: list[bool], cols: NDArray[np.float64],

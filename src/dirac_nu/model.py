@@ -304,3 +304,22 @@ class StateIndex:
         if l >= len(_L_LETTERS):
             raise DomainError(f"orbital quantum number l={l} out of label range")
         return f"{n_label}{_L_LETTERS[l]}{2 * abs(self.kappa) - 1}/2"
+
+
+def check_doublet(params: ModelParams, neg: StateIndex, pos: StateIndex) -> None:
+    """DomainError unless ``neg`` and ``pos`` form a doublet of ``params``' limit:
+    kappa < 0 and kappa > 0, one n, and one (pseudo-)orbital number."""
+    if neg.kappa >= 0 or pos.kappa <= 0:
+        raise DomainError(
+            f"doublet must pair kappa < 0 with kappa > 0, got {neg.kappa}, {pos.kappa}"
+        )
+    if neg.n != pos.n:
+        raise DomainError(f"states {neg} and {pos} of a doublet must share n")
+    if params.symmetry == PSEUDOSPIN:
+        if kappa_to_pseudo_l(neg.kappa) != kappa_to_pseudo_l(pos.kappa):
+            raise DomainError(
+                f"states {neg} and {pos} do not share a pseudo-orbital number"
+            )
+    else:
+        if kappa_to_l_j(neg.kappa)[0] != kappa_to_l_j(pos.kappa)[0]:
+            raise DomainError(f"states {neg} and {pos} do not share an orbital number")

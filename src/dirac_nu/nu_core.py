@@ -26,8 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NegativeRadicand
+
+if TYPE_CHECKING:
+    from .spectrum import EnergyEquation
 
 RADICAND_CLAMP = 1e-12
 
@@ -45,6 +49,20 @@ class NuProblem:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def normal_form(eq: EnergyEquation, energy: float) -> NuProblem:
+    """Assemble the normal-form coefficients of ``eq`` at a trial energy, from
+    the constants it keeps (``spectrum.EnergyEquation``)."""
+    t = eq.terms
+    x = t.mirror * energy
+    w = (x - t.mass - t.c_sym) * eq.scale / t.four_a2
+    b = (t.mass + x) * (t.mass - x + t.c_sym) / t.four_a2
+    big_a = t.ll_c0 + w * t.v1 + b
+    big_b = (eq.q * (eq.q - 1.0) * (2.0 * eq.params.c0 - 1.0) + 2.0 * b
+             - w * (t.mirror * eq.coeffs.v2))
+    big_c = t.ll_c0 + w * t.v3 + b
+    return NuProblem(big_a=big_a, big_b=big_b, big_c=big_c)
 
 
 @dataclass(frozen=True)

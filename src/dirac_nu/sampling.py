@@ -136,6 +136,12 @@ class _Samples(NamedTuple):
             energies[-1] = self.hi
         return energies
 
+    @property
+    def gap(self) -> float:
+        """Less than the spacing of any two consecutive uniform samples of a
+        rule without ``table`` (see :func:`_scan_samples`)."""
+        return self.step - 6.0 * math.ulp(max(abs(self.lo), abs(self.hi)))
+
     def at(self, i: int) -> float:
         """Uniform sample i of a rule without ``table``, as :meth:`uniform` gives it."""
         return self.hi if i == self.points - 1 else i * self.step + self.lo

@@ -58,7 +58,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,15 +77,14 @@ from .model import (
     ModelParams,
     PotentialCoeffs,
     StateIndex,
+    check_doublet,
     check_points,
     four_alpha2,
-    kappa_to_l_j,
-    kappa_to_pseudo_l,
     potential_coeffs,
     within_doubles,
 )
 from .fcore import _f_arrays, _f_bounds, _f_point, _FTerms, _gathered, _slope_bound
-from .nu_core import RADICAND_CLAMP, NuProblem
+from .nu_core import RADICAND_CLAMP, normal_form  # noqa: F401 (the normal form of an equation)
 from .sampling import (  # noqa: F401 (the tests reach these through spectrum)
     SCAN_BLOCKS,
     _block_edges,
@@ -96,7 +95,13 @@ from .sampling import (  # noqa: F401 (the tests reach these through spectrum)
     _scan_grid,
     _scan_samples,
 )
-from .sextic import _companion_roots, _polish_u, _polish_x, _u_polynomial
+from .sextic import (
+    _certified_brackets,
+    _companion_roots,
+    _polish_u,
+    _polish_x,
+    _u_polynomial,
+)
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -185,19 +190,6 @@ def build_equation(
 ) -> EnergyEquation:
     """Convenience constructor mirroring EnergyEquation(params, state, assembly)."""
     return EnergyEquation(params=params, state=state, assembly=assembly)
-
-
-def normal_form(eq: EnergyEquation, energy: float) -> NuProblem:
-    """Assemble the normal-form coefficients at a trial energy."""
-    t = eq.terms
-    x = t.mirror * energy
-    w = (x - t.mass - t.c_sym) * eq.scale / t.four_a2
-    b = (t.mass + x) * (t.mass - x + t.c_sym) / t.four_a2
-    big_a = t.ll_c0 + w * t.v1 + b
-    big_b = (eq.q * (eq.q - 1.0) * (2.0 * eq.params.c0 - 1.0) + 2.0 * b
-             - w * (t.mirror * eq.coeffs.v2))
-    big_c = t.ll_c0 + w * t.v3 + b
-    return NuProblem(big_a=big_a, big_b=big_b, big_c=big_c)
 
 
 def _check_margin(margin: Optional[float]) -> None:
@@ -409,7 +401,7 @@ class SpectrumResult:
 
 
 def _bisect(t: _FTerms, a: float, b: float, fa: float, fb: float,
-            opts: SolveOptions) -> float:
+            opts: SolveOptions, cert: Optional[tuple[float, float]] = None) -> float:
     """Plain bisection; the grid guarantees fa and fb have opposite signs.
 
     Where :func:`_slope_bound` certifies f strictly monotone on [a, b], the
@@ -420,11 +412,17 @@ def _bisect(t: _FTerms, a: float, b: float, fa: float, fb: float,
     (mid - r), and that sign is all the loop reads of it; rho is twice the
     distance the certificate needs, so the rounding of mid - r and of rho
     does not matter.  So every step, and the returned double, are the plain
-    loop's.  A bracket without the certificate, or ``t`` None, takes the
+    loop's.  ``cert`` is the caller's certificate of an interval that holds
+    [a, b], which holds on the bracket too.  One from a wide interval can
+    leave rho far above ``bisect_tol``, and each halving of rho past it
+    saves a value of f: where 4 eps / |slope| > 32 bisect_tol, or ``cert``
+    is None, [a, b]'s own certificate, which costs about five values of f,
+    is computed instead.  A bracket without any, or ``t`` None, takes the
     plain loop.
     """
     tol = opts.bisect_tol
-    cert = _slope_bound(t, a, b) if t is not None else None
+    if t is not None and (cert is None or 4.0 * cert[1] > 32.0 * tol * abs(cert[0])):
+        cert = _slope_bound(t, a, b) or cert
     if cert is not None:
         slope, eps = cert
         r, fr = _secant(t, a, b, fa, fb, eps)
@@ -498,12 +496,16 @@ def _require_resolvable(energy: float, opts: SolveOptions, params: ModelParams) 
         )
 
 
-class _Scan(NamedTuple):
-    """What the sign-change scan of f on its samples finds."""
+@dataclass
+class _Scan:
+    """What the sign-change scan of f on its samples finds, and for a bracket
+    that a certificate of f's monotony covers, by its low end, that
+    certificate's (slope, eps) (``fcore._slope_bound``), for bisection."""
 
     brackets: list[tuple[float, float, float, float]]  # (E_i, E_i+1, f_i, f_i+1), ascending
     zeros: list[float]  # sample energies where f is exactly 0, ascending
     masked: int  # samples with a negative radicand
+    certified: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _scan(t: _FTerms, samples: _Samples, what: Callable[[], str]) -> _Scan:
@@ -621,7 +623,7 @@ def _scan_all(
             runs.append([i, i + 1])
     # a run without packed samples that f is certified monotone on is
     # settled from a few samples of f (_monotone_run), the others evaluated
-    certain: list[tuple[list, list]] = [([], []) for _ in range(k)]
+    certain: list[tuple[list, list, dict]] = [([], [], {}) for _ in range(k)]
     kept = []
     for i, j in runs:
         e = bisect.bisect_right(first, i) - 1 if k > 1 else 0
@@ -634,9 +636,10 @@ def _scan_all(
         else:
             certain[e][0].extend(found[0])
             certain[e][1].extend(found[1])
+            certain[e][2].update((bracket[0], found[2]) for bracket in found[0])
     runs = kept
     if not runs:
-        return [_Scan(more, also, m) for (more, also), m in zip(certain, masked_points)]
+        return [_Scan(more, also, m, cert) for (more, also, cert), m in zip(certain, masked_points)]
 
     # slices of at most SCAN_SLICE samples, each a list of pieces (equation,
     # first and last uniform index, last of its run, its run ends the scan,
@@ -745,22 +748,23 @@ def _scan_all(
                     evaluate(whole, whats[e])
                 except DomainError as exc:
                     failed[e] = exc
-    for e, (more, also) in enumerate(certain):
+    for e, (more, also, _) in enumerate(certain):
         if more or also:
             brackets[e], zeros[e] = sorted(brackets[e] + more), sorted(zeros[e] + also)
-    return [failed[e] if e in failed else _Scan(brackets[e], zeros[e], masked_points[e] + nans[e])
+    return [failed[e] if e in failed else
+            _Scan(brackets[e], zeros[e], masked_points[e] + nans[e], certain[e][2])
             for e in range(k)]
 
 
 def _monotone_run(t: _FTerms, s: _Samples, a: int, b: int, closing: bool
-                  ) -> Optional[tuple[list, list]]:
+                  ) -> Optional[tuple[list, list, tuple[float, float]]]:
     """The brackets and zeros that an evaluation of every sample finds on
     the run of blocks from uniform sample a to b of the rule ``s``, which
-    holds no packed sample, or None where the run lacks the certificate.
+    holds no packed sample, and the run's certificate; None where the run
+    lacks the certificate.
 
     :func:`_slope_bound` certifies it with (slope, eps) where 2 eps <
-    |slope| gap, gap = step - 6 ulp of the window's larger end being less
-    than the spacing of any two uniform samples (see :func:`_scan_samples`).
+    |slope| times ``s.gap``, less than the spacing of any two samples.
     Then f, as computed, rises or falls strictly from sample to sample, and
     is finite with both radicands above 0 at each: at most one pair of
     consecutive samples changes sign, or one sample is an exact zero.  f at
@@ -772,16 +776,15 @@ def _monotone_run(t: _FTerms, s: _Samples, a: int, b: int, closing: bool
     """
     e_a, e_b = s.at(a), s.at(b)
     cert = _slope_bound(t, e_a, e_b)
-    gap = s.step - 6.0 * math.ulp(max(abs(s.lo), abs(s.hi)))
-    if cert is None or not 2.0 * cert[1] < abs(cert[0]) * gap:
+    if cert is None or not 2.0 * cert[1] < abs(cert[0]) * s.gap:
         return None
     f_a, f_b = _f_point(t, e_a)[0], _f_point(t, e_b)[0]
     if f_a == 0.0:
-        return [], [e_a]
+        return [], [e_a], cert
     if f_b == 0.0:
-        return [], [e_b] if closing else []
+        return [], [e_b] if closing else [], cert
     if (f_a > 0.0) == (f_b > 0.0):
-        return [], []
+        return [], [], cert
     # three rounds of two probes, then bisection: a round probes the sample
     # below where the line through the last two points probed crosses 0,
     # then its neighbour toward the crossing, so that the next line is f's
@@ -801,14 +804,14 @@ def _monotone_run(t: _FTerms, s: _Samples, a: int, b: int, closing: bool
         e_j = s.at(j)
         f_j = _f_point(t, e_j)[0]
         if f_j == 0.0:
-            return [], [e_j]
+            return [], [e_j], cert
         p, f_p, q, f_q = q, f_q, j, f_j
         if (f_j > 0.0) == (f_a > 0.0):
             a, e_a, f_a = j, e_j, f_j
         else:
             b, e_b, f_b = j, e_j, f_j
     # a product that underflows to 0 is no sign change, as in the scan
-    return ([(e_a, e_b, f_a, f_b)] if f_a * f_b < 0.0 else []), []
+    return ([(e_a, e_b, f_a, f_b)] if f_a * f_b < 0.0 else []), [], cert
 
 
 def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> SpectrumResult:
@@ -834,6 +837,17 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     mids next to the root (:func:`_bisect`), with the roots of plain
     bisection bit for bit.
 
+    Where the window holds no radicand boundary, so that the rule packs no
+    samples, the oracle's roots can stand in for the scan
+    (:func:`.sextic._certified_brackets`): inclusion discs for the roots of
+    U formed exactly, one certified sign change of f in the cell of each
+    survivor, and a bound |f| > eps elsewhere prove the brackets that the
+    scan would find, and that it would find no zero and mask no sample.  The
+    brackets go to the same bisection, which reads their certificates; at
+    masses 1 to 10 this answers nearly every such solve.  Where any part of
+    the proof fails, the scan runs, with the oracle already taken.  So the
+    result and every error are the scan's, bit for bit.
+
     The bisection roots and the oracle's survivors must match in both
     directions: any unexplained mismatch raises OracleMismatch, and a
     mismatch within two ulps of the root, where ``ORACLE_MATCH_FACTOR *
@@ -842,8 +856,9 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     solve ends at the first root without an oracle partner.
 
     A solve's time goes mostly to a fixed cost, not to arithmetic: some
-    hundred numpy calls on small arrays and the per-root Python of the
-    oracle's polish, of the certificates and of bisection.  The oracle
+    hundred numpy calls on small arrays, or none where the oracle's
+    certificate holds, and the per-root Python of the oracle's polish, of
+    the certificates and of bisection.  The oracle
     calls LAPACK without np.linalg.eigvals' wrapper, and the scan builds
     its block edges once per grid size and its bounds in one preallocated
     block.  Sweeps, tables and multi-state solves run their equations
@@ -851,10 +866,20 @@ def solve_spectrum(eq: EnergyEquation, opts: SolveOptions = SolveOptions()) -> S
     of one-at-a-time solves.
     """
     window = search_window(eq, opts.margin)
-    oracle = quartic_oracle(eq, window=window) if opts.oracle_check else None
+    roots: list = []
+    oracle = quartic_oracle(eq, window=window, _roots=roots) if opts.oracle_check else None
     samples = _scan_samples(eq.terms, *window, opts.grid_points)
-    scan = _scan(eq.terms, samples, _scan_what(eq, window))
+    scan = (_oracle_scan(eq.terms, samples, oracle, roots)
+            or _scan(eq.terms, samples, _scan_what(eq, window)))
     return _finish(eq, window, oracle, samples, scan, opts)
+
+
+def _oracle_scan(t: _FTerms, samples: _Samples, oracle: Optional[OracleResult],
+                 roots: Optional[list]) -> Optional[_Scan]:
+    """The scan's outcome proved from the oracle and U's ``roots`` without
+    the scan (:func:`.sextic._certified_brackets`), or None."""
+    found = oracle and _certified_brackets(t, samples, oracle.survivors, oracle.coefficients, roots)
+    return _Scan(found[0], [], 0, found[1]) if found else None
 
 
 def _solve_all(
@@ -890,6 +915,7 @@ def _solve_all(
             except SolverError as exc:
                 out[i] = exc
         oracles: dict[int, Optional[OracleResult]] = dict.fromkeys(windows)
+        roots: dict[int, list] = {}
         if opts.oracle_check:
             for i, oracle in zip(list(windows), _oracles([eqs[i] for i in windows],
                                                          list(windows.values()))):
@@ -897,16 +923,19 @@ def _solve_all(
                     out[i] = oracle
                     del windows[i]
                 else:
-                    oracles[i] = oracle
-        if not windows:
-            continue
-        samples = [_scan_samples(eqs[i].terms, *window, opts.grid_points)
-                   for i, window in windows.items()]
-        scans = _scan_all([eqs[i].terms for i in windows], samples,
-                          [_scan_what(eqs[i], window) for i, window in windows.items()])
-        for (i, window), sample, scan in zip(windows.items(), samples, scans):
+                    oracles[i], roots[i] = oracle
+        samples = {i: _scan_samples(eqs[i].terms, *window, opts.grid_points)
+                   for i, window in windows.items()}
+        scans = {i: _oracle_scan(eqs[i].terms, samples[i], oracles[i], roots.get(i))
+                 for i in windows}
+        rest = [i for i, scan in scans.items() if scan is None]
+        if rest:
+            scans.update(zip(rest, _scan_all([eqs[i].terms for i in rest],
+                                             [samples[i] for i in rest],
+                                             [_scan_what(eqs[i], windows[i]) for i in rest])))
+        for i, window in windows.items():
             try:
-                out[i] = _finish(eqs[i], window, oracles[i], sample, _one(scan), opts)
+                out[i] = _finish(eqs[i], window, oracles[i], samples[i], _one(scans[i]), opts)
             except SolverError as exc:
                 out[i] = exc
     return out
@@ -941,7 +970,9 @@ def _finish(eq: EnergyEquation, window: tuple[float, float], oracle: Optional[Or
     # bisect_tol of it
     z, below, last_zero = 0, [], []
     for k in range(len(scan.brackets) + 1):
-        above = [_bisect(eq.terms, *scan.brackets[k], opts)] if k < len(scan.brackets) else []
+        above = ([_bisect(eq.terms, *scan.brackets[k], opts,
+                          scan.certified.get(scan.brackets[k][0]))]
+                 if k < len(scan.brackets) else [])
         while z < len(scan.zeros) and not (above and scan.zeros[z] > above[0]):
             e, z = scan.zeros[z], z + 1
             if not any(abs(e - r) <= opts.bisect_tol for r in below + above + last_zero):
@@ -994,6 +1025,7 @@ def _finish(eq: EnergyEquation, window: tuple[float, float], oracle: Optional[Or
 def quartic_oracle(
     eq: EnergyEquation,
     window: Optional[tuple[float, float]] = None,
+    _roots: Optional[list] = None,
 ) -> OracleResult:
     """Independent root finder: eliminate the radicals in u = sqrt(4 c9),
     then take the roots np.roots would (:func:`_companion_roots`).
@@ -1029,17 +1061,24 @@ def quartic_oracle(
     takes it (:func:`_polish_x`).  A coefficient past the doubles is a
     DomainError naming the parameters, and so is an entry -c_k / c_0 of
     U's companion matrix past them, which finite coefficients can make.
+
+    ``_roots``, where given, receives U's companion roots in u, unpolished,
+    in the order of ``all_roots``: :func:`solve_spectrum` certifies its
+    brackets from them (:func:`.sextic._inclusion_discs`).
     """
-    return _one(_oracles([eq], [window])[0])
+    oracle, roots = _one(_oracles([eq], [window])[0])
+    if _roots is not None:
+        _roots += roots
+    return oracle
 
 
 def _oracles(
     eqs: Sequence[EnergyEquation], windows: Sequence[Optional[tuple[float, float]]]
-) -> list[Union[OracleResult, DomainError]]:
+) -> list[Union[tuple[OracleResult, list[complex]], DomainError]]:
     """:func:`quartic_oracle` of each equation in its window, its roots taken
     for all of them at once (:func:`_companion_roots`): each one's
-    OracleResult or DomainError, so an equation whose companion matrix
-    leaves the doubles costs the others nothing."""
+    OracleResult with U's roots in u, or its DomainError, so an equation
+    whose companion matrix leaves the doubles costs the others nothing."""
     out: list = [None] * len(eqs)
     polys = {}
     for i, eq in enumerate(eqs):
@@ -1055,7 +1094,7 @@ def _oracles(
             out[i] = _oracle_error(eqs[i], f"an entry of the oracle's companion matrix at {bad!r}")
             continue
         try:
-            out[i] = _oracle_result(eqs[i], coeffs, zs, windows[i])
+            out[i] = _oracle_result(eqs[i], coeffs, zs, windows[i]), zs
         except SolverError as exc:
             out[i] = exc
     return out
@@ -1122,23 +1161,6 @@ def spin_from_pseudospin_mapping(
         raise DomainError("spin_from_pseudospin_mapping expects a pseudospin equation")
     params = replace(eq.params, symmetry=SPIN, c_sym=-eq.params.c_sym)
     return EnergyEquation(params=params, state=eq.state, assembly=assembly)
-
-
-def check_doublet(params: ModelParams, neg: StateIndex, pos: StateIndex) -> None:
-    if neg.kappa >= 0 or pos.kappa <= 0:
-        raise DomainError(
-            f"doublet must pair kappa < 0 with kappa > 0, got {neg.kappa}, {pos.kappa}"
-        )
-    if neg.n != pos.n:
-        raise DomainError(f"states {neg} and {pos} of a doublet must share n")
-    if params.symmetry == PSEUDOSPIN:
-        if kappa_to_pseudo_l(neg.kappa) != kappa_to_pseudo_l(pos.kappa):
-            raise DomainError(
-                f"states {neg} and {pos} do not share a pseudo-orbital number"
-            )
-    else:
-        if kappa_to_l_j(neg.kappa)[0] != kappa_to_l_j(pos.kappa)[0]:
-            raise DomainError(f"states {neg} and {pos} do not share an orbital number")
 
 
 @dataclass(frozen=True)

@@ -779,18 +779,25 @@ def verify_ode(
     this equation and stays at order one, which is exactly what makes the
     (residual, decay) pair discriminate the branches.
 
+    The evaluation or the residual leaving the doubles, as they do near a
+    tiny r, is a DomainError naming the grid, as a table on that grid raises
+    one, not a number.
+
     ``_evaluated`` is the completion's alone (``_complete``): its branch
     and the s, 1 - s, psi, s psi' and s^2 psi'' it evaluated on the
     interior of ``grid``, which stand in for this function's own branch,
-    grid check and evaluation.  Both feed ``_residual``.
+    grid check and evaluation.  Both feed ``_residual``, the completion's
+    under its own ``within_doubles``.
     """
-    if _evaluated is None:
-        bf, r = _branch_and_grid(eq, energy, branch, grid)
+    if _evaluated is not None:
+        return _residual(*_evaluated)
+    bf, r = _branch_and_grid(eq, energy, branch, grid)
+    _check_interior(r.size - 2)
+    with within_doubles(lambda: f"the ODE residual on r in [{float(r[0])!r}, {float(r[-1])!r}] "
+                                f"at alpha = {eq.params.alpha!r}"):
         log_s = -2.0 * eq.params.alpha * r[1:-1]
-        _check_interior(log_s.size)
         s, one_minus = _s_and_one_minus(log_s)
-        _evaluated = (bf, s, one_minus, *_evaluate(bf, log_s, s, one_minus, 2))
-    return _residual(*_evaluated)
+        return _residual(bf, s, one_minus, *_evaluate(bf, log_s, s, one_minus, 2))
 
 
 def _residual(

@@ -28,7 +28,7 @@ from dirac_nu.errors import (
     SolverError,
     WindowViolation,
 )
-from dirac_nu import spectrum, wavefn
+from dirac_nu import fcore, sextic, spectrum, wavefn
 from dirac_nu.model import MAX_POINTS, PSEUDOSPIN, SPIN, ModelParams, PotentialCoeffs, StateIndex
 from dirac_nu.spectrum import (
     ASSEMBLY_REFERENCE,
@@ -394,14 +394,16 @@ class TestSolveSpectrum:
         assert all(r.method == "oracle-confirmed" for r in res.roots)
 
 
-def seeded_equations(count, seed="scalar-twin"):
-    """Strict-domain states cycling through both limits and both spin assemblies."""
+def seeded_equations(count, seed="scalar-twin", top=None):
+    """Strict-domain states cycling through both limits and both spin
+    assemblies; the mass uniform from 1 to 30, or log-uniform from 1 to
+    ``top``."""
     rng = random.Random(seed)
     kinds = ((PSEUDOSPIN, ASSEMBLY_STRICT), (SPIN, ASSEMBLY_REFERENCE), (SPIN, ASSEMBLY_STRICT))
     out = []
     for i in range(count):
         symmetry, assembly = kinds[i % 3]
-        mass = rng.uniform(1.0, 30.0)
+        mass = rng.uniform(1.0, 30.0) if top is None else math.exp(rng.uniform(0.0, math.log(top)))
         params = ModelParams(
             mass=mass, symmetry=symmetry, c_sym=rng.uniform(-mass, mass),
             tensor_h=rng.uniform(-3.0, 3.0), alpha=rng.uniform(0.55, 3.0),
@@ -613,15 +615,19 @@ class TestOnePass:
 
     @pytest.mark.parametrize("oracle_check", [True, False])
     def test_constants_then_oracle_then_scan(self, oracle_check, monkeypatch):
-        # every scan starts with its bound pass; at this state it evaluates
-        # no block of samples (TestMonotoneRuns)
+        # every scan starts with its bound pass.  The radicand sliver's window
+        # holds packed samples, so the scan runs after the oracle too; the
+        # README state's window has none, and its oracle's certificate takes
+        # the scan's place (TestOracleFirst)
         calls = []
         for name in ("_f_terms", "quartic_oracle", "_f_bounds"):
             def traced(*args, _name=name, _fn=getattr(spectrum, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(spectrum, name, traced)
-        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        params, state, assembly, _ = TestScalarTwin.PINNED["radicand_sliver"]
+        eq = build_equation(params, state, assembly)
+        assert spectrum._scan_samples(eq.terms, *search_window(eq), OPTS.grid_points).slots
         solve_spectrum(eq, SolveOptions(oracle_check=oracle_check))
         firsts = sorted(set(calls), key=calls.index)
         expected = ["_f_terms", "quartic_oracle", "_f_bounds"]
@@ -1109,21 +1115,40 @@ class TestMonotoneRuns:
     def test_certified_bisection_is_plain_bisection(self, tol, monkeypatch):
         rng = random.Random(f"replay {tol}")
         opts = SolveOptions(bisect_tol=tol)
-        brackets = []
+        brackets, passed = [], []
         for eq in seeded_equations(90, seed="replay") + [build_equation(ps_params(1.0),
                                                                          StateIndex(1, -1))]:
             lo, hi = search_window(eq)
+            roots = []
+            oracle = quartic_oracle(eq, (lo, hi), _roots=roots)
             for points in (20001, 201, 3):
-                scan = spectrum._scan(eq.terms, spectrum._scan_samples(eq.terms, lo, hi, points), str)
+                samples = spectrum._scan_samples(eq.terms, lo, hi, points)
+                scan = spectrum._scan(eq.terms, samples, str)
                 brackets += [(eq.terms, bracket) for bracket in scan.brackets]
+                # the certificates a caller passes: of the monotone run that
+                # holds a bracket, and C2's of the neighbourhood of its cell
+                passed += [(eq.terms, bracket, scan.certified[bracket[0]])
+                           for bracket in scan.brackets if bracket[0] in scan.certified]
+                found = sextic._certified_brackets(eq.terms, samples, oracle.survivors,
+                                                   oracle.coefficients, roots)
+                passed += [(eq.terms, bracket, found[1][bracket[0]]) for bracket in found[0]
+                           ] if found else []
         certified = sum(spectrum._slope_bound(t, a, b) is not None for t, (a, b, _, _) in brackets)
         replayed = [spectrum._bisect(t, *bracket, opts) for t, bracket in brackets]
+        given = [spectrum._bisect(t, *bracket, opts, cert) for t, bracket, cert in passed]
         monkeypatch.setattr(spectrum, "_slope_bound", lambda *args: None)
         plain = [spectrum._bisect(t, *bracket, opts) for t, bracket in brackets]
         assert same_bits(replayed, plain)
+        # a passed certificate that leaves rho within 32 bisect_tol is read as
+        # it is; with _slope_bound gone, a wider one is too
+        used = sum(4.0 * eps <= 32.0 * tol * abs(slope) for _, _, (slope, eps) in passed)
+        assert same_bits([spectrum._bisect(t, *bracket, opts, cert) for t, bracket, cert in passed],
+                         given)
+        assert same_bits(given, [spectrum._bisect(t, *bracket, opts) for t, bracket, _ in passed])
         # the wide brackets of 3 samples are certified about half the time
         assert len(brackets) > 200 and len(brackets) - 50 > certified > 150, (
             len(brackets), certified)
+        assert len(passed) > 150 and (used > 100 or tol < 1e-14), (len(passed), used)
 
     def test_readme_state_evaluates_no_block_and_few_points(self, monkeypatch):
         evaluated, per_root, bisecting = [], [], []
@@ -1148,6 +1173,8 @@ class TestMonotoneRuns:
         monkeypatch.setattr(spectrum, "_f_arrays", counting_arrays)
         monkeypatch.setattr(spectrum, "_f_point", counting_point)
         monkeypatch.setattr(spectrum, "_bisect", counting_bisect)
+        # the scan, not the oracle's certificate (TestOracleFirst counts that)
+        monkeypatch.setattr(spectrum, "_oracle_scan", lambda *args: None)
         params, state, assembly, roots = TestScalarTwin.PINNED["readme"]
         assert solve_spectrum(build_equation(params, state, assembly)).roots == roots
         # about 31 calls a root by plain bisection
@@ -1175,7 +1202,8 @@ class TestMonotoneRuns:
             got = outcome(lambda t, s: spectrum._scan(t, s, lambda: "the scan"), eq.terms, samples)
             assert got == outcome(full_scan, eq.terms, spectrum._scan_grid(eq.terms, lo, hi, points))
         brackets = 0
-        for t, s, a, b, closing, (found, zeros) in settled:
+        for t, s, a, b, closing, (found, zeros, cert) in settled:
+            assert cert == spectrum._slope_bound(t, s.at(a), s.at(b))
             energies = s.between(a, b)
             f = spectrum._f_arrays(t, energies)
             assert np.isfinite(f).all()
@@ -1195,7 +1223,7 @@ class TestMonotoneRuns:
         terms = zero_terms()
         samples = spectrum._scan_samples(terms, lo, hi, points)
         assert samples.slots == [] and spectrum._f_point(terms, -1.25)[0] == 0.0
-        assert spectrum._monotone_run(terms, samples, 0, points - 1, closing) == ([], zeros)
+        assert spectrum._monotone_run(terms, samples, 0, points - 1, closing)[:2] == ([], zeros)
         grid = spectrum._scan_grid(terms, lo, hi, points)
         assert spectrum._scan(terms, samples, str) == full_scan(terms, grid)
 
@@ -1243,6 +1271,223 @@ class TestMonotoneRuns:
         with pytest.raises(DomainError, match="bisect_tol=1e-12 is too small"):
             solve_spectrum(eq)
         assert len(certificates) > 0 and set(certificates) == {None}
+
+
+def domain_equations():
+    """TestDomainContract's extreme states that build."""
+    eqs = []
+    for symmetry, mass, alpha, h in itertools.product(
+            (PSEUDOSPIN, SPIN), TestDomainContract.MASSES, TestDomainContract.ALPHAS,
+            TestDomainContract.TENSORS):
+        params = ModelParams(mass=mass, symmetry=symmetry, tensor_h=h, alpha=alpha)
+        for state in (StateIndex(1, -1), StateIndex(0, 2)):
+            try:
+                eqs.append(build_equation(params, state))
+            except SolverError:
+                pass
+    return eqs
+
+
+class TestOracleFirst:
+    """Where the oracle's roots certify what the scan would find
+    (sextic._certified_brackets), a solve takes the brackets from them and
+    does not scan: every root, selection, note, oracle and error stays the
+    scan's, bit for bit.  The certificates read LAPACK's eigenvalues and
+    the scalar f, so this runs with numpy's SIMD kernels off too."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The outcomes of spectrum._oracle_scan, None where it declined."""
+        seen = []
+        oracle_scan = spectrum._oracle_scan
+        monkeypatch.setattr(spectrum, "_oracle_scan",
+                            lambda *args: seen.append(oracle_scan(*args)) or seen[-1])
+        return seen
+
+    @staticmethod
+    def scanned(eqs, opts, monkeypatch):
+        """Each equation's outcome alone and batched, with the certificate
+        declined, so that every solve scans."""
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "_oracle_scan", lambda *args: None)
+            return one_at_a_time(eqs, opts), batched(eqs, opts)
+
+    @pytest.mark.parametrize("which", ["seeded", "bundled", "domain"])
+    def test_same_outcome_as_the_scan(self, which, ref, monkeypatch):
+        if which == "seeded":
+            eqs = seeded_equations(2100, "oracle first", 1e4)
+        elif which == "bundled":
+            eqs = pinned_equations(ref)
+        else:
+            eqs = domain_equations()
+        alone, together = self.scanned(eqs, OPTS, monkeypatch)
+        seen = self.spy(monkeypatch)
+        assert one_at_a_time(eqs, OPTS) == alone
+        first = len(seen)
+        answered = sum(scan is not None for scan in seen)
+        assert batched(eqs, OPTS) == together
+        assert answered == sum(scan is not None for scan in seen[first:])
+        least = {"seeded": 500, "bundled": 50, "domain": 10}[which]
+        assert answered > least, (which, answered, len(eqs))
+
+    def test_answers_nearly_every_light_solve(self, monkeypatch):
+        # of the solves at masses 1 to 10 whose window has no packed samples
+        # and that select a root, the certificate answers at least 95 %
+        seen = self.spy(monkeypatch)
+        taken = eligible = 0
+        for eq in seeded_equations(3000, "light", 10.0):
+            try:
+                res = solve_spectrum(eq, OPTS)
+            except SolverError:
+                continue
+            samples = spectrum._scan_samples(eq.terms, *res.window, OPTS.grid_points)
+            if not samples.slots and res.selected is not None:
+                eligible += 1
+                taken += seen[-1] is not None
+        assert eligible > 150 and taken >= 0.95 * eligible, (taken, eligible)
+
+    def test_readme_state_scans_nothing(self, monkeypatch):
+        # the oracle runs first; then no bound pass and no evaluation of f on
+        # arrays, and bisection takes C2's certificate
+        calls, per_root, bisecting = [], [], []
+        for name in ("quartic_oracle", "_f_bounds", "_f_arrays"):
+            def traced(*args, _name=name, _fn=getattr(spectrum, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectrum, name, traced)
+        f_point, bisect_one = spectrum._f_point, spectrum._bisect
+
+        def counting_point(*args):
+            if bisecting:
+                bisecting[-1] += 1
+            return f_point(*args)
+
+        def counting_bisect(*args):
+            bisecting.append(0)
+            try:
+                return bisect_one(*args)
+            finally:
+                per_root.append(bisecting.pop())
+
+        monkeypatch.setattr(spectrum, "_f_point", counting_point)
+        monkeypatch.setattr(spectrum, "_bisect", counting_bisect)
+        seen = self.spy(monkeypatch)
+        params, state, assembly, roots = TestScalarTwin.PINNED["readme"]
+        assert solve_spectrum(build_equation(params, state, assembly)).roots == roots
+        assert calls == ["quartic_oracle"] and seen[0] is not None
+        assert len(per_root) == 2 and max(per_root) <= 12, per_root
+
+    def test_windows_without_survivors(self, monkeypatch):
+        # a window without a radicand boundary and without a root of f: the
+        # certificate proves that the scan finds nothing and masks nothing,
+        # so the note's count of 0 is exact
+        seen = self.spy(monkeypatch)
+        notes = [res.selection_note
+                 for res in map(solve_spectrum, seeded_equations(300, "none", 10.0))
+                 if seen[-1] is not None and not res.roots]
+        assert len(notes) > 10 and all(
+            note.endswith("; 0 of 20001 grid points had negative radicands") for note in notes)
+
+    def test_overlapping_discs(self):
+        eq = build_equation(ps_params(1.0), StateIndex(1, -1))
+        window = search_window(eq)
+        roots = []
+        oracle = quartic_oracle(eq, window, _roots=roots)
+        samples = spectrum._scan_samples(eq.terms, *window, OPTS.grid_points)
+
+        def certified(centres):
+            return sextic._certified_brackets(eq.terms, samples, oracle.survivors,
+                                              oracle.coefficients, centres)
+
+        lc, clusters = sextic._inclusion_discs(eq.terms, oracle.coefficients, roots)
+        assert lc > 0.0 and [len(cluster) for cluster in clusters] == [1] * 6
+        assert all(0.0 < radius < 1e-9 for (_, _, radius), in clusters) and certified(roots)
+        # a centre moved 1e-6 off its root gets a disc that reaches back over it
+        _, moved = sextic._inclusion_discs(eq.terms, oracle.coefficients,
+                                           [roots[0] + 1e-6] + roots[1:])
+        assert 1e-6 < moved[0][0][2] < 1e-5
+        # one moved halfway to its neighbour, or two centres 1e-9 apart:
+        # discs that overlap make one cluster, which reaches into the window
+        for centres in ([(roots[0] + roots[1]) / 2] + roots[1:],
+                        [roots[0], roots[0] + 1e-9] + roots[2:]):
+            _, clusters = sextic._inclusion_discs(eq.terms, oracle.coefficients, centres)
+            assert max(map(len, clusters)) > 1 and certified(centres) is None
+
+    def test_a_double_root_of_u_is_one_cluster(self, monkeypatch):
+        # at q = -n, U has a double root at u = -(2n + 1), which LAPACK splits
+        # into a complex pair 2e-6 apart; their discs overlap, and the pair
+        # is one cluster away from the window's u
+        eq = build_equation(ps_params(0.0), StateIndex(1, -1))
+        assert eq.q == -1.0
+        roots = []
+        oracle = quartic_oracle(eq, search_window(eq), _roots=roots)
+        pair = [z for z in roots if abs(z + 3.0) < 1e-5]
+        assert len(pair) == 2 and pair[0].imag == -pair[1].imag != 0.0
+        _, clusters = sextic._inclusion_discs(eq.terms, oracle.coefficients, roots)
+        assert sorted(map(len, clusters)) == [1, 1, 1, 1, 2]
+        seen = self.spy(monkeypatch)
+        assert one_at_a_time([eq], OPTS) == self.scanned([eq], OPTS, monkeypatch)[0]
+        assert seen[0] is not None
+
+    def test_a_decaying_root_in_the_window(self):
+        # U has a root with S < 0 at E = -13.9576 (u = 1.5145), a bound state
+        # of the decaying branch that f does not have (ROADMAP item 18),
+        # 0.15 below a radicand boundary.  On the window cut short of that
+        # boundary the rule holds no packed sample; cut before the root the
+        # survivor is certified, cut after it no survivor stands for the root
+        # of U, and the certificate fails
+        params = ModelParams(mass=9.241297483879778, symmetry=SPIN, c_sym=-7.2302079817492375,
+                             tensor_h=0.7055785339839802, alpha=2.2684666338835804,
+                             a_shape=4.553979185920221)
+        eq = build_equation(params, StateIndex(0, 2))
+        lo, hi = search_window(eq)
+        roots = []
+        oracle = quartic_oracle(eq, (lo, hi), _roots=roots)
+        decaying = [u for u, _, branch in (sextic._polish_u(eq.terms, z.real)
+                                           for z in roots if not z.imag)
+                    if u > 0.0 and branch < 0.0]
+        assert len(decaying) == 1 and oracle.survivors == (-15.434545142579003,)
+        assert spectrum._radicand_boundaries(eq.terms, lo, -13.85) == []
+        for end, certified in ((-14.2, True), (-13.85, False)):
+            samples = spectrum._scan_samples(eq.terms, lo, end, OPTS.grid_points)
+            found = sextic._certified_brackets(eq.terms, samples, oracle.survivors,
+                                               oracle.coefficients, roots)
+            assert (found is not None) == certified, end
+            assert fcore._f_floor(eq.terms, -15.3, end) is not None
+
+    @pytest.mark.parametrize("grid_points", [3, 4])
+    def test_two_survivors_in_one_neighbourhood(self, grid_points, monkeypatch):
+        # at 3 samples both README roots have the whole window as their
+        # neighbourhood; at 4, both roots of TestCrossCheckBranches' state
+        # share a cell
+        seen = self.spy(monkeypatch)
+        opts = SolveOptions(grid_points=grid_points)
+        eq = (build_equation(ps_params(1.0), StateIndex(1, -1)) if grid_points == 3 else
+              build_equation(ModelParams(mass=9.695646549768895, c_sym=7.255963151421806,
+                                         tensor_h=1.6933592857421633, alpha=1.9780664756666617,
+                                         a_shape=6.951612938471577), StateIndex(3, 2)))
+        got = one_at_a_time([eq], opts)
+        assert seen == [None] and got == self.scanned([eq], opts, monkeypatch)[0]
+        assert ("OracleMismatch" in got[0]) == (grid_points == 4)
+
+    @pytest.mark.parametrize("mass", [1e45, 1e75])
+    def test_noise_keeps_its_error(self, mass, monkeypatch):
+        # TestOnePass pins both texts
+        seen = self.spy(monkeypatch)
+        eq = build_equation(ps_params(1.0, mass=mass), StateIndex(1, -1))
+        with pytest.raises(DomainError, match="bisect_tol=1e-12 is too small"):
+            solve_spectrum(eq)
+        assert seen == [None]
+
+    def test_huge_alpha_is_left_to_the_scan(self, monkeypatch):
+        # TestDomainContract's strict xfail: the scan finds the root that
+        # the oracle misses
+        seen = self.spy(monkeypatch)
+        params = ModelParams(mass=5.0, symmetry=SPIN, tensor_h=-1.0, alpha=1e50,
+                             a_shape=4.0000001)
+        with pytest.raises(OracleMismatch):
+            solve_spectrum(build_equation(params, StateIndex(0, -1), ASSEMBLY_STRICT), OPTS)
+        assert seen == [None]
 
 
 class TestSampleRule:
@@ -1485,7 +1730,9 @@ class TestBatch:
                 tracemalloc.stop()
             assert peak < 640 * 1024, peak
 
-        # and no bound pass or evaluation grows with the batch
+        # and no bound pass or evaluation grows with the batch, every
+        # equation scanned
+        monkeypatch.setattr(spectrum, "_oracle_scan", lambda *args: None)
         blocks, samples = [], []
         f_bounds, f_arrays = spectrum._f_bounds, spectrum._f_arrays
         monkeypatch.setattr(spectrum, "_f_bounds",

@@ -977,6 +977,26 @@ class TestResidualFromTheCompletion:
             assert str(exc.value) == (f"the spinor table on r in [1e-200, {r_max}] at alpha = 0.6 "
                                       "leaves the doubles: overflow encountered in multiply")
 
+    @pytest.mark.parametrize("r_min, op", [(1e-200, "multiply"), (1e-310, "divide")])
+    def test_a_standalone_residual_leaving_the_doubles_is_a_domain_error(self, r_min, op):
+        # the spin state (0, -2) at the README parameters: a standalone
+        # verify_ode on the grid of a table that leaves the doubles raises as
+        # the table does, naming the grid, with no warning and no number
+        eq = spin_eq(0, -2, 1.0)
+        energy = solved(eq)
+        grid = log_grid(r_min, 10.0, 400)
+        ending = f"on r in [{r_min!r}, 10.0] at alpha = 0.6 leaves the doubles: overflow " \
+                 f"encountered in {op}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as table:
+                spin_limit_components(eq, energy, grid)
+            assert str(table.value) == "the spinor table " + ending
+            for branch in (DECAYING, TERMINATING):
+                with pytest.raises(DomainError) as alone:
+                    verify_ode(eq, energy, branch, grid)
+                assert str(alone.value) == "the ODE residual " + ending
+
     @pytest.mark.parametrize("symmetry", [PSEUDOSPIN, SPIN])
     def test_a_short_grid_is_too_coarse_after_the_norm(self, symmetry):
         eq, build = ((ps_eq(1, -1, 1.0), pseudospin_components) if symmetry == PSEUDOSPIN
